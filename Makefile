@@ -47,7 +47,7 @@ bench-serve:
 	$(PYTHON) benchmarks/check_regression.py $(BENCH_DIR)/BENCH_serve.json \
 		--baseline benchmarks/BENCH_serve.json
 
-# Executor scaling (serial/thread/process at 1-4 workers), binary-codec
+# Executor scaling (serial, and process at 2 and 4 workers), binary-codec
 # vs JSONL load, and cold-vs-warm cache speedup.  Runs without
 # --benchmark-only so the direct acceptance asserts (codec faster than
 # JSON, warm cache >= 5x) execute too; checked against the recorded

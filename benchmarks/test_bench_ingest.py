@@ -68,7 +68,7 @@ def served_ingest(tmp_path_factory):
     near free.
 
     The worker uses the *process* executor — the serving configuration
-    this benchmark exists to pin.  A serial or thread executor runs the
+    this benchmark exists to pin.  A serial executor runs the
     pure-Python analysis inside the server process, and the GIL starves
     the event loop (read p50 degrades ~30x); shipping records to one
     long-lived pool of child processes keeps the serving thread

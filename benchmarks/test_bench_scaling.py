@@ -2,9 +2,9 @@
 
 Three questions, one file:
 
-- how does per-session analysis scale across the execution backends
-  (serial / thread / process) and worker counts — the number the
-  process-pool engine is measured by;
+- how does per-session analysis scale from the in-process executor to
+  the process pool at each worker count — the number the process-pool
+  engine is measured by;
 - is the compact binary trace format actually faster to load than the
   legacy JSONL (it must be: it is the process pool's wire format);
 - what does the persistent cache buy on an unchanged re-run (the
@@ -51,14 +51,12 @@ def subset_world():
     "executor,workers",
     [
         ("serial", 1),
-        ("thread", 2),
-        ("thread", 4),
         ("process", 2),
         ("process", 4),
     ],
 )
 def test_bench_executor_scaling(benchmark, subset_world, executor, workers):
-    """Per-session analysis fan-out, per backend and worker count."""
+    """Per-session analysis fan-out, per executor and worker count."""
     specs, dataset, reference = subset_world
 
     def run():

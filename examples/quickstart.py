@@ -19,7 +19,8 @@ def main() -> None:
         "--workers",
         type=int,
         default=1,
-        help="analysis threads (results are identical for any value)",
+        help="analysis worker processes; 1 runs in-process (results are "
+        "identical for any value)",
     )
     args = parser.parse_args()
 

@@ -668,10 +668,10 @@ def shard_blobs(study, shards: int = 1) -> list:
 
 def shard_aggregates(study, shards: int = 1, executor=None) -> list:
     """Per-shard partial aggregates, kernels fanned out via repro.par."""
-    from ..par import resolve_executor
+    from ..par import resolve_executor, tasks
 
     engine = resolve_executor(executor)
-    return engine.map_aggregate(shard_blobs(study, shards))
+    return engine.map(tasks.aggregate, shard_blobs(study, shards))
 
 
 def study_aggregate(

@@ -13,9 +13,10 @@ mergeable partial aggregates — the population never materializes:
   :class:`~repro.analysis.columnar.StudyAggregate`, per-user
   :class:`~repro.analysis.stats.Moments`, user-leak counters for Wilson
   intervals, and Poisson-bootstrap sums keyed by user id;
-- shard partials stream back through :meth:`repro.par.Executor.map_sessions`
-  and merge associatively, so any shard count, worker count, or merge
-  order yields identical canonical bytes (pinned in the QA oracle).
+- shard partials stream back through a :mod:`repro.par` pool
+  (``pool.imap(tasks.campaign_chunk, ranges)``) and merge
+  associatively, so any shard count, worker count, or merge order
+  yields identical canonical bytes (pinned in the QA oracle).
 
 Every user is a pure function of ``(PopulationSpec, services, seed,
 user_id)``: each session gets a fresh single-service world and a
@@ -730,7 +731,7 @@ def _resolve_reduce(reduce: str, engine) -> str:
         )
     if reduce != "auto":
         return reduce
-    return "worker" if engine.workers > 1 and engine.name != "serial" else "master"
+    return "worker" if engine.workers > 1 else "master"
 
 
 def run_campaign(
@@ -752,10 +753,11 @@ def run_campaign(
 ) -> CampaignAggregate:
     """Simulate a population and return the merged campaign aggregate.
 
-    ``executor`` is a :mod:`repro.par` backend (instance, name, or
-    ``None`` for serial); ``cohorts`` is a dimension list (``"os"``,
-    ``"os,medium"``, ``"none"``, or a tuple).  Memory stays flat at any
-    population size: partials stream back and fold immediately.
+    ``executor``/``workers`` pick the :mod:`repro.par` executor (see
+    :func:`~repro.par.resolve_executor`; one worker runs in-process);
+    ``cohorts`` is a dimension list (``"os"``, ``"os,medium"``,
+    ``"none"``, or a tuple).  Memory stays flat at any population size:
+    partials stream back and fold immediately.
 
     ``reduce`` picks the reduction topology.  ``master`` is the
     reference: fixed :func:`plan_shards` geometry, every shard partial
@@ -776,7 +778,7 @@ def run_campaign(
     ``abort_after_users`` is a deterministic chaos hook that raises
     :class:`CampaignAborted` once that many users have folded.
     """
-    from ..par import resolve_executor
+    from ..par import resolve_executor, tasks
     from ..services.catalog import build_catalog
 
     specs = list(services) if services is not None else build_catalog()
@@ -819,44 +821,29 @@ def run_campaign(
                 f"(abort_after_users={abort_after_users})"
             )
 
-    if mode == "master":
-        ranges = _offset_ranges(plan_shards(population - start_user, shards), start_user)
-        for index, partial in enumerate(
-            engine.map_sessions(ranges, specs, context.config())
-        ):
+    with engine.pool(context) as pool:
+        if mode == "master" or shards is not None:
+            ranges = plan_shards(population - start_user, shards)
+            planner = _FixedPlan(_offset_ranges(ranges, start_user))
+            prefix = f"shard {{}}/{len(ranges)}"
+        else:
+            planner = AdaptiveSharder(population, pool.workers, start=start_user)
+            prefix = "chunk {}"
+        planned: deque = deque()
+
+        def plan():
+            for shard_range in iter(planner.next_range, None):
+                planned.append(shard_range)
+                yield shard_range
+
+        window = max(2, pool.workers * 2)
+        chunks = pool.imap(tasks.campaign_chunk, plan(), window=window)
+        for index, (elapsed, partial) in enumerate(chunks):
+            start, stop = planned.popleft()
+            planner.observe(stop - start, elapsed)
             merged.merge(partial)
-            done_users = ranges[index][1]
-            progress.update(f"shard {index + 1}/{len(ranges)}", done_users)
-            folded(done_users)
-    else:
-        with engine.session_pool(specs, context.config()) as pool:
-            if shards is not None:
-                planner = _FixedPlan(
-                    _offset_ranges(plan_shards(population - start_user, shards), start_user)
-                )
-            else:
-                planner = AdaptiveSharder(population, pool.workers, start=start_user)
-            window = max(2, pool.workers * 2)
-            pending: deque = deque()
-
-            def fill() -> None:
-                while len(pending) < window:
-                    shard_range = planner.next_range()
-                    if shard_range is None:
-                        break
-                    pending.append((shard_range, pool.submit(shard_range)))
-
-            chunk_index = 0
-            fill()
-            while pending:
-                shard_range, future = pending.popleft()
-                elapsed, partial = future.result()
-                planner.observe(shard_range[1] - shard_range[0], elapsed)
-                merged.merge(partial)
-                chunk_index += 1
-                progress.update(f"chunk {chunk_index}", shard_range[1])
-                folded(shard_range[1])
-                fill()
+            progress.update(prefix.format(index + 1), stop)
+            folded(stop)
 
     if checkpointer is not None:
         checkpointer.save(merged, population)
@@ -868,25 +855,25 @@ def reduce_campaign_blobs(
 ) -> CampaignAggregate:
     """Tree-reduce KIND_CAGG blobs into one :class:`CampaignAggregate`.
 
-    The reference path (serial backend or ``workers <= 1``) decodes
-    every blob and left-folds — exactly the coordinator's master
-    reduce.  A parallel backend folds contiguous windows of blobs on
-    the workers (:meth:`~repro.par.Executor.map_merge`), repeating in
-    rounds until one merged blob remains, so the coordinator decodes
-    O(1) payloads instead of O(blobs).  Associativity of the merge
-    algebra makes the tree byte-identical to the serial fold.
+    The reference path (one worker) decodes every blob and left-folds —
+    exactly the coordinator's master reduce.  A process pool folds
+    contiguous windows of blobs on the workers (``tasks.merge``),
+    repeating in rounds until one merged blob remains, so the
+    coordinator decodes O(1) payloads instead of O(blobs).
+    Associativity of the merge algebra makes the tree byte-identical to
+    the serial fold.
     """
     from ..net import codec
-    from ..par import resolve_executor
+    from ..par import resolve_executor, tasks
 
     blobs = list(blobs)
     if not blobs:
         raise CampaignError("no campaign partials to merge")
     engine = resolve_executor(executor, workers)
-    if engine.name == "serial" or engine.workers <= 1 or len(blobs) == 1:
+    if engine.workers <= 1 or len(blobs) == 1:
         return merge_campaigns(codec.decode_campaign(blob) for blob in blobs)
     size = window if window else max(2, math.ceil(len(blobs) / engine.workers))
     while len(blobs) > 1:
         windows = [blobs[i : i + size] for i in range(0, len(blobs), size)]
-        blobs = engine.map_merge(windows)
+        blobs = engine.map(tasks.merge, windows)
     return codec.decode_campaign(blobs[0])

@@ -25,12 +25,10 @@ from .services.catalog import build_catalog
 
 
 def _resolve_workers(value: int) -> int:
-    """``--workers 0`` means "use every core"."""
-    import os
+    """``--workers 0`` means "use every usable CPU"."""
+    from .par import usable_cpus
 
-    if value > 0:
-        return value
-    return os.cpu_count() or 1
+    return value if value > 0 else usable_cpus()
 
 
 def _selected_services(args):
@@ -84,10 +82,10 @@ def _add_executor(parser: argparse.ArgumentParser) -> None:
         "--executor",
         choices=["auto", "serial", "thread", "process"],
         default="auto",
-        help="analysis fan-out backend: 'process' uses one OS process per "
-        "worker (true multi-core; the default on multi-core hosts), "
-        "'thread' shares the GIL, 'serial' is a plain loop; 'auto' picks "
-        "process when os.cpu_count() > 1, else serial. Results are "
+        help="analysis fan-out: 'process' uses one OS process per worker, "
+        "'serial' runs in-process (the reference), 'thread' is an alias "
+        "of 'process' kept for old scripts; 'auto' picks process when "
+        "more than one CPU is usable, else serial. Results are "
         "byte-identical for every choice.",
     )
 
@@ -107,7 +105,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "--workers",
         type=int,
         default=1,
-        help="analysis workers; 0 = one per CPU core (results are "
+        help="analysis workers; 0 = one per usable CPU (results are "
         "identical for any value)",
     )
     _add_executor(parser)
@@ -317,7 +315,7 @@ def cmd_serve(args) -> int:
 
     logging.basicConfig(level=logging.INFO, format="%(message)s")
     workers = _resolve_workers(args.workers)
-    store = ResultStore(args.result, train_recon=not args.no_recon, workers=workers)
+    store = ResultStore(args.result, train_recon=not args.no_recon)
     limiter = None
     if args.rate > 0:
         limiter = RateLimiter(rate=args.rate, burst=args.burst or max(1, int(args.rate)))
@@ -586,18 +584,9 @@ def cmd_fuzz(args) -> int:
     from .qa.scenarios import Scenario, generate_scenario
     from .qa.shrink import shrink, write_reproducer
 
-    # The process pool is always pinned (run_oracle's default); an
-    # explicit --executor adds that backend to the sweep.  The kwarg is
-    # only passed when it differs from the default so drop-in oracle
-    # replacements keep the original call shape.
-    extra = getattr(args, "executor", None)
-    executors = tuple(dict.fromkeys(((extra,) if extra else ()) + ("process",)))
-
     def run_safely(scenario) -> OracleReport:
         try:
-            if executors == ("process",):
-                return run_oracle(scenario)
-            return run_oracle(scenario, executors=executors)
+            return run_oracle(scenario)
         except Exception as exc:
             return OracleReport(
                 seed=scenario.seed,
@@ -791,8 +780,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=16,
-        help="max concurrent requests (0 = one per CPU core); also store "
-        "analysis threads at load time",
+        help="max concurrent requests (0 = one per usable CPU)",
     )
     serve_parser.add_argument(
         "--rate",
@@ -830,14 +818,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--ingest-executor",
         choices=["auto", "serial", "thread", "process"],
         default="serial",
-        help="repro.par backend for uploaded-trace analysis "
-        "(results are byte-identical for every choice)",
+        help="repro.par executor for uploaded-trace analysis ('thread' is "
+        "an alias of 'process'; results are byte-identical for every choice)",
     )
     serve_parser.add_argument(
         "--ingest-workers",
         type=int,
         default=1,
-        help="executor workers per ingest job (0 = one per CPU core)",
+        help="processes in the ingest pool (0 = one per usable CPU)",
     )
     serve_parser.add_argument(
         "--ingest-threads",
@@ -1045,12 +1033,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=40,
         help="max oracle evaluations spent shrinking a failure",
     )
-    fuzz_parser.add_argument(
-        "--executor",
-        choices=["serial", "thread", "process"],
-        help="extra repro.par backend to pin against the serial reference "
-        "(the process pool is always pinned)",
-    )
     fuzz_parser.set_defaults(func=cmd_fuzz)
 
     campaign_parser = sub.add_parser(
@@ -1113,7 +1095,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="simulation workers; 0 = one per CPU core (results are "
+        help="simulation workers; 0 = one per usable CPU (results are "
         "identical for any value)",
     )
     campaign_parser.add_argument(

@@ -176,6 +176,7 @@ class AnalysisCache:
         would, then persist; a warm cache therefore returns analyses
         byte-identical to a fresh run.
         """
+        from ..par import tasks
         from .pipeline import SessionAnalysis
 
         by_slug = {spec.slug: spec for spec in services}
@@ -198,7 +199,8 @@ class AnalysisCache:
             miss_keys.append(key)
         if miss_records:
             self.sessions_dir.mkdir(parents=True, exist_ok=True)
-            fresh = engine.map_analyze(miss_records, services, recon)
+            context = tasks.AnalysisContext(services, recon)
+            fresh = engine.map(tasks.analyze, miss_records, context=context)
             for index, key, analysis in zip(miss_indexes, miss_keys, fresh):
                 results[index] = analysis
                 atomic_write_json(

@@ -292,7 +292,7 @@ def train_recon_on_dataset(
     :class:`repro.core.cache.AnalysisCache`) memoizes the fitted
     classifier keyed by the training slice's content.
     """
-    from ..par import resolve_executor
+    from ..par import resolve_executor, tasks
 
     slugs = dataset.services()
     chosen = set(slugs[::every_nth_service])
@@ -306,7 +306,7 @@ def train_recon_on_dataset(
             return cached
     engine = resolve_executor(executor, workers)
     examples = []
-    for batch in engine.map_label(records):
+    for batch in engine.map(tasks.label, records):
         examples.extend(batch)
     import random
 
@@ -328,16 +328,17 @@ def analyze_dataset(
 ) -> StudyResult:
     """Evaluate a collected dataset into a :class:`StudyResult`.
 
-    ``executor`` picks the fan-out backend (``"serial"``, ``"thread"``,
-    ``"process"``, ``"auto"``, an :class:`repro.par.Executor`, or
-    ``None`` for the legacy threads-when-``workers > 1`` behavior);
-    sessions are processed in ``(service, os, medium)`` order and
-    results assembled in the dataset's own order, so the study is
-    byte-for-byte identical for any backend and worker count.
+    ``executor`` picks the fan-out (``"serial"``, ``"process"``,
+    ``"auto"``, an :class:`repro.par.Executor`, or ``None`` for
+    ``workers`` processes — in-process when ``workers`` is 1; see
+    :func:`repro.par.resolve_executor`); sessions are processed in
+    ``(service, os, medium)`` order and results assembled in the
+    dataset's own order, so the study is byte-for-byte identical for
+    any executor and worker count.
     ``cache`` reuses persisted per-session analyses when the trace
     content and detection config both match.
     """
-    from ..par import resolve_executor
+    from ..par import resolve_executor, tasks
 
     engine = resolve_executor(executor, workers)
     if recon is None and train_recon:
@@ -350,7 +351,8 @@ def analyze_dataset(
     if cache is not None:
         results = cache.analyze_all(ordered, services, recon, engine)
     else:
-        results = engine.map_analyze(ordered, services, recon)
+        context = tasks.AnalysisContext(services, recon)
+        results = engine.map(tasks.analyze, ordered, context=context)
     analyses = dict(zip([_session_order(r) for r in ordered], results))
     results: dict = {}
     for record in records:

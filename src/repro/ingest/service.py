@@ -28,6 +28,7 @@ the resumed job's bytes match an uninterrupted run.
 
 from __future__ import annotations
 
+import contextlib
 import sys
 import threading
 import time
@@ -38,7 +39,7 @@ from ..core.recommend import PrivacyPreferences
 from ..experiment.dataset import OSES, APP, WEB
 from ..net import codec
 from ..net.codec import CodecError
-from ..par import resolve_executor
+from ..par import resolve_executor, tasks
 from ..serve.app import canonical_json, recommend_payload
 from ..serve.ratelimit import RateLimiter
 from .jobs import Job, JobStore
@@ -204,7 +205,11 @@ class IngestService:
                 clock=clock,
             )
         self._catalog = specs  # None = resolve lazily from the full catalog
-        self._pool = None  # persistent process pool (process executor only)
+        # One long-lived executor pool, opened on the first job and
+        # closed by shutdown(): a fork per job would dominate job latency
+        # and periodically stall the serving event loop.
+        self._pool = None
+        self._pool_scope = contextlib.ExitStack()
         # job_id -> decoded records, handed from admission to the worker
         # so the hot path decodes an upload once.  Entries are popped as
         # jobs are taken; recovery paths re-decode from the stored blob.
@@ -367,45 +372,21 @@ class IngestService:
         for thread in self._threads:
             thread.join(max(0.0, deadline - time.monotonic()))
         self._threads = []
-        if self._pool is not None:
-            self._pool.shutdown(wait=False)
+        with self._lock:
             self._pool = None
+            self._pool_scope.close()  # waits out running records, reaps workers
 
-    def _analyze_stream(self, records: list, specs: list):
-        """Per-record analyses for one job, streaming in record order.
-
-        The batch executors create a fresh process pool per map call —
-        right for one big offline map, ruinous for a stream of small
-        jobs, where the per-job ``fork`` both dominates job latency and
-        periodically stalls the serving event loop.  The process
-        backend therefore runs over one long-lived pool, created on
-        first use and initialized with the *full* spec pool
-        (``analyze_blob`` resolves each record's spec by slug, so every
-        job's subset is covered); serial/thread engines stream as-is.
-        """
-        if self.engine.name != "process" or not records:
-            return self.engine.imap_analyze(records, specs, None)
-        from ..par import tasks
-        from ..par.executor import _mp_context, _stream_windowed
-
+    def _analyze_stream(self, records: list):
+        """Per-record analyses for one job, streaming in record order,
+        over the service's long-lived pool.  The pool's context is the
+        *full* spec pool (``tasks.analyze`` resolves each record's spec
+        by slug, so every job's subset is covered)."""
         with self._lock:
             if self._pool is None:
-                from concurrent.futures import ProcessPoolExecutor
-
-                self._pool = ProcessPoolExecutor(
-                    max_workers=self.engine.workers,
-                    mp_context=_mp_context(),
-                    initializer=tasks.init_worker,
-                    initargs=(list(self._spec_pool()), None),
-                )
+                context = tasks.AnalysisContext(self._spec_pool())
+                self._pool = self._pool_scope.enter_context(self.engine.pool(context))
             pool = self._pool
-        blobs = [codec.encode_record(record) for record in records]
-        return (
-            SessionAnalysis.from_dict(payload)
-            for payload in _stream_windowed(
-                pool, tasks.analyze_blob, blobs, self.engine.workers * 2
-            )
-        )
+        return pool.imap(tasks.analyze, records, window=2 * self.engine.workers)
 
     def _specs_for(self, records: list) -> list:
         slugs = {record.service for record in records}
@@ -430,9 +411,7 @@ class IngestService:
                 if index not in existing
             ]
             processed = 0
-            analyses = self._analyze_stream(
-                [record for _index, record in todo], specs
-            )
+            analyses = self._analyze_stream([record for _index, record in todo])
             for (index, _record), analysis in zip(todo, analyses):
                 self.store.append_result(job, index, analysis.to_dict())
                 processed += 1
@@ -454,6 +433,12 @@ class IngestService:
         except WorkerCrash:
             raise  # leave the job 'running' with partial results, like a real crash
         except Exception as exc:
+            if self._draining.is_set():
+                # shutdown() cancels records still queued in the pool:
+                # park the job for resume rather than failing it.
+                self.store.transition(job, "queued")
+                self.jobs_parked += 1
+                return
             self.store.transition(job, "failed", error=f"{type(exc).__name__}: {exc}")
             with self._lock:
                 self.jobs_failed += 1

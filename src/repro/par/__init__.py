@@ -1,30 +1,28 @@
-"""Pluggable execution engine: serial / thread / process backends.
+"""Execution engine: one :class:`Executor` maps named tasks over items.
 
-One :class:`Executor` interface maps the per-session pipeline stages
-(analyze, ReCon labeling, journal re-scan) over session records; the
-batch pipeline, the streaming finalizer, and the QA oracle all route
-through it, and every backend is pinned byte-identical for any worker
-count.
+``Executor(workers).pool(context)`` yields a handle whose ``imap(task,
+items, window)`` streams results in input order; one worker runs each
+task in-process, more run one process pool.  The batch pipeline, the
+streaming finalizer, columnar aggregation, campaigns, ingest and the QA
+oracle all route through it, pinned byte-identical for any worker count.
 """
 
+from . import tasks
 from .executor import (
     EXECUTOR_NAMES,
     Executor,
     ExecutorError,
-    ProcessExecutor,
-    SerialExecutor,
-    ThreadExecutor,
     default_executor_name,
     resolve_executor,
+    usable_cpus,
 )
 
 __all__ = [
     "EXECUTOR_NAMES",
     "Executor",
     "ExecutorError",
-    "ProcessExecutor",
-    "SerialExecutor",
-    "ThreadExecutor",
     "default_executor_name",
     "resolve_executor",
+    "tasks",
+    "usable_cpus",
 ]

@@ -1,20 +1,26 @@
-"""Module-level task functions for the process-pool backend.
+"""The named tasks a :mod:`repro.par` pool runs.
 
-A :class:`~concurrent.futures.ProcessPoolExecutor` can only ship
-module-level callables, so the per-session pipeline stages live here as
-plain functions over codec-encoded payloads:
+Each task is a module-level function ``task(context, item)`` over live
+objects: the per-session pipeline stages (analyze, ReCon labeling, the
+streaming re-scan), the columnar kernel, a timed campaign chunk, and
+the campaign tree merge.  A one-worker executor calls them in-process
+exactly as written.
 
-- the *payload* crossing the pool's call queue is the session record in
-  the compact binary form from :mod:`repro.net.codec` — one ``bytes``
-  object, far cheaper to pickle than the object graph;
-- the *context* every task needs (service specs, trained ReCon
-  classifier) is installed once per worker by :func:`init_worker` via
-  the pool's initializer — under the ``fork`` start method it is
-  inherited from the parent without any serialization at all;
-- *results* return as the JSON-safe dict forms the streaming
-  checkpoints already pin round-trip-faithful
-  (:meth:`SessionAnalysis.to_dict` / :meth:`LeakRecord.to_dict`), plus
-  pickled :class:`TrainingExample` lists for the labeling stage.
+A process pool can only ship module-level callables and plain data, so
+each task also carries a :class:`Wire` — how the coordinator encodes an
+item, how a worker decodes it, and how the result crosses back:
+
+- session records travel in the compact binary form from
+  :mod:`repro.net.codec` (one ``bytes`` object, far cheaper to pickle
+  than the object graph);
+- results return as the JSON-safe dict forms the streaming checkpoints
+  already pin round-trip-faithful, or as exact KIND_CAGG blobs for
+  campaign partials, so merging shipped partials in the parent stays
+  bit-identical to an in-process reduction;
+- the *context* a task needs (service specs and the trained ReCon
+  classifier, or the bound campaign context) is installed once per
+  worker by the initializer :func:`pool_initializer` picks — under the
+  ``fork`` start method it is inherited without any serialization.
 
 Worker-side caches (matcher, categorizer, decode memos) warm up
 per-process and are reused across that worker's tasks.
@@ -22,102 +28,200 @@ per-process and are reused across that worker's tasks.
 
 from __future__ import annotations
 
-_CONTEXT = {"specs_by_slug": None, "recon": None, "campaign": None}
+import time
+from typing import Callable, NamedTuple, Optional
+
+from ..net import codec
+
+#: The context this pool worker was initialized with (unused in-process).
+_WORKER = {"context": None}
+
+
+def _same(value):
+    return value
+
+
+class Wire(NamedTuple):
+    """How one task's items and results cross the process boundary."""
+
+    send: Callable = _same  # coordinator: item -> picklable payload
+    receive: Callable = _same  # worker: payload -> item
+    reply: Callable = _same  # worker: result -> picklable payload
+    accept: Callable = _same  # coordinator: payload -> result
+    describe: Optional[Callable] = None  # item -> name in failure messages
+
+
+def _task(**wire):
+    def register(fn):
+        fn.wire = Wire(**wire)
+        return fn
+
+    return register
+
+
+class AnalysisContext:
+    """What the per-session tasks read: service specs by slug and the
+    trained ReCon classifier (``None`` for matching only)."""
+
+    def __init__(self, specs, recon=None) -> None:
+        self.specs = list(specs)
+        self.recon = recon
+        self.by_slug = {spec.slug: spec for spec in self.specs}
 
 
 def init_worker(specs: list, recon) -> None:
     """Pool initializer: install the per-worker analysis context."""
-    _CONTEXT["specs_by_slug"] = {spec.slug: spec for spec in specs}
-    _CONTEXT["recon"] = recon
+    _WORKER["context"] = AnalysisContext(specs, recon)
 
 
 def init_campaign(specs: list, config: dict) -> None:
-    """Pool initializer for campaign shards: rebuild the bound context
+    """Pool initializer for campaign chunks: rebuild the bound context
     (sampler + specs + fold mode) once per worker.  ``config`` is the
     JSON-safe :meth:`CampaignContext.config` dict, so fork and spawn
     workers construct identical contexts."""
     from ..campaign.engine import CampaignContext
 
-    _CONTEXT["campaign"] = CampaignContext.from_config(specs, config)
+    _WORKER["context"] = CampaignContext.from_config(specs, config)
 
 
-def campaign_shard(payload) -> bytes:
-    """Simulate one shard of users; returns the exact
-    (partials-preserving) KIND_CAGG blob from
-    :func:`repro.net.codec.encode_campaign`, so the parent's merge of
-    shipped partials stays bit-identical to an in-process reduction —
-    one ``bytes`` object is far cheaper to pickle than the dict form."""
-    from ..net import codec
+def pool_initializer(context) -> tuple:
+    """``(initializer, initargs)`` that rebuild ``context`` in a worker.
 
-    start, stop = payload
-    return codec.encode_campaign(_CONTEXT["campaign"].run_shard(start, stop))
-
-
-def campaign_chunk(payload) -> tuple:
-    """Timed variant for the adaptive planner: simulate one contiguous
-    user range and return ``(elapsed_seconds, blob)``.  The wall time is
-    measured inside the worker, so the parent's feedback loop sees pure
-    simulation cost, not queueing delay."""
-    import time
-
-    from ..net import codec
-
-    start, stop = payload
-    began = time.perf_counter()
-    partial = _CONTEXT["campaign"].run_shard(start, stop)
-    return time.perf_counter() - began, codec.encode_campaign(partial)
+    The initializers are looked up when a pool starts, not at import.
+    """
+    if context is None:
+        return None, ()
+    if isinstance(context, AnalysisContext):
+        return init_worker, (context.specs, context.recon)
+    return init_campaign, (context.services, context.config())
 
 
-def campaign_merge_blobs(blobs: list) -> bytes:
-    """Worker-side tree reduction: fold a window of KIND_CAGG blobs (in
-    the given order) into one merged blob.  Context-free — the blobs
-    are self-contained — and exact, so a tree of these merges is
-    bit-identical to the master's serial left fold."""
-    from ..campaign.engine import merge_campaigns
-    from ..net import codec
-
-    return codec.encode_campaign(
-        merge_campaigns(codec.decode_campaign(blob) for blob in blobs)
-    )
+def run_shipped(task, payload):
+    """Worker side of a process pool: decode, run, encode."""
+    wire = task.wire
+    return wire.reply(task(_WORKER["context"], wire.receive(payload)))
 
 
-def analyze_blob(blob: bytes) -> dict:
-    """Full per-session analysis; returns ``SessionAnalysis.to_dict()``."""
-    from ..core.pipeline import analyze_session
-    from ..net import codec
-
-    record = codec.decode_record(blob)
-    spec = _CONTEXT["specs_by_slug"][record.service]
-    return analyze_session(record, spec, recon=_CONTEXT["recon"]).to_dict()
+# ---------------------------------------------------------------------------
+# Wire forms
+# ---------------------------------------------------------------------------
 
 
-def label_blob(blob: bytes) -> list:
-    """ReCon labeling; returns the session's ``TrainingExample`` list."""
-    from ..core.pipeline import label_record
-    from ..net import codec
-
-    return label_record(codec.decode_record(blob))
+def _session_name(record) -> str:
+    return "session " + "/".join(record.key)
 
 
-def rescan_blob(blob: bytes) -> dict:
-    """Deferred matching∪ReCon re-scan (streaming finalize stage)."""
-    from ..core.pipeline import rescan_session
-    from ..net import codec
+def _to_dict(result) -> dict:
+    return result.to_dict()
 
-    record = codec.decode_record(blob)
-    spec = _CONTEXT["specs_by_slug"][record.service]
-    leaks, false_positives = rescan_session(record, spec, recon=_CONTEXT["recon"])
+
+_RECORDS = dict(
+    send=codec.encode_record, receive=codec.decode_record, describe=_session_name
+)
+
+
+def _analysis_from_dict(payload: dict):
+    from ..core.pipeline import SessionAnalysis
+
+    return SessionAnalysis.from_dict(payload)
+
+
+def _rescan_to_dict(result) -> dict:
+    leaks, false_positives = result
     return {
         "leaks": [leak.to_dict() for leak in leaks],
         "recon_false_positives": false_positives,
     }
 
 
-def aggregate_batch_blob(blob: bytes) -> dict:
-    """Columnar kernel over one batch blob; returns the exact
-    (partials-preserving) ``StudyAggregate.to_dict()`` form, so merging
-    the shipped partials in the parent stays bit-identical to an
-    in-process reduction.  Context-free: the blob is self-contained."""
+def _rescan_from_dict(payload: dict) -> tuple:
+    from ..core.leaks import LeakRecord
+
+    leaks = [LeakRecord.from_dict(entry) for entry in payload["leaks"]]
+    return leaks, payload["recon_false_positives"]
+
+
+def _aggregate_from_dict(payload: dict):
+    from ..analysis.columnar import StudyAggregate
+
+    return StudyAggregate.from_dict(payload)
+
+
+def _chunk_to_blob(result) -> tuple:
+    elapsed, partial = result
+    return elapsed, codec.encode_campaign(partial)
+
+
+def _chunk_from_blob(payload) -> tuple:
+    elapsed, blob = payload
+    return elapsed, codec.decode_campaign(blob)
+
+
+def _shard_name(shard_range) -> str:
+    start, stop = shard_range
+    return f"campaign shard [{start}, {stop})"
+
+
+# ---------------------------------------------------------------------------
+# Tasks
+# ---------------------------------------------------------------------------
+
+
+@_task(**_RECORDS, reply=_to_dict, accept=_analysis_from_dict)
+def analyze(context: AnalysisContext, record):
+    """Full per-session analysis -> ``SessionAnalysis``."""
+    from ..core.pipeline import analyze_session
+
+    spec = context.by_slug[record.service]
+    return analyze_session(record, spec, recon=context.recon)
+
+
+@_task(**_RECORDS)
+def label(context, record) -> list:
+    """ReCon labeling -> the session's ``TrainingExample`` list."""
+    from ..core.pipeline import label_record
+
+    return label_record(record)
+
+
+@_task(**_RECORDS, reply=_rescan_to_dict, accept=_rescan_from_dict)
+def rescan(context: AnalysisContext, record) -> tuple:
+    """Deferred matching∪ReCon re-scan (streaming finalize stage) ->
+    ``(leaks, recon_false_positives)``."""
+    from ..core.pipeline import rescan_session
+
+    spec = context.by_slug[record.service]
+    return rescan_session(record, spec, recon=context.recon)
+
+
+@_task(reply=_to_dict, accept=_aggregate_from_dict)
+def aggregate(context, blob: bytes):
+    """Columnar kernel over one self-contained batch blob ->
+    ``StudyAggregate`` (exact partials, so merges stay bit-identical)."""
     from ..analysis.columnar import aggregate_blob
 
-    return aggregate_blob(blob).to_dict()
+    return aggregate_blob(blob)
+
+
+@_task(reply=_chunk_to_blob, accept=_chunk_from_blob, describe=_shard_name)
+def campaign_chunk(context, shard_range) -> tuple:
+    """Simulate one contiguous user range ->
+    ``(elapsed_seconds, CampaignAggregate)``.  The wall time is measured
+    where the work runs, so the adaptive planner's feedback loop sees
+    pure simulation cost, not queueing delay."""
+    start, stop = shard_range
+    began = time.perf_counter()
+    partial = context.run_shard(start, stop)
+    return time.perf_counter() - began, partial
+
+
+@_task()
+def merge(context, blobs: list) -> bytes:
+    """Tree-reduction step: fold a window of KIND_CAGG blobs (in the
+    given order) into one merged blob.  Context-free and exact, so a
+    tree of these merges is bit-identical to a serial left fold."""
+    from ..campaign.engine import merge_campaigns
+
+    return codec.encode_campaign(
+        merge_campaigns(codec.decode_campaign(blob) for blob in blobs)
+    )

@@ -8,10 +8,9 @@ diff), so a fuzz failure points straight at the layer that broke.
 
 Paths compared against the ``workers=1`` batch reference:
 
-- batch with ``workers=N`` (parallel per-session analysis);
-- batch through each pinned :mod:`repro.par` backend — the process
-  pool by default, whose workers re-serialize every session through
-  the binary codec and own a fresh string-hash seed;
+- batch through the :mod:`repro.par` process pool (``workers=4``),
+  whose workers re-serialize every session through the binary codec
+  and own a fresh string-hash seed;
 - streaming via :func:`repro.stream.stream_dataset` at each shard count;
 - the fast Aho–Corasick matcher vs ``GroundTruthMatcher(slow=True)``
   per decrypted transaction and per generated probe text;
@@ -152,14 +151,8 @@ def _identity(value):
     return value
 
 
-def run_oracle(scenario: Scenario, mutators=None, executors=("process",)) -> OracleReport:
-    """Run every differential comparison for one scenario.
-
-    ``executors`` are extra :mod:`repro.par` backends pinned against
-    the serial reference (the process pool is always worth pinning —
-    it is the one backend whose workers have their own string-hash
-    seed and cross a serialization boundary).
-    """
+def run_oracle(scenario: Scenario, mutators=None) -> OracleReport:
+    """Run every differential comparison for one scenario."""
     mutators = dict(mutators or {})
 
     def mutate(name, value):
@@ -187,22 +180,11 @@ def run_oracle(scenario: Scenario, mutators=None, executors=("process",)) -> Ora
             path, want, got = first_divergent_field(expected, actual)
             divergences.append(Divergence(component, path, want, got))
 
-    # -- batch parallelism ---------------------------------------------------
-    parallel = analyze_dataset(
-        dataset, specs, train_recon=scenario.train_recon, workers=4
+    # -- batch through the process pool -------------------------------------
+    pooled = analyze_dataset(
+        dataset, specs, train_recon=scenario.train_recon, workers=4, executor="process"
     )
-    check_study("batch[workers=4]", parallel, "workers")
-
-    # -- execution backends (thread pool above; process pool pinned too) -----
-    for backend in dict.fromkeys(executors):
-        pooled = analyze_dataset(
-            dataset,
-            specs,
-            train_recon=scenario.train_recon,
-            workers=4,
-            executor=backend,
-        )
-        check_study(f"batch[{backend},workers=4]", pooled, backend)
+    check_study("batch[process,workers=4]", pooled, "process")
 
     # -- streaming, every shard count ---------------------------------------
     for shards in scenario.shard_counts:
@@ -372,7 +354,7 @@ def run_oracle(scenario: Scenario, mutators=None, executors=("process",)) -> Ora
         seed=scenario.study_seed,
         population_spec=pop_spec,
         services=specs,
-        executor="thread",
+        executor="process",
         workers=2,
         reduce="worker",
         agg="columnar",
@@ -391,7 +373,7 @@ def run_oracle(scenario: Scenario, mutators=None, executors=("process",)) -> Ora
         "campaign[tree-reduce blobs]",
         campaign_expected,
         reduce_campaign_blobs(
-            shard_blobs, executor="thread", workers=2, window=2
+            shard_blobs, executor="process", workers=2, window=2
         ).canonical_bytes(),
     )
 

@@ -150,14 +150,12 @@ class ResultStore:
         directory: Union[str, Path],
         services: Optional[list] = None,
         train_recon: bool = False,
-        workers: int = 1,
         check_interval: float = 1.0,
         clock=time.monotonic,
     ) -> None:
         self.directory = Path(directory)
         self._services = services
         self._train_recon = train_recon
-        self._workers = workers
         self.check_interval = check_interval
         self._clock = clock
         self._reload_lock = threading.Lock()
@@ -208,8 +206,10 @@ class ResultStore:
         if len(dataset) == 0:
             raise StoreError(f"{path} contains no complete sessions")
         specs = self._specs_for(dataset)
+        # In-process: the store builds inside the serving process, at
+        # start-up and on every hot reload, which should not fork it.
         study = analyze_dataset(
-            dataset, specs, train_recon=self._train_recon, workers=self._workers
+            dataset, specs, train_recon=self._train_recon, executor="serial"
         )
         self._version += 1
         return StoreSnapshot(

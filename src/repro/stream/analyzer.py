@@ -41,6 +41,7 @@ from ..core.pipeline import (
 from ..experiment.dataset import Dataset, SessionRecord
 from ..experiment.filtering import is_background_flow
 from ..net.trace import SessionMeta, Trace
+from ..par import resolve_executor, tasks
 from ..pii.detector import PiiDetector
 from ..pii.matcher import matcher_for
 from ..pii.recon import ReconClassifier
@@ -377,8 +378,6 @@ class StreamAnalyzer:
         self.finish()
         self.journal.close()
         try:
-            from ..par import resolve_executor
-
             engine = resolve_executor(self.executor)
             states = self.session_states()
             if recon is None and train_recon and states:
@@ -430,7 +429,7 @@ class StreamAnalyzer:
         chosen = set(slugs[::RECON_EVERY_NTH_SERVICE])
         records = self._journal_records(lambda key: key[0] in chosen)
         examples: list = []
-        for batch in engine.map_label(records):
+        for batch in engine.map(tasks.label, records):
             examples.extend(batch)
         classifier = ReconClassifier(rng=random.Random(RECON_RNG_SEED))
         return classifier.fit(examples)
@@ -444,7 +443,8 @@ class StreamAnalyzer:
         shared :func:`~repro.core.pipeline.rescan_session` stage).
         """
         records = self._journal_records(lambda key: key in states)
-        results = engine.map_rescan(records, self.services, recon)
+        context = tasks.AnalysisContext(self.services, recon)
+        results = engine.map(tasks.rescan, records, context=context)
         for record, (leaks, false_positives) in zip(records, results):
             state = states[record.key]
             state.analysis.leaks = leaks

@@ -325,14 +325,12 @@ class TestCampaignDeterminism:
 
     def test_map_sessions_is_streaming(self, services):
         """The serial fan-out yields shard partials lazily."""
-        from repro.par import SerialExecutor
+        from repro.par import Executor, tasks
 
         context = CampaignContext(small_spec(), services, 7)
-        stream = SerialExecutor().map_sessions(
-            plan_shards(4, 4), services, context.config()
-        )
+        stream = Executor(1).imap(tasks.campaign_chunk, plan_shards(4, 4), context=context)
         assert iter(stream) is stream  # a generator, not a list
-        first = next(stream)
+        _elapsed, first = next(stream)
         assert first.users == 1
 
 

@@ -268,7 +268,7 @@ class TestCodec:
 
 
 class TestExecutorBackends:
-    """map_aggregate: every repro.par backend, identical partials."""
+    """The aggregate task on every repro.par executor, identical partials."""
 
     @pytest.mark.parametrize("backend", ("serial", "thread", "process"))
     def test_backend_equivalence(self, mini_study, mini_aggregate, backend):
@@ -277,8 +277,10 @@ class TestExecutorBackends:
         assert agg.canonical_bytes() == mini_aggregate.canonical_bytes()
 
     def test_empty_blob_list(self):
+        from repro.par import tasks
+
         for backend in ("serial", "thread", "process"):
-            assert resolve_executor(backend, workers=2).map_aggregate([]) == []
+            assert resolve_executor(backend, workers=2).map(tasks.aggregate, []) == []
 
 
 class TestOraclePin:

@@ -44,6 +44,7 @@ from repro.ingest import (
 )
 from repro.net import codec
 from repro.net.codec import CodecError
+from repro.par import tasks
 from repro.serve import (
     BackgroundServer,
     LruTtlCache,
@@ -356,9 +357,7 @@ class TestDifferential:
         service = IngestService(tmp_path, executor="serial")
         job = service.submit(upload_body, tenant="t")
         monkeypatch.setattr(
-            service.engine,
-            "imap_analyze",
-            lambda *a, **k: (_ for _ in ()).throw(RuntimeError("boom")),
+            tasks, "analyze", lambda *a, **k: (_ for _ in ()).throw(RuntimeError("boom"))
         )
         service.run_pending()
         status = service.job_status(job.job_id)
@@ -407,7 +406,7 @@ class TestKillRestart:
         assert actual == expected_bytes(job, records, offline_study)
 
     def test_resume_skips_already_analyzed_records(
-        self, tmp_path, upload_body, records
+        self, tmp_path, upload_body, records, monkeypatch
     ):
         service = IngestService(tmp_path, executor="serial")
         job = service.submit(upload_body, tenant="t")
@@ -416,13 +415,13 @@ class TestKillRestart:
             service.run_pending()
         resumed = IngestService(tmp_path, executor="serial")
         analyzed = []
-        original = resumed.engine.imap_analyze
+        original = tasks.analyze
 
-        def spy(batch, specs, recon):
-            analyzed.extend(batch)
-            return original(batch, specs, recon)
+        def spy(context, record):
+            analyzed.append(record)
+            return original(context, record)
 
-        resumed.engine.imap_analyze = spy
+        monkeypatch.setattr(tasks, "analyze", spy)
         resumed.run_pending()
         assert len(analyzed) == len(records) - 2
 
@@ -715,9 +714,7 @@ class TestSweep:
         service = IngestService(tmp_path, executor="serial", ttl_seconds=60.0)
         job = service.submit(upload_body, tenant="t")
         monkeypatch.setattr(
-            service.engine,
-            "imap_analyze",
-            lambda *a, **k: (_ for _ in ()).throw(RuntimeError("boom")),
+            tasks, "analyze", lambda *a, **k: (_ for _ in ()).throw(RuntimeError("boom"))
         )
         service.run_pending()
         assert service.job_status(job.job_id)["state"] == "failed"

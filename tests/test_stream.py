@@ -481,7 +481,12 @@ def test_resolve_workers_zero_means_all_cores():
     from repro.cli import _resolve_workers
 
     assert _resolve_workers(3) == 3
-    assert _resolve_workers(0) == (os.cpu_count() or 1)
+    usable = (
+        len(os.sched_getaffinity(0))
+        if hasattr(os, "sched_getaffinity")
+        else (os.cpu_count() or 1)
+    )
+    assert _resolve_workers(0) == usable
 
 
 def test_cli_stream_replay(batch_study, tmp_path, capsys):
