@@ -54,7 +54,7 @@ def scale_blobs():
         session_duration=5.0,
         bootstrap_replicates=10,
     )
-    context = CampaignContext(pop_spec, specs, 7, agg="columnar")
+    context = CampaignContext(pop_spec, specs, 7)
     blob = codec.encode_campaign(context.run_shard(0, SHARD_USERS))
     count = math.ceil(POPULATION / SHARD_USERS)
     return [blob] * count, count * SHARD_USERS

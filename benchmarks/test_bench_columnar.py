@@ -2,8 +2,10 @@
 
 One large synthetic study (hundreds of cells, hundreds of thousands of
 leak events) is pushed through the complete Table/Figure/reach/drift
-suite twice — once over the row-wise object graph, once through
-``repro.analysis.columnar`` — and three things are measured:
+suite twice — once over the row-wise object graph by the reference
+walkers of ``repro.qa.reference``, once through the production
+consumers over ``repro.analysis.columnar`` — and three things are
+measured:
 
 - the row-wise reference suite (the bar to beat);
 - the columnar suite, *including* the encode + kernel + merge cost;
@@ -18,6 +20,7 @@ without hundreds of megabytes of object allocation.
 """
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -39,6 +42,7 @@ from repro.core.pipeline import ServiceResult, SessionAnalysis, StudyResult
 from repro.experiment.dataset import APP, WEB
 from repro.pii.detector import PiiObservation
 from repro.pii.types import PiiType
+from repro.qa import reference
 from repro.services.service import ServiceSpec
 from repro.trackerdb.categorize import THIRD_PARTY_AA, FlowCategory
 
@@ -112,21 +116,40 @@ def build_synthetic_study(seed: int = 7) -> StudyResult:
     return StudyResult(services=services)
 
 
-def run_suite(study) -> str:
-    """Every aggregation consumer, rendered: tables 1-3, all six
-    figure panels, tracker reach, and self-drift.  ``study`` may be a
-    StudyResult (rows path) or a StudyAggregate (columnar path)."""
+#: The production consumers, in the reference module's call shapes.
+PRODUCTION = SimpleNamespace(
+    table1=table1,
+    table2=table2,
+    table3=table3,
+    figure=lambda key, study: ALL_FIGURES[key](study),
+    render_reach=render_reach,
+    summarize_drift=summarize_drift,
+)
+
+
+def _render_suite(study, consumers) -> str:
     out = [
-        render_table1(table1(study)),
-        render_table2(table2(study)),
-        render_table3(table3(study)),
+        render_table1(consumers.table1(study)),
+        render_table2(consumers.table2(study)),
+        render_table3(consumers.table3(study)),
     ]
     for key in sorted(ALL_FIGURES):
-        for os_name, series in ALL_FIGURES[key](study).items():
+        for os_name, series in consumers.figure(key, study).items():
             out.append(render_series(series))
-    out.append(render_reach(study))
-    out.append(render_drift(summarize_drift(study, study)))
+    out.append(consumers.render_reach(study))
+    out.append(render_drift(consumers.summarize_drift(study, study)))
     return "\n".join(out)
+
+
+def run_suite(agg) -> str:
+    """Every aggregation consumer, rendered from a StudyAggregate:
+    tables 1-3, all six figure panels, tracker reach, and self-drift."""
+    return _render_suite(agg, PRODUCTION)
+
+
+def run_reference_suite(study) -> str:
+    """The same suite from a StudyResult by the row-wise walkers."""
+    return _render_suite(study, reference)
 
 
 @pytest.fixture(scope="module")
@@ -134,26 +157,28 @@ def synthetic_study():
     study = build_synthetic_study()
     # Warm every module-level memo (EasyList verdicts, PSL) so both
     # engines are timed on equal footing.
-    reference = run_suite(study)
-    return study, reference
+    expected = run_reference_suite(study)
+    return study, expected
 
 
 def test_bench_rows_suite(benchmark, synthetic_study):
     """The row-wise reference: full suite over the object graph."""
-    study, reference = synthetic_study
-    rendered = benchmark.pedantic(lambda: run_suite(study), rounds=3, iterations=1)
-    assert rendered == reference
+    study, expected = synthetic_study
+    rendered = benchmark.pedantic(
+        lambda: run_reference_suite(study), rounds=3, iterations=1
+    )
+    assert rendered == expected
 
 
 def test_bench_columnar_suite(benchmark, synthetic_study):
     """The columnar engine, end to end: encode + kernel + merge + suite."""
-    study, reference = synthetic_study
+    study, expected = synthetic_study
 
     def run():
         return run_suite(study_aggregate(study, executor="serial"))
 
     rendered = benchmark.pedantic(run, rounds=3, iterations=1)
-    assert rendered == reference
+    assert rendered == expected
 
 
 def test_bench_columnar_kernel(benchmark, synthetic_study):
@@ -178,7 +203,7 @@ def test_columnar_speedup(synthetic_study, capsys):
     import gc
     import time
 
-    study, reference = synthetic_study
+    study, expected = synthetic_study
 
     def timed(fn):
         gc.collect()
@@ -188,13 +213,13 @@ def test_columnar_speedup(synthetic_study, capsys):
 
     rows_times, columnar_times = [], []
     for _ in range(3):
-        seconds, rendered = timed(lambda: run_suite(study))
-        assert rendered == reference
+        seconds, rendered = timed(lambda: run_reference_suite(study))
+        assert rendered == expected
         rows_times.append(seconds)
         seconds, rendered = timed(
             lambda: run_suite(study_aggregate(study, executor="serial"))
         )
-        assert rendered == reference
+        assert rendered == expected
         columnar_times.append(seconds)
     rows_best, columnar_best = min(rows_times), min(columnar_times)
     speedup = rows_best / columnar_best

@@ -1,15 +1,12 @@
 """Columnar aggregation engine over the binary codec.
 
-The row-wise result family (tables, figures, reach, longitudinal)
-iterates Python ``SessionAnalysis``/``LeakRecord`` object graphs — and
-iterates them *repeatedly*: Table 1 re-derives ``leak_types`` per
-population group, every Figure 1 panel recomputes the per-service
-diffs, reach walks every leak again.  At campaign scale (millions of
-sessions) that attribute-chasing becomes the dominant cost even with
-process fan-out.
-
-This module is the fast twin, same fast-path-with-pinned-slow-reference
-discipline as the PR 1 detectors:
+Walking the ``SessionAnalysis``/``LeakRecord`` object graphs once per
+result (tables, figures, reach, longitudinal) iterates them
+*repeatedly*: Table 1 re-derives ``leak_types`` per population group,
+every Figure 1 panel recomputes the per-service diffs, reach walks
+every leak again.  At campaign scale (millions of sessions) that
+attribute-chasing becomes the dominant cost even with process fan-out.
+This module walks them once:
 
 - :func:`encode_cells` walks the per-session objects exactly **once**,
   interning every string and grouping leak events into unique
@@ -33,10 +30,12 @@ discipline as the PR 1 detectors:
   yields the same aggregate).
 
 The consumers in :mod:`.tables`, :mod:`.figures`, :mod:`.reach`, and
-:mod:`.longitudinal` accept ``agg="columnar"`` (or a ready
-:class:`StudyAggregate`) and produce output **byte-identical** to the
-row-wise reference — pinned per fuzz seed by the :mod:`repro.qa`
-oracle and enforced at ≥5× (10× target) by ``make bench-columnar``.
+:mod:`.longitudinal` read nothing but a :class:`StudyAggregate` (a
+``StudyResult`` is reduced once on entry by :func:`ensure_aggregate`).
+Their output is **byte-identical** to the row-wise walkers kept as the
+test-only reference in :mod:`repro.qa.reference` — pinned per fuzz seed
+by the :mod:`repro.qa` oracle and enforced at ≥5× (10× target) by
+``make bench-columnar``.
 """
 
 from __future__ import annotations
@@ -52,25 +51,10 @@ from ..net.codec import CodecError
 from ..pii.types import PiiType
 from .stats import Moments
 
-AGG_ROWS = "rows"
-AGG_COLUMNAR = "columnar"
-AGG_AUTO = "auto"
-AGG_MODES = (AGG_AUTO, AGG_COLUMNAR, AGG_ROWS)
-
 _U32 = struct.Struct("<I")
 _I32 = struct.Struct("<i")
 
 _PII_BY_VALUE = {pii_type.value: pii_type for pii_type in PiiType}
-
-
-def resolve_agg(mode: str) -> str:
-    """Normalize an ``--agg`` mode; ``auto`` picks the columnar engine
-    (it is byte-identical to rows and strictly faster)."""
-    if mode == AGG_AUTO:
-        return AGG_COLUMNAR
-    if mode in (AGG_ROWS, AGG_COLUMNAR):
-        return mode
-    raise ValueError(f"unknown aggregation mode {mode!r} (choose one of {AGG_MODES})")
 
 
 # ---------------------------------------------------------------------------
@@ -235,22 +219,6 @@ class StudyAggregate:
         for cell in self.ordered_cells():
             by_slug.setdefault(cell.service, []).append(cell)
         return by_slug
-
-    def summary(self) -> dict:
-        """Per-metric (count, mean, std, min, max) across cells."""
-        out = {}
-        for key, moments in self.moments.items():
-            if not moments.count:
-                out[key] = None
-                continue
-            out[key] = {
-                "count": moments.count,
-                "mean": moments.mean(),
-                "std": moments.std(),
-                "min": moments._min,
-                "max": moments._max,
-            }
-        return out
 
     # -- serialization -------------------------------------------------------
 
@@ -695,27 +663,22 @@ def study_aggregate(
     return merge_aggregates(shard_aggregates(study, shards=shards, executor=engine))
 
 
-def ensure_aggregate(study, executor=None) -> StudyAggregate:
-    """Pass a ready aggregate through; reduce a StudyResult otherwise."""
+def ensure_aggregate(study) -> StudyAggregate:
+    """Pass a ready aggregate through; reduce a StudyResult otherwise
+    (in-process; for a pool, call :func:`study_aggregate` once)."""
     if isinstance(study, StudyAggregate):
         return study
-    return study_aggregate(study, executor=executor)
-
-
-def wants_columnar(study, agg: str) -> bool:
-    """Shared dispatch for the consumer entry points: a ready
-    :class:`StudyAggregate` always takes the columnar path; otherwise
-    the resolved ``agg`` mode decides."""
-    return isinstance(study, StudyAggregate) or resolve_agg(agg) == AGG_COLUMNAR
+    return study_aggregate(study)
 
 
 def aggregate_diffs(agg: StudyAggregate, os_name: Optional[str] = None) -> list:
-    """Columnar twin of :func:`repro.core.compare.study_diffs`.
+    """Per-service app-minus-web diffs (what every Figure 1 panel plots).
 
-    Same iteration order (service catalog order, then the spec's OS
-    order) and the same arithmetic — including computing megabytes as
+    Same iteration order as :func:`repro.core.compare.study_diffs`
+    (service catalog order, then the spec's OS order) and the same
+    arithmetic — including computing megabytes as
     ``aa_bytes / 1_000_000.0`` per side before subtracting — so the
-    diffs are bit-identical to the row-wise reference.
+    diffs are bit-identical to the row-wise ones (pinned).
     """
     from ..core.compare import APP, WEB, CellDiff
     from ..core.leaks import jaccard

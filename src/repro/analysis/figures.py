@@ -9,32 +9,21 @@ per-service values and the empirical CDF/PDF points exactly as plotted:
 - 1d: CDF of (app − web) domains receiving PII
 - 1e: PDF of (app − web) distinct leaked identifiers
 - 1f: CDF of the Jaccard index of leaked identifier sets
+
+Every panel is a pure function of one OS's per-service diffs
+(:func:`panel_series`).  The generators take those diffs from the
+columnar aggregate (:func:`~repro.analysis.columnar.aggregate_diffs`),
+which is pinned equal to :func:`repro.core.compare.study_diffs`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from ..core.compare import study_diffs
-from ..core.pipeline import StudyResult
 from . import columnar
 from .stats import cdf_at, cdf_points, pdf_histogram
 
 OSES = ("android", "ios")
-
-
-def _diffs(study, os_name, agg, executor):
-    """Per-service diffs via the requested aggregation path.
-
-    Both paths yield identical :class:`~repro.core.compare.CellDiff`
-    lists (same order, same arithmetic), so every figure is
-    byte-identical under ``rows`` and ``columnar``.
-    """
-    if columnar.wants_columnar(study, agg):
-        return columnar.aggregate_diffs(
-            columnar.ensure_aggregate(study, executor=executor), os_name
-        )
-    return study_diffs(study, os_name)
 
 
 @dataclass
@@ -58,79 +47,73 @@ class FigureSeries:
         return len(self.values)
 
 
-def _cdf_figure(study, figure: str, extractor, agg: str = "rows", executor=None) -> dict:
-    study = columnar.ensure_aggregate(study, executor=executor) if columnar.wants_columnar(study, agg) else study
-    out = {}
-    for os_name in OSES:
-        values = [extractor(d) for d in _diffs(study, os_name, agg, executor)]
-        out[os_name] = FigureSeries(
-            figure=figure,
-            os_name=os_name,
-            values=values,
-            points=cdf_points(values),
-            kind="cdf",
-        )
-    return out
-
-
-def fig1a(study, agg: str = "rows", executor=None) -> dict:
-    """(App − Web) A&A domains contacted, per OS."""
-    return _cdf_figure(study, "1a", lambda d: d.aa_domains, agg=agg, executor=executor)
-
-
-def fig1b(study, agg: str = "rows", executor=None) -> dict:
-    """(App − Web) flows to A&A domains, per OS."""
-    return _cdf_figure(study, "1b", lambda d: d.aa_flows, agg=agg, executor=executor)
-
-
-def fig1c(study, agg: str = "rows", executor=None) -> dict:
-    """(App − Web) MB of traffic to A&A domains, per OS."""
-    return _cdf_figure(study, "1c", lambda d: d.aa_megabytes, agg=agg, executor=executor)
-
-
-def fig1d(study, agg: str = "rows", executor=None) -> dict:
-    """(App − Web) count of domains receiving PII, per OS."""
-    return _cdf_figure(study, "1d", lambda d: d.leak_domains, agg=agg, executor=executor)
-
-
-def fig1e(study, agg: str = "rows", executor=None) -> dict:
-    """PDF of (App − Web) distinct leaked identifier counts, per OS."""
-    study = columnar.ensure_aggregate(study, executor=executor) if columnar.wants_columnar(study, agg) else study
-    out = {}
-    for os_name in OSES:
-        values = [d.leak_identifiers for d in _diffs(study, os_name, agg, executor)]
-        out[os_name] = FigureSeries(
-            figure="1e",
-            os_name=os_name,
-            values=values,
-            points=pdf_histogram(values),
-            kind="pdf",
-        )
-    return out
-
-
-def fig1f(study, agg: str = "rows", executor=None) -> dict:
-    """CDF of the Jaccard index of leaked identifier sets, per OS.
-
-    Services with no leaks on either medium (Jaccard of two empty sets)
-    are excluded, matching a plot of observed leak overlap.
-    """
-    study = columnar.ensure_aggregate(study, executor=executor) if columnar.wants_columnar(study, agg) else study
-    out = {}
-    for os_name in OSES:
-        values = [
+#: Panel id -> (plot kind, the values plotted for one OS's diffs).
+PANELS = {
+    "1a": ("cdf", lambda diffs: [d.aa_domains for d in diffs]),
+    "1b": ("cdf", lambda diffs: [d.aa_flows for d in diffs]),
+    "1c": ("cdf", lambda diffs: [d.aa_megabytes for d in diffs]),
+    "1d": ("cdf", lambda diffs: [d.leak_domains for d in diffs]),
+    "1e": ("pdf", lambda diffs: [d.leak_identifiers for d in diffs]),
+    # Services with no leaks on either medium (Jaccard of two empty
+    # sets) are excluded, matching a plot of observed leak overlap.
+    "1f": (
+        "cdf",
+        lambda diffs: [
             d.jaccard_identifiers
-            for d in _diffs(study, os_name, agg, executor)
+            for d in diffs
             if d.app_leak_types or d.web_leak_types
-        ]
-        out[os_name] = FigureSeries(
-            figure="1f",
-            os_name=os_name,
-            values=values,
-            points=cdf_points(values),
-            kind="cdf",
-        )
-    return out
+        ],
+    ),
+}
+
+
+def panel_series(figure: str, os_name: str, diffs: list) -> FigureSeries:
+    """One panel's curve for one OS, from that OS's per-service diffs."""
+    kind, values_of = PANELS[figure]
+    values = values_of(diffs)
+    points = cdf_points(values) if kind == "cdf" else pdf_histogram(values)
+    return FigureSeries(
+        figure=figure, os_name=os_name, values=values, points=points, kind=kind
+    )
+
+
+def _figure(figure: str, study) -> dict:
+    agg = columnar.ensure_aggregate(study)
+    return {
+        os_name: panel_series(figure, os_name, columnar.aggregate_diffs(agg, os_name))
+        for os_name in OSES
+    }
+
+
+def fig1a(study) -> dict:
+    """(App − Web) A&A domains contacted, per OS."""
+    return _figure("1a", study)
+
+
+def fig1b(study) -> dict:
+    """(App − Web) flows to A&A domains, per OS."""
+    return _figure("1b", study)
+
+
+def fig1c(study) -> dict:
+    """(App − Web) MB of traffic to A&A domains, per OS."""
+    return _figure("1c", study)
+
+
+def fig1d(study) -> dict:
+    """(App − Web) count of domains receiving PII, per OS."""
+    return _figure("1d", study)
+
+
+def fig1e(study) -> dict:
+    """PDF of (App − Web) distinct leaked identifier counts, per OS."""
+    return _figure("1e", study)
+
+
+def fig1f(study) -> dict:
+    """CDF of the Jaccard index of leaked identifier sets, per OS
+    (services leaking nothing on either medium are excluded)."""
+    return _figure("1f", study)
 
 
 ALL_FIGURES = {

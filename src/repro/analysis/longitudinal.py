@@ -3,8 +3,10 @@
 §2 notes the study "represents a snapshot of online service behavior at
 one point in time" but "the approach is general and can be repeated to
 observe how the privacy landscape evolves".  This module is the
-repeat-and-compare half: given two :class:`StudyResult` runs (different
-catalog versions, different dates, different seeds), it diffs the
+repeat-and-compare half: given two study runs (different catalog
+versions, different dates, different seeds) — each a
+:class:`~repro.core.pipeline.StudyResult` or its
+:class:`~repro.analysis.columnar.StudyAggregate` — it diffs the
 privacy-relevant quantities per service and summarizes the drift.
 """
 
@@ -12,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..core.pipeline import StudyResult
 from ..experiment.dataset import APP, WEB
 from . import columnar
 
@@ -44,22 +45,10 @@ class ServiceDrift:
         return bool(self.types_removed) and not self.types_added
 
 
-def _medium_metrics(result, medium):
-    types: set = set()
-    aa_domains: set = set()
-    events = 0
-    for (os_name, med), analysis in result.sessions.items():
-        if med != medium:
-            continue
-        types |= analysis.leak_types
-        aa_domains |= analysis.aa_domains
-        events += len(analysis.leaks)
-    return types, aa_domains, events
-
-
-def _medium_metrics_columnar(cells, medium):
-    """Columnar twin of :func:`_medium_metrics` over CellAggregates —
-    unions and counts only, so shard merges cannot change it."""
+def _medium_metrics(cells, medium):
+    """(leaked types, A&A domains, leak events) of one medium over a
+    service's CellAggregates — unions and counts only, so shard merges
+    cannot change it."""
     types: set = set()
     aa_domains: set = set()
     events = 0
@@ -72,40 +61,14 @@ def _medium_metrics_columnar(cells, medium):
     return types, aa_domains, events
 
 
-def diff_studies(before, after, agg: str = "rows", executor=None) -> list:
+def diff_studies(before, after) -> list:
     """Per-service, per-medium drift between two snapshots.
 
     Services present in only one study are skipped — the comparison is
     about behavioural change, not catalog churn.
     """
-    if columnar.wants_columnar(before, agg) or columnar.wants_columnar(after, agg):
-        return _diff_studies_columnar(
-            columnar.ensure_aggregate(before, executor=executor),
-            columnar.ensure_aggregate(after, executor=executor),
-        )
-    before_by_slug = {r.spec.slug: r for r in before.services}
-    drifts = []
-    for result in after.services:
-        earlier = before_by_slug.get(result.spec.slug)
-        if earlier is None:
-            continue
-        for medium in (APP, WEB):
-            old_types, old_domains, old_events = _medium_metrics(earlier, medium)
-            new_types, new_domains, new_events = _medium_metrics(result, medium)
-            drifts.append(
-                ServiceDrift(
-                    service=result.spec.slug,
-                    medium=medium,
-                    types_added=frozenset(new_types - old_types),
-                    types_removed=frozenset(old_types - new_types),
-                    aa_domains_delta=len(new_domains) - len(old_domains),
-                    leak_events_delta=new_events - old_events,
-                )
-            )
-    return drifts
-
-
-def _diff_studies_columnar(before, after) -> list:
+    before = columnar.ensure_aggregate(before)
+    after = columnar.ensure_aggregate(after)
     before_cells = before.cells_by_service()
     after_cells = after.cells_by_service()
     drifts = []
@@ -115,8 +78,8 @@ def _diff_studies_columnar(before, after) -> list:
         olds = before_cells.get(meta.slug, ())
         news = after_cells.get(meta.slug, ())
         for medium in (APP, WEB):
-            old_types, old_domains, old_events = _medium_metrics_columnar(olds, medium)
-            new_types, new_domains, new_events = _medium_metrics_columnar(news, medium)
+            old_types, old_domains, old_events = _medium_metrics(olds, medium)
+            new_types, new_domains, new_events = _medium_metrics(news, medium)
             drifts.append(
                 ServiceDrift(
                     service=meta.slug,
@@ -141,8 +104,11 @@ class DriftSummary:
     drifts: list = field(default_factory=list)
 
 
-def summarize_drift(before, after, agg: str = "rows", executor=None) -> DriftSummary:
-    drifts = diff_studies(before, after, agg=agg, executor=executor)
+def summarize_drift(before, after) -> DriftSummary:
+    return _summarize_drifts(diff_studies(before, after))
+
+
+def _summarize_drifts(drifts: list) -> DriftSummary:
     by_service: dict = {}
     for drift in drifts:
         by_service.setdefault(drift.service, []).append(drift)

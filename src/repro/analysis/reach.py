@@ -17,11 +17,9 @@ users".  This module quantifies both claims per tracker:
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
 
-from ..core.pipeline import StudyResult
-from ..experiment.dataset import APP, WEB
+from ..experiment.dataset import APP
 from ..pii.types import PiiType
 from . import columnar
 
@@ -71,49 +69,24 @@ class TrackerReach:
         return bool(self.join_keys)
 
 
-def tracker_reach(study, agg: str = "rows", executor=None) -> dict:
-    """Compute :class:`TrackerReach` for every A&A domain in a study."""
-    if columnar.wants_columnar(study, agg):
-        return _tracker_reach_columnar(
-            columnar.ensure_aggregate(study, executor=executor)
-        )
-    reaches: dict = {}
-    for result in study.services:
-        slug = result.spec.slug
-        for (os_name, medium), analysis in result.sessions.items():
-            # Sorted, not raw set iteration: entry creation order is
-            # dict insertion order, which summarize_reach's max() and
-            # render_reach's stable sort break ties by — raw iteration
-            # would make those ties vary with PYTHONHASHSEED (same fix
-            # as Table 2's domain loop).
-            for domain in sorted(analysis.aa_domains):
-                entry = reaches.get(domain)
-                if entry is None:
-                    entry = reaches[domain] = TrackerReach(domain=domain)
-                (entry.services_app if medium == APP else entry.services_web).add(slug)
-            for record in analysis.leaks:
-                entry = reaches.get(record.domain)
-                if entry is None:
-                    continue  # non-A&A recipient (identity providers)
-                if medium == APP:
-                    entry.types_app.add(record.pii_type)
-                else:
-                    entry.types_web.add(record.pii_type)
-    return reaches
-
-
-def _tracker_reach_columnar(agg) -> dict:
-    """Columnar twin of :func:`tracker_reach`.
+def tracker_reach(study) -> dict:
+    """Compute :class:`TrackerReach` for every A&A domain in a study.
 
     Replays cells in the row-wise iteration order (the aggregate's
     per-cell ``order``): a leak recipient only accrues identifier types
     once the domain has already appeared as an A&A contact in the same
-    or an earlier cell — the reference path's entry-creation rule.
+    or an earlier cell — the entry-creation rule of the row-wise
+    reference in :mod:`repro.qa.reference`.
     """
     reaches: dict = {}
-    for cell in agg.ordered_cells():
+    for cell in columnar.ensure_aggregate(study).ordered_cells():
         slug = cell.service
         medium = cell.medium
+        # Sorted, not raw set iteration: entry creation order is dict
+        # insertion order, which the summary's max() and the table's
+        # stable sort break ties by — raw iteration would make those
+        # ties vary with PYTHONHASHSEED (same fix as Table 2's domain
+        # loop).
         for domain in sorted(cell.aa_domains):
             entry = reaches.get(domain)
             if entry is None:
@@ -139,9 +112,12 @@ class ReachSummary:
     max_reach: int
 
 
-def summarize_reach(study, agg: str = "rows", executor=None) -> ReachSummary:
+def summarize_reach(study) -> ReachSummary:
     """Aggregate the per-tracker picture into the §4.2 headline claims."""
-    reaches = tracker_reach(study, agg=agg, executor=executor)
+    return _summarize_reaches(tracker_reach(study))
+
+
+def _summarize_reaches(reaches: dict) -> ReachSummary:
     if not reaches:
         raise ValueError("study produced no A&A exposure to summarize")
     cross = [r for r in reaches.values() if r.services_both]
@@ -160,12 +136,13 @@ def summarize_reach(study, agg: str = "rows", executor=None) -> ReachSummary:
     )
 
 
-def render_reach(study, top: int = 15, agg: str = "rows", executor=None) -> str:
+def render_reach(study, top: int = 15) -> str:
     """Text table of the highest-reach trackers."""
-    reaches = sorted(
-        tracker_reach(study, agg=agg, executor=executor).values(),
-        key=lambda r: -r.reach,
-    )[:top]
+    return _render_reaches(tracker_reach(study), top)
+
+
+def _render_reaches(reaches: dict, top: int) -> str:
+    reaches = sorted(reaches.values(), key=lambda r: -r.reach)[:top]
     header = (
         f"{'A&A Domain':24s} {'reach':>5s} {'app':>4s} {'web':>4s} {'both':>4s} "
         f"{'app-only types':16s} {'join keys'}"

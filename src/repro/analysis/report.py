@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core.pipeline import StudyResult
 from ..experiment.dataset import APP, WEB
 from ..pii.types import PiiType
+from .columnar import StudyAggregate, ensure_aggregate
 from .figures import fig1a, fig1b, fig1c, fig1d, fig1e, fig1f
 from .stats import fraction
 from .tables import table1, table2, table3
@@ -108,9 +108,9 @@ class ComparisonLine:
         return f"| {self.label} | {self.paper} | {self.measured} |"
 
 
-def _table1_lines(study: StudyResult) -> list:
+def _table1_lines(agg: StudyAggregate) -> list:
     lines = []
-    rows = {(r.group, r.medium): r for r in table1(study)}
+    rows = {(r.group, r.medium): r for r in table1(agg)}
     for key, paper_rate in PAPER_TABLE1_RATES.items():
         row = rows.get(key)
         if row is None:
@@ -138,9 +138,9 @@ def _table1_lines(study: StudyResult) -> list:
     return lines
 
 
-def _table2_lines(study: StudyResult) -> list:
+def _table2_lines(agg: StudyAggregate) -> list:
     lines = []
-    measured = {r.domain: r for r in table2(study, top=100)}
+    measured = {r.domain: r for r in table2(agg, top=100)}
     for domain, (svc_a, svc_b, svc_w, avg_a, avg_w) in PAPER_TABLE2.items():
         row = measured.get(domain)
         if row is None:
@@ -162,9 +162,9 @@ def _table2_lines(study: StudyResult) -> list:
     return lines
 
 
-def _table3_lines(study: StudyResult) -> list:
+def _table3_lines(agg: StudyAggregate) -> list:
     lines = []
-    measured = {r.pii_type: r for r in table3(study)}
+    measured = {r.pii_type: r for r in table3(agg)}
     for pii_type, paper in PAPER_TABLE3.items():
         row = measured.get(pii_type)
         svc = f"{paper[0]}/{paper[1]}/{paper[2]}"
@@ -189,10 +189,10 @@ def _table3_lines(study: StudyResult) -> list:
     return lines
 
 
-def _figure_lines(study: StudyResult) -> list:
+def _figure_lines(agg: StudyAggregate) -> list:
     lines = []
-    a = fig1a(study)
-    b = fig1b(study)
+    a = fig1a(agg)
+    b = fig1b(agg)
     for os_name in ("android", "ios"):
         lines.append(
             ComparisonLine(
@@ -211,7 +211,7 @@ def _figure_lines(study: StudyResult) -> list:
                 f"{b[os_name].percent_leq(-1):.0f}%",
             )
         )
-    c = fig1c(study)
+    c = fig1c(agg)
     for os_name in ("android", "ios"):
         lines.append(
             ComparisonLine(
@@ -222,7 +222,7 @@ def _figure_lines(study: StudyResult) -> list:
                 f"{c[os_name].percent_leq(-0.001):.0f}% negative",
             )
         )
-    d = fig1d(study)
+    d = fig1d(agg)
     for os_name in ("android", "ios"):
         positive = 100 * fraction(d[os_name].values, lambda v: v > 0)
         lines.append(
@@ -233,7 +233,7 @@ def _figure_lines(study: StudyResult) -> list:
                 f"{positive:.0f}% of services lean app",
             )
         )
-    e = fig1e(study)
+    e = fig1e(agg)
     for os_name in ("android", "ios"):
         bins = dict(e[os_name].points)
         mode = max(bins, key=bins.get)
@@ -246,7 +246,7 @@ def _figure_lines(study: StudyResult) -> list:
                 f"{100 * fraction(e[os_name].values, lambda v: v > 0):.0f}% positive",
             )
         )
-    f = fig1f(study)
+    f = fig1f(agg)
     for os_name in ("android", "ios"):
         lines.append(
             ComparisonLine(
@@ -260,17 +260,19 @@ def _figure_lines(study: StudyResult) -> list:
     return lines
 
 
-def build_comparison(study: StudyResult) -> list:
-    """Every paper-vs-measured line, grouped by section."""
+def build_comparison(study) -> list:
+    """Every paper-vs-measured line, grouped by section; all three
+    tables and six figure panels read one aggregate of ``study``."""
+    agg = ensure_aggregate(study)
     lines = []
-    lines.extend(_table1_lines(study))
-    lines.extend(_table2_lines(study))
-    lines.extend(_table3_lines(study))
-    lines.extend(_figure_lines(study))
+    lines.extend(_table1_lines(agg))
+    lines.extend(_table2_lines(agg))
+    lines.extend(_table3_lines(agg))
+    lines.extend(_figure_lines(agg))
     return lines
 
 
-def render_markdown(study: StudyResult, seed: int = 2016, duration: float = 240.0) -> str:
+def render_markdown(study, seed: int = 2016, duration: float = 240.0) -> str:
     """Render the full EXPERIMENTS.md body."""
     lines = build_comparison(study)
     sections: dict = {}
@@ -296,8 +298,8 @@ def render_markdown(study: StudyResult, seed: int = 2016, duration: float = 240.
         "population instead (personas drawn from a `--population-spec`",
         "JSON of distributions) and reports the same tables per cohort",
         "with Wilson and bootstrap confidence intervals; `--shards`,",
-        "`--executor`, `--workers`, and `--agg` control execution without",
-        "changing a single output byte.",
+        "`--executor`, and `--workers` control execution without changing",
+        "a single output byte.",
         "",
     ]
     for section, section_lines in sections.items():

@@ -1,7 +1,9 @@
 """Table generators: the paper's Tables 1, 2, and 3.
 
-Each generator consumes a :class:`~repro.core.pipeline.StudyResult` and
-returns structured rows; ``render_*`` functions print them in the
+Each generator reduces a
+:class:`~repro.analysis.columnar.StudyAggregate` (a
+:class:`~repro.core.pipeline.StudyResult` is aggregated once on entry)
+and returns structured rows; ``render_*`` functions print them in the
 paper's layout so the benchmark harness can show paper-vs-measured side
 by side.
 
@@ -15,11 +17,9 @@ Conventions (reverse-engineered from the published numbers):
 - Table 2 counts services *contacting* an A&A domain, while its leak
   and identifier columns count actual PII receipts.
 
-Every generator takes ``agg={"rows","columnar","auto"}``: ``rows`` is
-the reference object-graph walk, ``columnar`` reduces a
-:class:`~repro.analysis.columnar.StudyAggregate` instead (a ready
-aggregate may also be passed as ``study`` directly).  Both paths build
-rows through the same shared builders, so output is byte-identical —
+The row-wise object-graph walkers in :mod:`repro.qa.reference` build
+rows through the same shared builders (``_finish_table1_row``,
+``_table2_rows``, ``_table3_rows``), so output is byte-identical —
 pinned by ``tests/test_columnar.py`` and the QA oracle.
 """
 
@@ -28,13 +28,11 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 
-from ..core.pipeline import ServiceResult, StudyResult
 from ..experiment.dataset import APP, WEB
 from ..pii.types import TABLE1_ORDER, PiiType
 from ..trackerdb.easylist import bundled_easylist
-from ..trackerdb.psl import domain_key
 from . import columnar
-from .stats import format_mean_std, mean_std
+from .stats import mean_std
 
 CATEGORY_ORDER = (
     "Business",
@@ -72,28 +70,6 @@ class Table1Row:
         return [t.code for t in TABLE1_ORDER if t in self.identifiers]
 
 
-def _medium_leak_domains(result: ServiceResult, medium: str, os_name: str = None) -> set:
-    domains: set = set()
-    for (osn, med), analysis in result.sessions.items():
-        if med != medium:
-            continue
-        if os_name is not None and osn != os_name:
-            continue
-        domains |= analysis.leak_domains
-    return domains
-
-
-def _medium_types(result: ServiceResult, medium: str, os_name: str = None) -> set:
-    types: set = set()
-    for (osn, med), analysis in result.sessions.items():
-        if med != medium:
-            continue
-        if os_name is not None and osn != os_name:
-            continue
-        types |= analysis.leak_types
-    return types
-
-
 def _finish_table1_row(
     group: str,
     medium: str,
@@ -103,8 +79,8 @@ def _finish_table1_row(
     leak_domain_counts: list,
     identifiers: set,
 ) -> Table1Row:
-    """Shared tail of both aggregation paths: identical arithmetic on
-    identical inputs keeps rows/columnar byte-identical."""
+    """Shared tail of :func:`table1` and its row-wise reference:
+    identical arithmetic on identical inputs keeps them byte-identical."""
     if leak_domain_counts:
         mu, sigma = mean_std(leak_domain_counts)
     else:
@@ -121,30 +97,8 @@ def _finish_table1_row(
     )
 
 
-def _row(group: str, medium: str, results: list, os_name: str = None) -> Table1Row:
-    leak_domain_counts = []
-    identifiers: set = set()
-    leaking = 0
-    for result in results:
-        domains = _medium_leak_domains(result, medium, os_name)
-        types = _medium_types(result, medium, os_name)
-        if types:
-            leaking += 1
-            leak_domain_counts.append(len(domains))
-            identifiers |= types
-    return _finish_table1_row(
-        group,
-        medium,
-        len(results),
-        sum(r.spec.rank for r in results),
-        leaking,
-        leak_domain_counts,
-        identifiers,
-    )
-
-
-def _row_columnar(group: str, medium: str, members: list, os_name: str = None) -> Table1Row:
-    """Columnar twin of :func:`_row` over (meta, cells) members."""
+def _row(group: str, medium: str, members: list, os_name: str = None) -> Table1Row:
+    """One Table 1 row over ``(ServiceMeta, cells)`` members."""
     leak_domain_counts = []
     identifiers: set = set()
     leaking = 0
@@ -173,45 +127,26 @@ def _row_columnar(group: str, medium: str, members: list, os_name: str = None) -
     )
 
 
-def _table1_columnar(agg) -> list:
+def table1(study) -> list:
+    """Generate every row of Table 1 in presentation order."""
+    agg = columnar.ensure_aggregate(study)
     by_service = agg.cells_by_service()
     members = [
         (meta, by_service.get(meta.slug, ())) for meta in agg.ordered_services()
     ]
     rows = []
     for medium in (APP, WEB):
-        rows.append(_row_columnar("All", medium, members))
+        rows.append(_row("All", medium, members))
     for os_name, label in (("android", "Android"), ("ios", "iOS")):
         tested = [m for m in members if os_name in m[0].oses]
         for medium in (APP, WEB):
-            rows.append(_row_columnar(label, medium, tested, os_name=os_name))
+            rows.append(_row(label, medium, tested, os_name=os_name))
     for category in CATEGORY_ORDER:
         group = [m for m in members if m[0].category == category]
         if not group:
             continue
         for medium in (APP, WEB):
-            rows.append(_row_columnar(category, medium, group))
-    return rows
-
-
-def table1(study, agg: str = "rows", executor=None) -> list:
-    """Generate every row of Table 1 in presentation order."""
-    if columnar.wants_columnar(study, agg):
-        return _table1_columnar(columnar.ensure_aggregate(study, executor=executor))
-    rows = []
-    all_results = study.services
-    for medium in (APP, WEB):
-        rows.append(_row("All", medium, all_results))
-    for os_name, label in (("android", "Android"), ("ios", "iOS")):
-        tested = [r for r in all_results if os_name in r.spec.oses]
-        for medium in (APP, WEB):
-            rows.append(_row(label, medium, tested, os_name=os_name))
-    for category in CATEGORY_ORDER:
-        members = [r for r in all_results if r.spec.category == category]
-        if not members:
-            continue
-        for medium in (APP, WEB):
-            rows.append(_row(category, medium, members))
+            rows.append(_row(category, medium, group))
     return rows
 
 
@@ -222,7 +157,6 @@ def render_table1(rows: list) -> str:
     )
     lines = [header, "-" * len(header)]
     for row in rows:
-        domains = format_mean_std([0]) if row.domains_mean == row.domains_std == 0 else None
         domains_text = (
             f"{row.domains_mean:.1f} ± {row.domains_std:.1f}" if row.pct_leaking else "-"
         )
@@ -263,9 +197,9 @@ class Table2Row:
 
 
 def _table2_rows(contact: dict, leaks: dict, identifiers: dict, top: int) -> list:
-    """Shared row builder over the three (domain, medium) maps; both
-    aggregation paths produce identical maps, so sorting, tie-breaking,
-    and the top-N cut are shared verbatim."""
+    """Shared row builder over the three (domain, medium) maps;
+    :func:`table2` and its row-wise reference produce identical maps, so
+    sorting, tie-breaking, and the top-N cut are shared verbatim."""
     rows = []
     # Sorted, not raw set iteration: the tie rows below would
     # otherwise land in string-hash order and the top-N cut would
@@ -302,7 +236,9 @@ def _table2_rows(contact: dict, leaks: dict, identifiers: dict, top: int) -> lis
     return rows[:top]
 
 
-def _table2_columnar(agg, top: int) -> list:
+def table2(study, top: int = 20) -> list:
+    """Top A&A domains by total leaks received."""
+    agg = columnar.ensure_aggregate(study)
     easylist = bundled_easylist()
     contact: dict = defaultdict(lambda: {APP: set(), WEB: set()})
     leaks: dict = defaultdict(lambda: {APP: defaultdict(int), WEB: defaultdict(int)})
@@ -316,39 +252,13 @@ def _table2_columnar(agg, top: int) -> list:
         for domain in cell.aa_domains:
             contact[domain][medium].add(slug)
         # One EasyList verdict per unique (hostname, page_host) group —
-        # the rows path asks per event, but the verdict is a pure
-        # function of those two strings, so grouped counts are exact.
+        # the row-wise reference asks per event, but the verdict is a
+        # pure function of those two strings, so grouped counts are exact.
         for (domain, host, pii), count in cell.leak_groups.items():
             if not easylist.matches(f"https://{host}/", page_host=page_host):
                 continue
             leaks[domain][medium][slug] += count
             identifiers[domain][medium].add(pii)
-    return _table2_rows(contact, leaks, identifiers, top)
-
-
-def table2(study, top: int = 20, agg: str = "rows", executor=None) -> list:
-    """Top A&A domains by total leaks received."""
-    if columnar.wants_columnar(study, agg):
-        return _table2_columnar(
-            columnar.ensure_aggregate(study, executor=executor), top
-        )
-    easylist = bundled_easylist()
-    contact: dict = defaultdict(lambda: {APP: set(), WEB: set()})
-    leaks: dict = defaultdict(lambda: {APP: defaultdict(int), WEB: defaultdict(int)})
-    identifiers: dict = defaultdict(lambda: {APP: set(), WEB: set()})
-
-    for result in study.services:
-        page_host = result.spec.domain
-        for (os_name, medium), analysis in result.sessions.items():
-            for domain in analysis.aa_domains:
-                contact[domain][medium].add(result.spec.slug)
-            for record in analysis.leaks:
-                domain = record.domain
-                if not easylist.matches(f"https://{record.observation.hostname}/", page_host=page_host):
-                    continue
-                leaks[domain][medium][result.spec.slug] += 1
-                identifiers[domain][medium].add(record.pii_type)
-
     return _table2_rows(contact, leaks, identifiers, top)
 
 
@@ -400,25 +310,10 @@ def _table3_buckets() -> dict:
     }
 
 
-def table3(study, agg: str = "rows", executor=None) -> list:
+def table3(study) -> list:
     """Per-PII-type aggregation, sorted by total leaks."""
-    if columnar.wants_columnar(study, agg):
-        return _table3_columnar(columnar.ensure_aggregate(study, executor=executor))
     per_type = _table3_buckets()
-    for result in study.services:
-        slug = result.spec.slug
-        for (os_name, medium), analysis in result.sessions.items():
-            for record in analysis.leaks:
-                bucket = per_type[record.pii_type]
-                bucket["svc"][medium].add(slug)
-                bucket["leaks"][medium][slug] += 1
-                bucket["domains"][medium].add(record.domain)
-    return _table3_rows(per_type)
-
-
-def _table3_columnar(agg) -> list:
-    per_type = _table3_buckets()
-    for cell in agg.ordered_cells():
+    for cell in columnar.ensure_aggregate(study).ordered_cells():
         slug = cell.service
         medium = cell.medium
         for (domain, host, pii), count in cell.leak_groups.items():
@@ -431,8 +326,9 @@ def _table3_columnar(agg) -> list:
 
 def _table3_rows(per_type: dict) -> list:
     """Shared row builder: iterates the :class:`PiiType` buckets in
-    enum-declaration order in both paths, so stable tie order under the
-    total-leaks sort is identical."""
+    enum-declaration order for :func:`table3` and its row-wise
+    reference alike, so stable tie order under the total-leaks sort is
+    identical."""
     rows = []
     for pii_type, bucket in per_type.items():
         app_services = bucket["svc"][APP]

@@ -37,13 +37,10 @@ from typing import Iterable, Optional, Sequence
 from ..ioutil import atomic_write_json
 
 from ..analysis.columnar import (
-    AGG_AUTO,
-    CellAggregate,
     ServiceMeta,
     StudyAggregate,
     aggregate_blob,
     encode_cells,
-    resolve_agg,
 )
 from ..analysis.stats import BootstrapSums, Moments, wilson_interval
 from ..core.pipeline import analyze_session
@@ -331,7 +328,7 @@ def merge_campaigns(partials: Iterable) -> CampaignAggregate:
 
 
 class CampaignContext:
-    """Bound (population spec, services, seed, cohorts, agg mode).
+    """Bound (population spec, services, seed, cohorts).
 
     Workers rebuild one from ``(specs, config_dict)`` via the pool
     initializer; the dict is JSON-safe so the spawn start method works
@@ -344,13 +341,11 @@ class CampaignContext:
         services: Sequence,
         seed: int,
         dims: tuple = ("os",),
-        agg: str = AGG_AUTO,
     ) -> None:
         self.population_spec = population_spec
         self.services = list(services)
         self.seed = int(seed)
         self.dims = tuple(dims)
-        self.agg = resolve_agg(agg)
         self.sampler = PersonaSampler(population_spec, self.services, self.seed)
         self.specs_by_slug = {spec.slug: spec for spec in self.services}
         self.metas = [
@@ -368,7 +363,6 @@ class CampaignContext:
             "population_spec": self.population_spec.to_dict(),
             "seed": self.seed,
             "dims": list(self.dims),
-            "agg": self.agg,
         }
 
     @classmethod
@@ -378,7 +372,6 @@ class CampaignContext:
             services,
             config["seed"],
             dims=tuple(config["dims"]),
-            agg=config["agg"],
         )
 
     # -- per-user simulation -------------------------------------------------
@@ -428,59 +421,17 @@ class CampaignContext:
             cells.append((order, analysis))
         return cells
 
-    # -- folds (rows / columnar twins) ---------------------------------------
+    # -- fold ------------------------------------------------------------------
 
-    def _fold_rows(self, study: StudyAggregate, cells: list) -> None:
-        """Row-wise fold of ``(order, analysis)`` pairs — mirrors
-        :func:`~repro.analysis.columnar.aggregate_batch` exactly (same
-        groupings, same Moments updates), so the two ``--agg`` paths
-        produce byte-identical canonical aggregates."""
-        for meta in self.metas:
-            mine = study.services.get(meta.slug)
-            if mine is None or meta.order < mine.order:
-                study.services[meta.slug] = meta
-        moments = study.moments
-        for order, analysis in cells:
-            cell = CellAggregate(
-                analysis.service, analysis.os_name, analysis.medium, order
-            )
-            cell.flows_total = analysis.flows_total
-            cell.aa_flows = analysis.aa_flows
-            cell.aa_bytes = analysis.aa_bytes
-            cell.aa_domains = set(analysis.aa_domains)
-            groups: dict = {}
-            events = 0
-            for leak in analysis.leaks:
-                key = (
-                    leak.observation.domain,
-                    leak.observation.hostname,
-                    leak.observation.pii_type,
-                )
-                groups[key] = groups.get(key, 0) + 1
-                events += 1
-            cell.leak_groups = groups
-            existing = study.cells.get(cell.key)
-            if existing is None:
-                study.cells[cell.key] = cell
-            else:
-                existing.merge(cell)
-            moments["flows_total"].add(cell.flows_total)
-            moments["aa_flows"].add(cell.aa_flows)
-            moments["aa_bytes"].add(cell.aa_bytes)
-            moments["leak_events"].add(events)
-
-    def _fold_columnar(self, study: StudyAggregate, cells: list) -> None:
-        """Columnar fold: encode the cells into one batch blob, run the
+    def fold_cells(self, study: StudyAggregate, cells: list) -> None:
+        """Encode ``(order, analysis)`` cells into one batch blob, run the
         kernel, merge the partial in — the codec round-trip is the same
         one the process pool ships."""
         study.merge(aggregate_blob(encode_cells(self.metas, cells)))
 
     def fold_user(self, agg: CampaignAggregate, user: UserPersona, cells: list) -> None:
         cohort = agg.cohort(user.cohort(self.dims))
-        if self.agg == "columnar":
-            self._fold_columnar(cohort.study, cells)
-        else:
-            self._fold_rows(cohort.study, cells)
+        self.fold_cells(cohort.study, cells)
         metrics = {
             "sessions": len(cells),
             "flows_total": sum(a.flows_total for _, a in cells),
@@ -743,7 +694,6 @@ def run_campaign(
     shards: Optional[int] = None,
     executor=None,
     workers: int = 1,
-    agg: str = AGG_AUTO,
     log=None,
     reduce: str = "auto",
     checkpoint_dir=None,
@@ -784,7 +734,7 @@ def run_campaign(
     specs = list(services) if services is not None else build_catalog()
     spec = population_spec if population_spec is not None else PopulationSpec()
     dims = parse_cohort_dims(cohorts) if isinstance(cohorts, str) else tuple(cohorts)
-    context = CampaignContext(spec, specs, seed, dims=dims, agg=agg)
+    context = CampaignContext(spec, specs, seed, dims=dims)
     engine = resolve_executor(executor, workers)
     mode = _resolve_reduce(reduce, engine)
     if population < 1:

@@ -53,28 +53,12 @@ def _build_study(args):
     )
 
 
-def _add_agg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--agg",
-        choices=["auto", "columnar", "rows"],
-        default="auto",
-        help="aggregation engine for tables/figures/reach: 'columnar' "
-        "reduces struct-packed batches from the binary codec (the fast "
-        "path; 'auto' picks it), 'rows' walks the per-session object "
-        "graph (the reference). Output is byte-identical either way.",
-    )
-
-
-def _study_view(study, args):
-    """Apply ``--agg``: the study itself (rows) or its columnar
-    aggregate, computed once and shared by every consumer below."""
+def _aggregate(study, args):
+    """The study's columnar aggregate, reduced once on the
+    ``--executor`` pool and shared by every table/figure/reach consumer."""
     from .analysis import columnar
 
-    if columnar.resolve_agg(getattr(args, "agg", "rows")) == "rows":
-        return study
-    return columnar.study_aggregate(
-        study, executor=getattr(args, "executor", None)
-    )
+    return columnar.study_aggregate(study, executor=getattr(args, "executor", None))
 
 
 def _add_executor(parser: argparse.ArgumentParser) -> None:
@@ -90,7 +74,7 @@ def _add_executor(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_study_inputs(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=2016, help="study RNG seed")
     parser.add_argument(
         "--duration", type=float, default=240.0, help="session length in seconds"
@@ -98,6 +82,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--services", help="comma-separated service slugs (default: all 50)"
     )
+
+
+def _add_common(parser: argparse.ArgumentParser) -> None:
+    _add_study_inputs(parser)
     parser.add_argument(
         "--no-recon", action="store_true", help="skip ReCon training (matching only)"
     )
@@ -109,7 +97,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "identical for any value)",
     )
     _add_executor(parser)
-    _add_agg(parser)
     parser.add_argument(
         "--cache-dir",
         help="persistent incremental-analysis cache directory: campaign, "
@@ -119,31 +106,31 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def cmd_run(args) -> int:
-    view = _study_view(_build_study(args), args)
-    print(render_table1(table1(view)))
+    agg = _aggregate(_build_study(args), args)
+    print(render_table1(table1(agg)))
     print()
-    print(render_table2(table2(view)))
+    print(render_table2(table2(agg)))
     print()
-    print(render_table3(table3(view)))
+    print(render_table3(table3(agg)))
     return 0
 
 
 def cmd_tables(args) -> int:
-    view = _study_view(_build_study(args), args)
+    agg = _aggregate(_build_study(args), args)
     renderers = {"1": (table1, render_table1), "2": (table2, render_table2), "3": (table3, render_table3)}
     if args.table not in renderers:
         raise SystemExit(f"unknown table {args.table!r} (choose 1, 2, or 3)")
     generate, render = renderers[args.table]
-    print(render(generate(view)))
+    print(render(generate(agg)))
     return 0
 
 
 def cmd_figure(args) -> int:
-    view = _study_view(_build_study(args), args)
+    agg = _aggregate(_build_study(args), args)
     generator = ALL_FIGURES.get(args.figure)
     if generator is None:
         raise SystemExit(f"unknown figure {args.figure!r} (choose {sorted(ALL_FIGURES)})")
-    for os_name, series in generator(view).items():
+    for os_name, series in generator(agg).items():
         print(render_series(series))
         print()
     return 0
@@ -208,8 +195,8 @@ def cmd_recommend(args) -> int:
 def cmd_report(args) -> int:
     from .analysis.report import render_markdown
 
-    view = _study_view(_build_study(args), args)
-    print(render_markdown(view, seed=args.seed, duration=args.duration))
+    agg = _aggregate(_build_study(args), args)
+    print(render_markdown(agg, seed=args.seed, duration=args.duration))
     return 0
 
 
@@ -217,10 +204,7 @@ def cmd_collect(args) -> int:
     from .experiment.runner import ExperimentRunner
     from .services.world import build_world
 
-    services = build_catalog()
-    if args.services:
-        wanted = set(args.services.split(","))
-        services = [s for s in services if s.slug in wanted]
+    services = _selected_services(args)
     world = build_world(services)
     runner = ExperimentRunner(world, seed=args.seed)
     dataset = runner.run_study(services, duration=args.duration)
@@ -249,10 +233,10 @@ def cmd_analyze(args) -> int:
         executor=getattr(args, "executor", None),
         cache=cache,
     )
-    view = _study_view(study, args)
-    print(render_table1(table1(view)))
+    agg = _aggregate(study, args)
+    print(render_table1(table1(agg)))
     print()
-    print(render_table3(table3(view)))
+    print(render_table3(table3(agg)))
     return 0
 
 
@@ -293,10 +277,10 @@ def cmd_stream(args) -> int:
             executor=args.executor,
         )
         stats = throughput = None
-    view = _study_view(study, args)
-    print(render_table1(table1(view)))
+    agg = _aggregate(study, args)
+    print(render_table1(table1(agg)))
     print()
-    print(render_table3(table3(view)))
+    print(render_table3(table3(agg)))
     if stats is not None:
         print()
         print(
@@ -494,10 +478,7 @@ def cmd_har(args) -> int:
 def cmd_blocking(args) -> int:
     from .core.countermeasures import evaluate_blocking, summarize_outcomes
 
-    services = build_catalog()
-    if args.services:
-        wanted = set(args.services.split(","))
-        services = [s for s in services if s.slug in wanted]
+    services = _selected_services(args)
     outcomes = []
     for spec in services:
         os_name = "android" if "android" in spec.oses else spec.oses[0]
@@ -547,11 +528,11 @@ def cmd_mitigate(args) -> int:
         # Exactly what ``repro analyze`` prints for the same dataset —
         # CI diffs the two byte-for-byte to pin "mitigation off changes
         # nothing".
-        view = _study_view(outcome.baseline, args)
+        agg = _aggregate(outcome.baseline, args)
         text = (
-            render_table1(table1(view))
+            render_table1(table1(agg))
             + "\n\n"
-            + render_table3(table3(view))
+            + render_table3(table3(agg))
             + "\n"
         )
         with open(args.baseline_out, "w") as handle:
@@ -563,9 +544,9 @@ def cmd_mitigate(args) -> int:
 def cmd_reach(args) -> int:
     from .analysis.reach import render_reach, summarize_reach
 
-    view = _study_view(_build_study(args), args)
-    print(render_reach(view))
-    summary = summarize_reach(view)
+    agg = _aggregate(_build_study(args), args)
+    print(render_reach(agg))
+    summary = summarize_reach(agg)
     print(
         f"\n{summary.trackers} A&A domains observed; "
         f"{summary.cross_platform_trackers} present on both media; "
@@ -689,7 +670,6 @@ def cmd_campaign(args) -> int:
             cohorts=args.cohorts,
             shards=args.shards,
             executor=engine,
-            agg=args.agg,
             log=log,
             reduce=args.reduce,
             checkpoint_dir=args.checkpoint_dir,
@@ -908,7 +888,7 @@ def build_parser() -> argparse.ArgumentParser:
     report_parser.set_defaults(func=cmd_report)
 
     collect_parser = sub.add_parser("collect", help="run the campaign, save the dataset")
-    _add_common(collect_parser)
+    _add_study_inputs(collect_parser)
     collect_parser.add_argument("--out", required=True, help="output directory")
     collect_parser.set_defaults(func=cmd_collect)
 
@@ -922,7 +902,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="analysis workers (results are identical for any value)",
     )
     _add_executor(analyze_parser)
-    _add_agg(analyze_parser)
     analyze_parser.add_argument(
         "--cache-dir",
         help="persistent per-session analysis cache (content-addressed; "
@@ -968,7 +947,7 @@ def build_parser() -> argparse.ArgumentParser:
     blocking_parser = sub.add_parser(
         "blocking", help="tracker-blocking effectiveness (§5 future work)"
     )
-    _add_common(blocking_parser)
+    _add_study_inputs(blocking_parser)
     blocking_parser.set_defaults(func=cmd_blocking)
 
     mitigate_parser = sub.add_parser(
@@ -1130,7 +1109,6 @@ def build_parser() -> argparse.ArgumentParser:
         "folded — simulates a mid-campaign kill for resume testing",
     )
     _add_executor(campaign_parser)
-    _add_agg(campaign_parser)
     campaign_parser.set_defaults(func=cmd_campaign)
     return parser
 

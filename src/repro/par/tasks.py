@@ -76,7 +76,7 @@ def init_worker(specs: list, recon) -> None:
 
 def init_campaign(specs: list, config: dict) -> None:
     """Pool initializer for campaign chunks: rebuild the bound context
-    (sampler + specs + fold mode) once per worker.  ``config`` is the
+    (sampler + specs) once per worker.  ``config`` is the
     JSON-safe :meth:`CampaignContext.config` dict, so fork and spawn
     workers construct identical contexts."""
     from ..campaign.engine import CampaignContext

@@ -6,10 +6,12 @@ streaming pipeline, and the serving read path) plus fast/slow twins of
 the PII matcher and the EasyList engine.  This package generates
 randomized worlds from a single seed (:mod:`repro.qa.scenarios`), runs
 every path over them and asserts byte-level equality
-(:mod:`repro.qa.oracle`), injects deterministic faults — kills, torn
-journal tails, transport chaos, exploding proxy addons — and checks the
-documented recovery invariants (:mod:`repro.qa.faults`), and shrinks
-failing seeds to small JSON reproducers (:mod:`repro.qa.shrink`).
+(:mod:`repro.qa.oracle`; the row-wise study walkers the columnar
+consumers are pinned against live in :mod:`repro.qa.reference`),
+injects deterministic faults — kills, torn journal tails, transport
+chaos, exploding proxy addons — and checks the documented recovery
+invariants (:mod:`repro.qa.faults`), and shrinks failing seeds to small
+JSON reproducers (:mod:`repro.qa.shrink`).
 
 Entry point: ``repro fuzz --seed N --rounds K --faults``.
 """

@@ -500,7 +500,6 @@ def check_campaign_resume(scenario, specs, mutate):
         population_spec=pop_spec,
         services=specs,
         executor="serial",
-        agg="columnar",
     )
     expected = run_campaign(population, shards=3, **kwargs).canonical_bytes()
     out = []

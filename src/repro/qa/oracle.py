@@ -17,6 +17,8 @@ Paths compared against the ``workers=1`` batch reference:
 - the indexed EasyList engine vs ``FilterList.match_linear`` over the
   scenario's URL probes (scenario filters and the bundled list);
 - PSL invariants (idempotence, reflexivity) over generated hostnames;
+- the columnar aggregate and the study consumers vs the row-wise
+  walkers of :mod:`repro.qa.reference`;
 - the mitigation data plane: an installed all-allow policy is
   byte-inert, mitigated traffic analyzes identically in serial /
   process-pool / streaming, re-collection under the same policy and
@@ -194,9 +196,10 @@ def run_oracle(scenario: Scenario, mutators=None) -> OracleReport:
         check_study(f"stream[shards={shards}]", streamed, "stream")
 
     # -- columnar aggregation engine ----------------------------------------
-    # Two pins per seed: (a) sharded partial-aggregate merges equal the
+    # Two pins per seed: (a) the encode + kernel aggregate equals the
+    # row-wise fold, and sharded partial-aggregate merges equal the
     # single-batch aggregate in any merge order; (b) every consumer's
-    # columnar rendering is byte-identical to the row-wise reference.
+    # rendering is byte-identical to its row-wise reference walker.
     from ..analysis import columnar
     from ..analysis.figures import fig1e, render_series
     from ..analysis.longitudinal import render_drift, summarize_drift
@@ -209,6 +212,7 @@ def run_oracle(scenario: Scenario, mutators=None) -> OracleReport:
         table2,
         table3,
     )
+    from . import reference as rows
 
     stats["columnar_checks"] = 0
 
@@ -229,6 +233,11 @@ def run_oracle(scenario: Scenario, mutators=None) -> OracleReport:
     partials = columnar.shard_aggregates(reference, shards=3)
     agg_expected = whole.canonical_bytes()
     check_columnar_bytes(
+        "columnar[reference-aggregate]",
+        rows.reference_aggregate(reference).canonical_bytes(),
+        mutate("aggregate", whole).canonical_bytes(),
+    )
+    check_columnar_bytes(
         "columnar[merge shards=3]",
         agg_expected,
         columnar.merge_aggregates(partials).canonical_bytes(),
@@ -241,40 +250,41 @@ def run_oracle(scenario: Scenario, mutators=None) -> OracleReport:
 
     check_columnar_text(
         "columnar[table1]",
-        render_table1(table1(reference)),
+        render_table1(rows.table1(reference)),
         render_table1(table1(whole)),
     )
     check_columnar_text(
         "columnar[table2]",
-        render_table2(table2(reference)),
+        render_table2(rows.table2(reference)),
         render_table2(table2(whole)),
     )
     check_columnar_text(
         "columnar[table3]",
-        render_table3(table3(reference)),
+        render_table3(rows.table3(reference)),
         render_table3(table3(whole)),
     )
-    for os_name, series in fig1e(reference).items():
+    for os_name, series in rows.figure("1e", reference).items():
         check_columnar_text(
             f"columnar[fig1e:{os_name}]",
             render_series(series),
             render_series(fig1e(whole)[os_name]),
         )
     check_columnar_text(
-        "columnar[reach]", render_reach(reference), render_reach(whole)
+        "columnar[reach]", rows.render_reach(reference), render_reach(whole)
     )
     check_columnar_text(
         "columnar[drift]",
-        render_drift(summarize_drift(reference, reference)),
+        render_drift(rows.summarize_drift(reference, reference)),
         render_drift(summarize_drift(whole, whole)),
     )
 
     # -- campaign engine -----------------------------------------------------
-    # A small population over the scenario's own specs, pinned four
+    # A small population over the scenario's own specs, pinned three
     # ways: shard-count invariance (1 vs 3), merge-order invariance
-    # (forward vs reversed fold of the same partials), rows ≡ columnar
-    # folds, and serial ≡ process-pool execution — all byte-for-byte on
-    # the canonical campaign aggregate.
+    # (forward vs reversed fold of the same partials), and serial ≡
+    # process-pool execution — all byte-for-byte on the canonical
+    # campaign aggregate.  The fold itself is the columnar kernel,
+    # pinned against the row-wise fold by columnar[reference-aggregate].
     from ..campaign import CampaignContext, PopulationSpec, merge_campaigns, plan_shards, run_campaign
 
     stats["campaign_checks"] = 0
@@ -299,19 +309,18 @@ def run_oracle(scenario: Scenario, mutators=None) -> OracleReport:
         services=specs,
         executor="serial",
         shards=1,
-        agg="columnar",
     )
     campaign_expected = campaign_reference.canonical_bytes()
 
-    rows_context = CampaignContext(
-        pop_spec, specs, scenario.study_seed, dims=("os",), agg="rows"
+    campaign_context = CampaignContext(
+        pop_spec, specs, scenario.study_seed, dims=("os",)
     )
     campaign_partials = [
-        rows_context.run_shard(start, stop)
+        campaign_context.run_shard(start, stop)
         for start, stop in plan_shards(population, 3)
     ]
     check_campaign_bytes(
-        "campaign[shards=3,rows]",
+        "campaign[shards=3]",
         campaign_expected,
         mutate("campaign", merge_campaigns(campaign_partials)).canonical_bytes(),
     )
@@ -357,7 +366,6 @@ def run_oracle(scenario: Scenario, mutators=None) -> OracleReport:
         executor="process",
         workers=2,
         reduce="worker",
-        agg="columnar",
     )
     check_campaign_bytes(
         "campaign[worker-reduce,adaptive]",

@@ -58,7 +58,7 @@ def services():
 
 @pytest.fixture(scope="module")
 def reference(services):
-    """The serial shards=1 columnar reference campaign."""
+    """The serial shards=1 reference campaign."""
     return run_campaign(
         10,
         seed=7,
@@ -66,7 +66,6 @@ def reference(services):
         services=services,
         executor="serial",
         shards=1,
-        agg="columnar",
     )
 
 
@@ -278,14 +277,17 @@ class TestCampaignDeterminism:
         assert sharded.canonical_bytes() == reference.canonical_bytes()
 
     def test_rows_equals_columnar(self, services, reference):
-        rows = run_campaign(
-            10,
-            seed=7,
-            population_spec=small_spec(),
-            services=services,
-            executor="serial",
-            shards=3,
-            agg="rows",
+        """Cohort studies folded row-wise (repro.qa.reference) equal the
+        production encode + kernel fold."""
+        from repro.qa.reference import fold_rows
+
+        class RowsContext(CampaignContext):
+            def fold_cells(self, study, cells):
+                fold_rows(study, self.metas, cells)
+
+        context = RowsContext(small_spec(), services, 7, dims=("os",))
+        rows = merge_campaigns(
+            context.run_shard(start, stop) for start, stop in plan_shards(10, 3)
         )
         assert rows.canonical_bytes() == reference.canonical_bytes()
 
@@ -580,7 +582,6 @@ class TestWorkerReduce:
             workers=2,
             shards=4,
             reduce="worker",
-            agg="columnar",
         )
         assert campaign.canonical_bytes() == reference.canonical_bytes()
 
@@ -595,7 +596,6 @@ class TestWorkerReduce:
             executor="thread",
             workers=2,
             reduce="worker",  # no shards= -> AdaptiveSharder plans chunks
-            agg="columnar",
         )
         assert campaign.canonical_bytes() == reference.canonical_bytes()
 
@@ -670,7 +670,6 @@ class TestCheckpointResume:
             population_spec=small_spec(),
             services=services,
             executor="serial",
-            agg="columnar",
         )
 
     def test_abort_then_resume_is_byte_identical(
@@ -772,7 +771,7 @@ class TestTreeReduce:
         from repro.campaign import reduce_campaign_blobs
         from repro.net import codec
 
-        context = CampaignContext(small_spec(), services, 7, agg="columnar")
+        context = CampaignContext(small_spec(), services, 7)
         blobs = [
             codec.encode_campaign(context.run_shard(start, stop))
             for start, stop in plan_shards(10, 5)

@@ -23,6 +23,20 @@ class TestParser:
         assert args.services == "yelp,cnn"
         assert args.no_recon
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["collect", "--out", "ds", "--workers", "2"],
+            ["collect", "--out", "ds", "--cache-dir", "cache"],
+            ["blocking", "--no-recon"],
+            ["blocking", "--executor", "serial"],
+        ],
+    )
+    def test_unread_options_rejected(self, argv):
+        """collect and blocking accept only the options they read."""
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
+
 
 class TestCommands:
     def test_catalog_lists_50(self, capsys):
@@ -58,6 +72,18 @@ class TestCommands:
     def test_unknown_service_filter(self):
         with pytest.raises(SystemExit):
             main(["table", "1", "--services", "not-a-service"])
+
+    @pytest.mark.parametrize("verb", ["collect", "blocking"])
+    def test_unknown_service_rejected_before_work(self, verb, tmp_path):
+        """An unknown slug is a usage error naming it — not an empty
+        dataset (collect) or a traceback (blocking)."""
+        out = tmp_path / "dataset"
+        argv = [verb, "--services", "nosuch", "--duration", "30"]
+        if verb == "collect":
+            argv += ["--out", str(out)]
+        with pytest.raises(SystemExit, match="nosuch"):
+            main(argv)
+        assert not out.exists()
 
     def test_unknown_table(self):
         with pytest.raises(SystemExit):

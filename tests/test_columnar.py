@@ -2,12 +2,13 @@
 
 The engine's contract is absolute: for any study, shard split, merge
 order, and executor backend, the columnar path renders output
-byte-for-byte equal to the row-wise reference — a fast wrong answer is
-not a result.  These tests pin that contract directly (exhaustive
-entry-point equality on ``mini_study``), as a property (arbitrary cell
-partitions under hypothesis), at the wire level (strict decode), and in
-the QA oracle (the pin runs per fuzz seed; a mutation canary proves the
-pin would catch a corrupted engine).
+byte-for-byte equal to the row-wise walkers of
+:mod:`repro.qa.reference` — a fast wrong answer is not a result.  These
+tests pin that contract directly (exhaustive entry-point equality on
+``mini_study``), as a property (arbitrary cell partitions under
+hypothesis), at the wire level (strict decode), and in the QA oracle
+(the pins run per fuzz seed; mutation canaries prove they would catch a
+corrupted engine).
 """
 
 import random
@@ -18,7 +19,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.analysis import columnar
 from repro.analysis.columnar import (
-    AGG_MODES,
     StudyAggregate,
     aggregate_batch,
     aggregate_blob,
@@ -27,7 +27,6 @@ from repro.analysis.columnar import (
     merge_aggregates,
     read_aggregate,
     read_batch,
-    resolve_agg,
     shard_aggregates,
     shard_blobs,
     study_aggregate,
@@ -48,6 +47,7 @@ from repro.analysis.tables import (
 from repro.core.compare import study_diffs
 from repro.net.codec import KIND_ABATCH, KIND_RECORD, CodecError, frame
 from repro.par import resolve_executor
+from repro.qa import reference
 
 
 @pytest.fixture(scope="module")
@@ -55,53 +55,39 @@ def mini_aggregate(mini_study):
     return study_aggregate(mini_study, executor="serial")
 
 
-class TestResolveAgg:
-    def test_auto_is_columnar(self):
-        assert resolve_agg("auto") == "columnar"
-
-    def test_explicit_modes(self):
-        assert resolve_agg("rows") == "rows"
-        assert resolve_agg("columnar") == "columnar"
-        assert set(AGG_MODES) == {"auto", "columnar", "rows"}
-
-    def test_unknown_rejected(self):
-        with pytest.raises(ValueError):
-            resolve_agg("vectorized")
-
-
 class TestByteIdentity:
-    """Every consumer entry point: columnar == rows, byte for byte."""
+    """Every consumer entry point: columnar == the row-wise reference,
+    byte for byte (a StudyResult argument is aggregated on entry)."""
+
+    def test_reference_aggregate(self, mini_study, mini_aggregate):
+        """The encode + kernel aggregate equals the row-wise fold."""
+        assert reference.reference_aggregate(mini_study).canonical_bytes() == (
+            mini_aggregate.canonical_bytes()
+        )
 
     def test_table1(self, mini_study, mini_aggregate):
-        assert render_table1(table1(mini_aggregate)) == render_table1(
-            table1(mini_study)
-        )
+        expected = render_table1(reference.table1(mini_study))
+        assert render_table1(table1(mini_aggregate)) == expected
+        assert render_table1(table1(mini_study)) == expected
 
     def test_table2(self, mini_study, mini_aggregate):
-        assert render_table2(table2(mini_aggregate)) == render_table2(
-            table2(mini_study)
-        )
+        expected = render_table2(reference.table2(mini_study))
+        assert render_table2(table2(mini_aggregate)) == expected
+        assert render_table2(table2(mini_study)) == expected
 
     def test_table3(self, mini_study, mini_aggregate):
-        assert render_table3(table3(mini_aggregate)) == render_table3(
-            table3(mini_study)
-        )
+        expected = render_table3(reference.table3(mini_study))
+        assert render_table3(table3(mini_aggregate)) == expected
+        assert render_table3(table3(mini_study)) == expected
 
     @pytest.mark.parametrize("key", sorted(ALL_FIGURES))
     def test_figures(self, mini_study, mini_aggregate, key):
-        rows = ALL_FIGURES[key](mini_study)
+        rows = reference.figure(key, mini_study)
         cols = ALL_FIGURES[key](mini_aggregate)
         assert sorted(rows) == sorted(cols)
         for os_name in rows:
             assert render_series(cols[os_name]) == render_series(rows[os_name])
             assert cols[os_name] == rows[os_name]
-
-    def test_agg_kwarg_dispatch(self, mini_study):
-        """``agg='columnar'`` on a plain StudyResult takes the fast path
-        and still matches; ``agg='rows'`` is the unchanged reference."""
-        assert render_table1(table1(mini_study, agg="columnar")) == render_table1(
-            table1(mini_study, agg="rows")
-        )
 
     def test_diffs_bit_identical(self, mini_study, mini_aggregate):
         rows = study_diffs(mini_study)
@@ -109,27 +95,59 @@ class TestByteIdentity:
         assert cols == rows
 
     def test_reach(self, mini_study, mini_aggregate):
-        assert render_reach(mini_aggregate) == render_reach(mini_study)
-        assert tracker_reach(mini_aggregate) == tracker_reach(mini_study)
-        assert summarize_reach(mini_aggregate) == summarize_reach(mini_study)
+        assert render_reach(mini_aggregate) == reference.render_reach(mini_study)
+        assert tracker_reach(mini_aggregate) == reference.tracker_reach(mini_study)
+        assert summarize_reach(mini_aggregate) == reference.summarize_reach(
+            mini_study
+        )
 
     def test_drift(self, mini_study, mini_aggregate):
-        rows = render_drift(summarize_drift(mini_study, mini_study))
+        rows = render_drift(reference.summarize_drift(mini_study, mini_study))
         cols = render_drift(summarize_drift(mini_aggregate, mini_aggregate))
         assert cols == rows
-        assert diff_studies(mini_aggregate, mini_aggregate) == diff_studies(
-            mini_study, mini_study
+        assert diff_studies(mini_aggregate, mini_aggregate) == (
+            reference.diff_studies(mini_study, mini_study)
         )
 
     def test_mixed_operands_drift(self, mini_study, mini_aggregate):
         """Aggregate-vs-StudyResult operands promote and still match."""
-        rows = render_drift(summarize_drift(mini_study, mini_study))
+        rows = render_drift(reference.summarize_drift(mini_study, mini_study))
         assert render_drift(summarize_drift(mini_aggregate, mini_study)) == rows
         assert render_drift(summarize_drift(mini_study, mini_aggregate)) == rows
 
-    def test_report(self, mini_study, mini_aggregate):
-        assert build_comparison(mini_aggregate) == build_comparison(mini_study)
-        assert render_markdown(mini_aggregate) == render_markdown(mini_study)
+    def test_report(self, mini_study, mini_aggregate, monkeypatch):
+        """The report over the aggregate equals the same report built
+        from the row-wise walkers."""
+        from repro.analysis import report
+
+        lines = build_comparison(mini_aggregate)
+        markdown = render_markdown(mini_aggregate)
+        monkeypatch.setattr(report, "ensure_aggregate", lambda study: study)
+        monkeypatch.setattr(report, "table1", reference.table1)
+        monkeypatch.setattr(report, "table2", reference.table2)
+        monkeypatch.setattr(report, "table3", reference.table3)
+        for key in ALL_FIGURES:
+            monkeypatch.setattr(
+                report,
+                f"fig{key}",
+                lambda study, key=key: reference.figure(key, study),
+            )
+        assert build_comparison(mini_study) == lines
+        assert render_markdown(mini_study) == markdown
+
+    def test_report_aggregates_once(self, mini_study, monkeypatch):
+        """All three tables and six panels of the report share one
+        aggregate of the study."""
+        calls = []
+        real = columnar.study_aggregate
+
+        def counted(study, *args, **kwargs):
+            calls.append(study)
+            return real(study, *args, **kwargs)
+
+        monkeypatch.setattr(columnar, "study_aggregate", counted)
+        build_comparison(mini_study)
+        assert calls == [mini_study]
 
 
 class TestMergeAlgebra:
@@ -284,7 +302,7 @@ class TestExecutorBackends:
 
 
 class TestOraclePin:
-    """The QA oracle pins columnar-vs-rows per fuzz seed."""
+    """The QA oracle pins columnar-vs-reference per fuzz seed."""
 
     @pytest.fixture(scope="class")
     def scenario(self):
@@ -313,20 +331,41 @@ class TestOraclePin:
             d.component.startswith("columnar") for d in report.divergences
         )
 
+    def test_reference_aggregate_mutation_canary(self, scenario):
+        """A corrupted production aggregate must trip the row-wise fold
+        pin — and only it (the mutator returns a bent copy)."""
+        from repro.qa.oracle import run_oracle
+
+        def bend(agg):
+            bent = StudyAggregate.from_dict(agg.to_dict())
+            bent.ordered_cells()[0].flows_total += 1
+            return bent
+
+        report = run_oracle(scenario, mutators={"aggregate": bend})
+        assert not report.ok
+        assert [d.component for d in report.divergences] == [
+            "columnar[reference-aggregate]"
+        ]
+
 
 class TestCli:
-    """--agg on the CLI: identical output for every engine."""
+    """The CLI prints exactly the row-wise reference table."""
 
     ARGS = ["--services", "weather", "--duration", "30", "--no-recon", "--seed", "7"]
 
-    def _run(self, capsys, agg):
-        from repro.cli import main
-
-        assert main(["table", "1"] + self.ARGS + ["--agg", agg]) == 0
-        return capsys.readouterr().out
-
     def test_table_columnar_matches_rows(self, capsys):
-        rows = self._run(capsys, "rows")
-        assert rows.startswith("Group")
-        assert self._run(capsys, "columnar") == rows
-        assert self._run(capsys, "auto") == rows
+        from repro.cli import main
+        from repro.core.pipeline import run_study
+        from repro.services.catalog import build_catalog
+
+        assert main(["table", "1"] + self.ARGS) == 0
+        printed = capsys.readouterr().out
+        assert printed.startswith("Group")
+        study = run_study(
+            services=[s for s in build_catalog() if s.slug == "weather"],
+            seed=7,
+            duration=30.0,
+            train_recon=False,
+            executor="serial",
+        )
+        assert printed == render_table1(reference.table1(study)) + "\n"
