@@ -15,7 +15,7 @@ FUZZ_SEED ?= 0
 FUZZ_ROUNDS ?= 25
 
 .PHONY: test bench bench-all bench-check bench-stream bench-serve bench-qa \
-	bench-scaling bench-columnar bench-campaign bench-campaign-scale \
+	bench-scaling bench-columnar bench-recon bench-campaign bench-campaign-scale \
 	bench-mitigate bench-ingest fuzz fuzz-smoke serve clean
 
 test:
@@ -73,6 +73,20 @@ bench-columnar:
 		--benchmark-json=$(BENCH_DIR)/BENCH_columnar.json -q
 	$(PYTHON) benchmarks/check_regression.py $(BENCH_DIR)/BENCH_columnar.json \
 		--baseline benchmarks/BENCH_columnar.json --tolerance 0.50
+
+# ReCon training: the bitset grower vs the row-wise reference of
+# repro.qa.reference on the seed-2016 study's training slice.  Runs
+# without --benchmark-only so the direct acceptance assert executes too:
+# equal recon_fingerprint and production >= 5x the reference, both fit
+# in one run; checked against the recorded baseline (first run records
+# it).
+bench-recon:
+	@mkdir -p $(BENCH_DIR)
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest \
+		benchmarks/test_bench_recon.py \
+		--benchmark-json=$(BENCH_DIR)/BENCH_recon.json -q
+	$(PYTHON) benchmarks/check_regression.py $(BENCH_DIR)/BENCH_recon.json \
+		--baseline benchmarks/BENCH_recon.json --tolerance 0.50
 
 # Campaign engine: simulation throughput (sessions/sec, serial vs the
 # process pool) and shard-merge throughput over a 10k-user synthetic
@@ -165,7 +179,7 @@ bench-all:
 
 # Run the pipeline bench and fail on >20% mean regression against the
 # recorded baseline (benchmarks/BENCH_baseline.json; first run records it).
-bench-check: bench bench-scaling bench-columnar bench-campaign \
+bench-check: bench bench-scaling bench-columnar bench-recon bench-campaign \
 		bench-campaign-scale bench-mitigate bench-ingest
 	$(PYTHON) benchmarks/check_regression.py $(BENCH_DIR)/BENCH_pipeline.json
 

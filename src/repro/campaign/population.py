@@ -174,14 +174,22 @@ class PopulationSpec:
             "permission_grant_rates",
             "bootstrap_replicates",
         }
+        if not isinstance(data, dict):
+            raise PopulationError(f"a PopulationSpec must be an object: {data!r}")
         unknown = set(data) - known
         if unknown:
             raise PopulationError(f"unknown PopulationSpec fields: {sorted(unknown)}")
+        for key in ("os_share", "category_weights", "permission_grant_rates"):
+            if not isinstance(data.get(key, {}), dict):
+                raise PopulationError(f"{key} must be an object: {data[key]!r}")
         kwargs = dict(data)
-        for key in ("services_per_user", "sessions_per_service", "intensity_range"):
-            if key in kwargs:
-                kwargs[key] = tuple(kwargs[key])
-        return cls(**kwargs)
+        try:
+            for key in ("services_per_user", "sessions_per_service", "intensity_range"):
+                if key in kwargs:
+                    kwargs[key] = tuple(kwargs[key])
+            return cls(**kwargs)
+        except (TypeError, ValueError) as exc:
+            raise PopulationError(f"invalid PopulationSpec: {exc}") from exc
 
     def save(self, path: Union[str, Path]) -> None:
         atomic_write_json(path, self.to_dict())

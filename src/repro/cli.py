@@ -34,7 +34,13 @@ def _resolve_workers(value: int) -> int:
 def _selected_services(args):
     services = build_catalog()
     if getattr(args, "services", None):
-        wanted = set(args.services.split(","))
+        wanted = {slug.strip() for slug in args.services.split(",")} - {""}
+        unknown = sorted(wanted - {s.slug for s in services})
+        if unknown:
+            raise SystemExit(
+                f"unknown service(s) in --services: {', '.join(unknown)} "
+                "(`repro catalog` lists them)"
+            )
         services = [s for s in services if s.slug in wanted]
         if not services:
             raise SystemExit(f"no catalog services match {args.services!r}")
@@ -581,6 +587,7 @@ def cmd_fuzz(args) -> int:
             f"{stats.get('sessions', 0)} sessions, {stats.get('flows', 0)} flows, "
             f"{stats.get('paths', 0)} paths, {stats.get('matcher_probes', 0)} matcher + "
             f"{stats.get('filter_probes', 0)} filter probes, "
+            f"{stats.get('recon_trees', 0)} recon trees, "
             f"{stats.get('fault_checks', 0)} fault checks"
         )
 
@@ -639,24 +646,34 @@ def cmd_campaign(args) -> int:
     import dataclasses
     import time
 
-    from .campaign import CampaignAborted, PopulationSpec, render_campaign, run_campaign
+    from .campaign import (
+        CampaignAborted,
+        CampaignError,
+        PopulationError,
+        PopulationSpec,
+        render_campaign,
+        run_campaign,
+    )
     from .par import resolve_executor
 
     if args.population < 1:
         raise SystemExit(f"--population must be >= 1: {args.population}")
     if args.resume and not args.checkpoint_dir:
         raise SystemExit("--resume requires --checkpoint-dir")
-    if args.population_spec:
-        spec = PopulationSpec.load(args.population_spec)
-    else:
-        spec = PopulationSpec()
     overrides = {}
     if args.duration is not None:
         overrides["session_duration"] = args.duration
     if args.bootstrap is not None:
         overrides["bootstrap_replicates"] = args.bootstrap
-    if overrides:
-        spec = dataclasses.replace(spec, **overrides)
+    try:
+        if args.population_spec:
+            spec = PopulationSpec.load(args.population_spec)
+        else:
+            spec = PopulationSpec()
+        if overrides:
+            spec = dataclasses.replace(spec, **overrides)
+    except (OSError, ValueError, PopulationError) as exc:
+        raise SystemExit(f"invalid population spec: {exc}")
 
     engine = resolve_executor(args.executor, _resolve_workers(args.workers))
     log = (lambda message: print(message, file=sys.stderr)) if args.progress else None
@@ -680,6 +697,8 @@ def cmd_campaign(args) -> int:
     except CampaignAborted as exc:
         print(f"{exc}", file=sys.stderr)
         return 3
+    except CampaignError as exc:
+        raise SystemExit(f"campaign: {exc}")
     elapsed = time.perf_counter() - started
     print(render_campaign(campaign, confidence=args.confidence, tables=args.tables))
     if args.progress:

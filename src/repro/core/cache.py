@@ -89,6 +89,25 @@ def _tree_shape(node):
     ]
 
 
+def recon_shapes(recon) -> dict:
+    """Every tree of a trained classifier as nested plain lists:
+    ``{"global": {type: shape}, "specialists": {"domain|type": shape}}``."""
+    return {
+        "global": {
+            pii_type.value: _tree_shape(recon._global[pii_type]._root)
+            for pii_type in sorted(recon._global, key=lambda t: t.value)
+        },
+        "specialists": {
+            f"{domain}|{pii_type.value}": _tree_shape(
+                recon._specialists[(domain, pii_type)]._root
+            )
+            for domain, pii_type in sorted(
+                recon._specialists, key=lambda k: (k[0], k[1].value)
+            )
+        },
+    }
+
+
 def recon_fingerprint(recon) -> str:
     """Content hash of a trained classifier (full tree walk).
 
@@ -102,18 +121,7 @@ def recon_fingerprint(recon) -> str:
         "threshold": recon.threshold,
         "min_domain_samples": recon.min_domain_samples,
         "max_depth": recon.max_depth,
-        "global": {
-            pii_type.value: _tree_shape(recon._global[pii_type]._root)
-            for pii_type in sorted(recon._global, key=lambda t: t.value)
-        },
-        "specialists": {
-            f"{domain}|{pii_type.value}": _tree_shape(
-                recon._specialists[(domain, pii_type)]._root
-            )
-            for domain, pii_type in sorted(
-                recon._specialists, key=lambda k: (k[0], k[1].value)
-            )
-        },
+        **recon_shapes(recon),
     }
     return _digest(payload)
 

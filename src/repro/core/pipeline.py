@@ -271,6 +271,16 @@ def _session_order(record: SessionRecord) -> tuple:
     return (record.service, record.os_name, record.medium)
 
 
+def training_records(dataset: Dataset, every_nth_service: int = 4) -> list:
+    """The sessions ReCon trains on: every ``every_nth_service``-th
+    service's (ordered by slug), in ``(service, os, medium)`` order."""
+    chosen = set(dataset.services()[::every_nth_service])
+    return sorted(
+        (record for record in dataset if record.service in chosen),
+        key=_session_order,
+    )
+
+
 def train_recon_on_dataset(
     dataset: Dataset,
     every_nth_service: int = 4,
@@ -294,12 +304,7 @@ def train_recon_on_dataset(
     """
     from ..par import resolve_executor, tasks
 
-    slugs = dataset.services()
-    chosen = set(slugs[::every_nth_service])
-    records = sorted(
-        (record for record in dataset if record.service in chosen),
-        key=_session_order,
-    )
+    records = training_records(dataset, every_nth_service)
     if cache is not None:
         cached = cache.load_recon(records, every_nth_service, rng_seed)
         if cached is not None:

@@ -33,8 +33,31 @@ from .types import PiiType
 # -- featurization ------------------------------------------------------------
 
 
+# Field values repeat across a study's requests (the persona's
+# identifiers, fixed SDK parameters, user agents: the seed-2016 study
+# shapes 525,471 values, 3,417 of them distinct), so shapes are memoized
+# per value.  Values longer than _SHAPE_VALUE_MAX characters, such as
+# long ``_raw`` body texts, are not kept, and the memo is cleared when
+# full rather than evicted piecemeal, so it holds at most
+# _SHAPE_MEMO_MAX short strings.
+_SHAPE_MEMO: dict = {}
+_SHAPE_MEMO_MAX = 8192
+_SHAPE_VALUE_MAX = 256
+
+
 def _value_shape(value: str) -> str:
     """Coarse shape descriptor of a field value."""
+    shape = _SHAPE_MEMO.get(value)
+    if shape is None:
+        shape = _shape_of(value)
+        if len(value) <= _SHAPE_VALUE_MAX:
+            if len(_SHAPE_MEMO) >= _SHAPE_MEMO_MAX:
+                _SHAPE_MEMO.clear()
+            _SHAPE_MEMO[value] = shape
+    return shape
+
+
+def _shape_of(value: str) -> str:
     if not value:
         return "empty"
     if "@" in value and "." in value.split("@")[-1]:
@@ -64,8 +87,12 @@ def _is_hex(value: str) -> bool:
     return bool(value) and all(c in "0123456789abcdefABCDEF" for c in value)
 
 
-def featurize(request: CapturedRequest) -> set:
-    """Build the binary feature bag for one request."""
+def featurize(request: CapturedRequest, fields: Optional[list] = None) -> set:
+    """Build the binary feature bag for one request.
+
+    ``fields`` is the request's :func:`extract_fields`, when the caller
+    already has them.
+    """
     features: set = set()
     try:
         url = parse_url(request.url)
@@ -76,7 +103,9 @@ def featurize(request: CapturedRequest) -> set:
     except UrlError:
         pass
     features.add(f"method:{request.method}")
-    for fld in extract_fields(request):
+    if fields is None:
+        fields = extract_fields(request)
+    for fld in fields:
         key = fld.key.lower()
         features.add(f"key:{key}")
         features.add(f"kv:{key}={_value_shape(fld.value)}")
@@ -105,10 +134,61 @@ def _entropy(positives: int, total: int) -> float:
     return -(p * math.log2(p) + (1 - p) * math.log2(1 - p))
 
 
+# Candidate features per tree; ReconClassifier's trees use the default.
+_MAX_FEATURES = 400
+
+
+def _bitset(rows: list, size: int) -> int:
+    """An int whose bit ``r`` is set for every row index ``r`` in ``rows``."""
+    buf = bytearray((size + 7) >> 3)
+    for row in rows:
+        buf[row >> 3] |= 1 << (row & 7)
+    return int.from_bytes(buf, "little")
+
+
+class _FeatureIndex:
+    """One sample set's vocabulary, each feature with the bitset of the
+    sample rows that contain it.
+
+    The vocabulary depends on the samples only, so every tree grown on
+    the same samples (one per PII type) shares one index.
+    """
+
+    __slots__ = ("size", "max_features", "candidates")
+
+    def __init__(self, samples: list, max_features: int) -> None:
+        counts: Counter = Counter()
+        for features in samples:
+            counts.update(features)
+        # Candidate order must not depend on the process's string-hash
+        # seed: a set here would make split tie-breaks (equal gain)
+        # vary across interpreters, so trees trained in a worker
+        # process could differ from the parent's.  most_common is
+        # stable (count desc, first-seen order on ties) and the final
+        # sort pins one canonical iteration order everywhere.  The cut
+        # is taken from these counts in sample order, never from bit
+        # counts: which of the features tied at the cut make it depends
+        # on first-seen order.
+        vocabulary = sorted(f for f, _ in counts.most_common(max_features))
+        rows: dict = {feature: [] for feature in vocabulary}
+        for row, features in enumerate(samples):
+            for feature in features:
+                hits = rows.get(feature)
+                if hits is not None:
+                    hits.append(row)
+        self.size = len(samples)
+        self.max_features = max_features
+        self.candidates = [
+            (feature, _bitset(rows[feature], self.size)) for feature in vocabulary
+        ]
+
+
 class DecisionTree:
     """Binary decision tree over set-of-string features (ID3-style)."""
 
-    def __init__(self, max_depth: int = 8, min_samples_leaf: int = 3, max_features: int = 400) -> None:
+    def __init__(
+        self, max_depth: int = 8, min_samples_leaf: int = 3, max_features: int = _MAX_FEATURES
+    ) -> None:
         if max_depth < 1:
             raise ValueError("max_depth must be >= 1")
         self.max_depth = max_depth
@@ -122,22 +202,28 @@ class DecisionTree:
             raise ValueError("samples and labels must align")
         if not samples:
             raise ValueError("cannot fit an empty training set")
-        counts: Counter = Counter()
-        for features in samples:
-            counts.update(features)
-        # Candidate order must not depend on the process's string-hash
-        # seed: a set here would make split tie-breaks (equal gain)
-        # vary across interpreters, so trees trained in a worker
-        # process could differ from the parent's.  most_common is
-        # stable (count desc, first-seen order on ties) and the final
-        # sort pins one canonical iteration order everywhere.
-        vocabulary = sorted(f for f, _ in counts.most_common(self.max_features))
-        self._root = self._grow(samples, labels, vocabulary, depth=0)
+        return self._fit_index(_FeatureIndex(samples, self.max_features), labels)
+
+    def _fit_index(self, index: _FeatureIndex, labels: list) -> "DecisionTree":
+        """Train on an index of the samples ``labels`` align with."""
+        if index.size != len(labels) or index.max_features != self.max_features:
+            raise ValueError("index does not match the labels or max_features")
+        label_bits = _bitset([row for row, label in enumerate(labels) if label], index.size)
+        self._root = self._grow((1 << index.size) - 1, label_bits, index.candidates, depth=0)
         return self
 
-    def _grow(self, samples: list, labels: list, vocabulary: list, depth: int) -> _Node:
-        positives = sum(labels)
-        total = len(labels)
+    def _grow(self, rows: int, label_bits: int, candidates: list, depth: int) -> _Node:
+        """Grow the subtree over the samples whose bits are set in ``rows``.
+
+        ``candidates`` are ``(feature, bits)`` pairs in vocabulary order,
+        so the strict ``>`` keeps the first of equal gains.  A feature
+        that all or none of a node's samples have scores a gain of
+        exactly 0, which never wins, and stays that way in every
+        subtree, so it is not passed down.
+        """
+        total = rows.bit_count()
+        positive_rows = rows & label_bits
+        positives = positive_rows.bit_count()
         probability = positives / total if total else 0.0
         if (
             depth >= self.max_depth
@@ -148,19 +234,21 @@ class DecisionTree:
             return _Node(probability=probability)
 
         parent_entropy = _entropy(positives, total)
-        best_feature = None
+        min_leaf = self.min_samples_leaf
+        live = []
+        best = None
         best_gain = 1e-9
-        for feature in vocabulary:
-            pos_with = pos_without = n_with = 0
-            for features, label in zip(samples, labels):
-                if feature in features:
-                    n_with += 1
-                    pos_with += label
-                else:
-                    pos_without += label
-            n_without = total - n_with
-            if n_with < self.min_samples_leaf or n_without < self.min_samples_leaf:
+        for candidate in candidates:
+            bits = candidate[1]
+            n_with = (bits & rows).bit_count()
+            if n_with == 0 or n_with == total:
                 continue
+            live.append(candidate)
+            n_without = total - n_with
+            if n_with < min_leaf or n_without < min_leaf:
+                continue
+            pos_with = (bits & positive_rows).bit_count()
+            pos_without = positives - pos_with
             children_entropy = (
                 n_with / total * _entropy(pos_with, n_with)
                 + n_without / total * _entropy(pos_without, n_without)
@@ -168,23 +256,16 @@ class DecisionTree:
             gain = parent_entropy - children_entropy
             if gain > best_gain:
                 best_gain = gain
-                best_feature = feature
-        if best_feature is None:
+                best = candidate
+        if best is None:
             return _Node(probability=probability)
 
-        with_samples, with_labels, without_samples, without_labels = [], [], [], []
-        for features, label in zip(samples, labels):
-            if best_feature in features:
-                with_samples.append(features)
-                with_labels.append(label)
-            else:
-                without_samples.append(features)
-                without_labels.append(label)
-        remaining = [f for f in vocabulary if f != best_feature]
+        feature, bits = best
+        remaining = [candidate for candidate in live if candidate is not best]
         return _Node(
-            feature=best_feature,
-            present=self._grow(with_samples, with_labels, remaining, depth + 1),
-            absent=self._grow(without_samples, without_labels, remaining, depth + 1),
+            feature=feature,
+            present=self._grow(rows & bits, label_bits, remaining, depth + 1),
+            absent=self._grow(rows & ~bits, label_bits, remaining, depth + 1),
             probability=probability,
         )
 
@@ -223,6 +304,10 @@ KEY_SYNONYMS = {
     PiiType.UNIQUE_ID: ("imei", "mac", "aaid", "idfa", "gaid", "android_id", "device_id", "deviceid", "udid", "uid", "adid"),
     PiiType.DEVICE_INFO: ("device", "device_name", "model", "hardware", "build"),
 }
+
+
+# The order predictions are reported in (by type value).
+_TYPE_ORDER = tuple(sorted(PiiType, key=lambda t: t.value))
 
 
 @dataclass
@@ -282,14 +367,29 @@ class ReconClassifier:
         for example in examples:
             present_types.update(example.labels)
 
-        # Sorted for hash-seed-independent training order (stable
-        # pickle bytes for the persistent recon cache).
+        # One feature index per sample set, built on first use: the
+        # global trees share one over ``examples`` (key None), each
+        # domain's specialists one over that domain's examples.
+        indexes: dict = {}
+
+        def index_for(key, subset: list) -> _FeatureIndex:
+            index = indexes.get(key)
+            if index is None:
+                index = indexes[key] = _FeatureIndex(
+                    [ex.features for ex in subset], _MAX_FEATURES
+                )
+            return index
+
+        # Sorted so every process trains and stores the trees in one
+        # order.  The pickle bytes still vary with the string-hash seed
+        # (``trained_types`` is a set); the recon cache is keyed by the
+        # training slice's content, so that is harmless.
         for pii_type in sorted(present_types, key=lambda t: t.value):
             labels = [pii_type in ex.labels for ex in examples]
             if not any(labels) or all(labels):
                 continue
             tree = DecisionTree(max_depth=self.max_depth)
-            tree.fit([ex.features for ex in examples], labels)
+            tree._fit_index(index_for(None, examples), labels)
             self._global[pii_type] = tree
             self.trained_types.add(pii_type)
             for domain, domain_examples in by_domain.items():
@@ -299,7 +399,7 @@ class ReconClassifier:
                 if not any(domain_labels) or all(domain_labels):
                     continue
                 specialist = DecisionTree(max_depth=self.max_depth)
-                specialist.fit([ex.features for ex in domain_examples], domain_labels)
+                specialist._fit_index(index_for(domain, domain_examples), domain_labels)
                 self._specialists[(domain, pii_type)] = specialist
         return self
 
@@ -316,16 +416,18 @@ class ReconClassifier:
         each with the heuristically extracted key/value when one of the
         type's synonym keys is present.
         """
-        features = featurize(request)
+        fields = extract_fields(request)
+        features = featurize(request, fields)
         try:
             domain = domain_key(parse_url(request.url).host)
         except UrlError:
             domain = ""
-        fields = extract_fields(request)
         predictions = []
-        # Sorted: prediction order feeds the detector's observation
-        # merge, so it must not follow randomized set-hash order.
-        for pii_type in sorted(self.trained_types, key=lambda t: t.value):
+        # In _TYPE_ORDER: prediction order feeds the detector's
+        # observation merge, so it must not follow set-hash order.
+        for pii_type in _TYPE_ORDER:
+            if pii_type not in self.trained_types:
+                continue
             tree = self._tree_for(domain, pii_type)
             if tree is None:
                 continue

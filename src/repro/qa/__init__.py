@@ -7,7 +7,8 @@ the PII matcher and the EasyList engine.  This package generates
 randomized worlds from a single seed (:mod:`repro.qa.scenarios`), runs
 every path over them and asserts byte-level equality
 (:mod:`repro.qa.oracle`; the row-wise study walkers the columnar
-consumers are pinned against live in :mod:`repro.qa.reference`),
+consumers are pinned against, and the row-wise ReCon grower the
+bitset grower is pinned against, live in :mod:`repro.qa.reference`),
 injects deterministic faults — kills, torn journal tails, transport
 chaos, exploding proxy addons — and checks the documented recovery
 invariants (:mod:`repro.qa.faults`), and shrinks failing seeds to small

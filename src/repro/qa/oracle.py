@@ -17,6 +17,8 @@ Paths compared against the ``workers=1`` batch reference:
 - the indexed EasyList engine vs ``FilterList.match_linear`` over the
   scenario's URL probes (scenario filters and the bundled list);
 - PSL invariants (idempotence, reflexivity) over generated hostnames;
+- every ReCon tree ``ReconClassifier.fit`` grows vs the row-wise
+  reference grower of :mod:`repro.qa.reference`;
 - the columnar aggregate and the study consumers vs the row-wise
   walkers of :mod:`repro.qa.reference`;
 - the mitigation data plane: an installed all-allow policy is
@@ -195,6 +197,34 @@ def run_oracle(scenario: Scenario, mutators=None) -> OracleReport:
         )
         check_study(f"stream[shards={shards}]", streamed, "stream")
 
+    # -- ReCon trees ---------------------------------------------------------
+    # The bitset grower behind ReconClassifier.fit vs the row-wise
+    # reference grower, trained on every session's labeled traffic
+    # whether or not the scenario trains ReCon: each global and
+    # specialist tree is compared by shape (split features, leaf
+    # probabilities).
+    from ..core.cache import recon_shapes
+    from ..core.pipeline import label_record
+    from ..pii.recon import ReconClassifier
+    from . import reference as rows
+
+    examples = [
+        example
+        for record in sorted(dataset, key=lambda r: r.key)
+        for example in label_record(record)
+    ]
+    stats["recon_trees"] = 0
+    if examples:
+        recon_expected = json.dumps(recon_shapes(rows.reference_recon(examples)))
+        trees = recon_shapes(mutate("recon", ReconClassifier().fit(examples)))
+        stats["recon_trees"] = len(trees["global"]) + len(trees["specialists"])
+        recon_actual = json.dumps(trees)
+        if recon_actual != recon_expected:
+            path, want, got = first_divergent_field(
+                recon_expected.encode("utf-8"), recon_actual.encode("utf-8")
+            )
+            divergences.append(Divergence("recon[reference-tree]", path, want, got))
+
     # -- columnar aggregation engine ----------------------------------------
     # Two pins per seed: (a) the encode + kernel aggregate equals the
     # row-wise fold, and sharded partial-aggregate merges equal the
@@ -212,7 +242,6 @@ def run_oracle(scenario: Scenario, mutators=None) -> OracleReport:
         table2,
         table3,
     )
-    from . import reference as rows
 
     stats["columnar_checks"] = 0
 

@@ -1,4 +1,4 @@
-"""Row-wise reference walkers for the study consumers (test-only).
+"""Row-wise reference implementations production is pinned against (test-only).
 
 Production computes Tables 1–3, Figure 1, reach and drift from one
 columnar :class:`~repro.analysis.columnar.StudyAggregate`.  These are
@@ -8,19 +8,25 @@ against (:mod:`repro.qa.oracle`, ``tests/test_columnar.py``, ``make
 bench-columnar``).  They share the production row builders and render
 tails, so a difference points at aggregation; :func:`figure` pins
 Figure 1 at the diff level (production panels over
-:func:`~repro.core.compare.study_diffs`).  Only :mod:`repro.qa`, the
-tests and the benchmarks import this module.
+:func:`~repro.core.compare.study_diffs`).
+
+:func:`reference_tree` is the row-wise ReCon grower that the bitset
+grower of :mod:`repro.pii.recon` replaced, and :func:`reference_recon`
+trains a whole classifier with it (``recon[reference-tree]``,
+``tests/test_recon.py``, ``make bench-recon``).  Only :mod:`repro.qa`,
+the tests and the benchmarks import this module.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 
 from ..analysis import longitudinal, reach, tables
 from ..analysis.columnar import CellAggregate, StudyAggregate, _study_cells
 from ..analysis.figures import OSES, panel_series
 from ..core.compare import study_diffs
 from ..experiment.dataset import APP, WEB
+from ..pii.recon import DecisionTree, ReconClassifier, _entropy, _Node
 from ..trackerdb.easylist import bundled_easylist
 
 
@@ -251,3 +257,131 @@ def diff_studies(before, after) -> list:
 
 def summarize_drift(before, after):
     return longitudinal._summarize_drifts(diff_studies(before, after))
+
+
+def reference_tree(
+    samples: list,
+    labels: list,
+    max_depth: int = 8,
+    min_samples_leaf: int = 3,
+    max_features: int = 400,
+) -> _Node:
+    """Root of the ID3 tree the row-wise grower builds: every
+    vocabulary feature is tested against every sample at every node."""
+    if len(samples) != len(labels):
+        raise ValueError("samples and labels must align")
+    if not samples:
+        raise ValueError("cannot fit an empty training set")
+    counts: Counter = Counter()
+    for features in samples:
+        counts.update(features)
+    vocabulary = sorted(f for f, _ in counts.most_common(max_features))
+    return _grow_rows(samples, labels, vocabulary, 0, max_depth, min_samples_leaf)
+
+
+def _grow_rows(
+    samples: list,
+    labels: list,
+    vocabulary: list,
+    depth: int,
+    max_depth: int,
+    min_samples_leaf: int,
+) -> _Node:
+    positives = sum(labels)
+    total = len(labels)
+    probability = positives / total if total else 0.0
+    if (
+        depth >= max_depth
+        or total < 2 * min_samples_leaf
+        or positives == 0
+        or positives == total
+    ):
+        return _Node(probability=probability)
+
+    parent_entropy = _entropy(positives, total)
+    best_feature = None
+    best_gain = 1e-9
+    for feature in vocabulary:
+        pos_with = pos_without = n_with = 0
+        for features, label in zip(samples, labels):
+            if feature in features:
+                n_with += 1
+                pos_with += label
+            else:
+                pos_without += label
+        n_without = total - n_with
+        if n_with < min_samples_leaf or n_without < min_samples_leaf:
+            continue
+        children_entropy = (
+            n_with / total * _entropy(pos_with, n_with)
+            + n_without / total * _entropy(pos_without, n_without)
+        )
+        gain = parent_entropy - children_entropy
+        if gain > best_gain:
+            best_gain = gain
+            best_feature = feature
+    if best_feature is None:
+        return _Node(probability=probability)
+
+    with_samples, with_labels, without_samples, without_labels = [], [], [], []
+    for features, label in zip(samples, labels):
+        if best_feature in features:
+            with_samples.append(features)
+            with_labels.append(label)
+        else:
+            without_samples.append(features)
+            without_labels.append(label)
+    remaining = [f for f in vocabulary if f != best_feature]
+    return _Node(
+        feature=best_feature,
+        present=_grow_rows(
+            with_samples, with_labels, remaining, depth + 1, max_depth, min_samples_leaf
+        ),
+        absent=_grow_rows(
+            without_samples, without_labels, remaining, depth + 1, max_depth, min_samples_leaf
+        ),
+        probability=probability,
+    )
+
+
+def reference_recon(examples: list, **params) -> ReconClassifier:
+    """A :class:`ReconClassifier` trained like ``fit`` trains one, but
+    with every global and specialist tree grown by :func:`reference_tree`
+    from its own sample list."""
+    if not examples:
+        raise ValueError("no training examples")
+    classifier = ReconClassifier(**params)
+    by_domain: dict = defaultdict(list)
+    for example in examples:
+        by_domain[example.domain].append(example)
+    present_types = set()
+    for example in examples:
+        present_types.update(example.labels)
+
+    def tree(subset: list, labels: list) -> DecisionTree:
+        grown = DecisionTree(max_depth=classifier.max_depth)
+        grown._root = reference_tree(
+            [ex.features for ex in subset],
+            labels,
+            grown.max_depth,
+            grown.min_samples_leaf,
+            grown.max_features,
+        )
+        return grown
+
+    for pii_type in sorted(present_types, key=lambda t: t.value):
+        labels = [pii_type in ex.labels for ex in examples]
+        if not any(labels) or all(labels):
+            continue
+        classifier._global[pii_type] = tree(examples, labels)
+        classifier.trained_types.add(pii_type)
+        for domain, domain_examples in by_domain.items():
+            if len(domain_examples) < classifier.min_domain_samples:
+                continue
+            domain_labels = [pii_type in ex.labels for ex in domain_examples]
+            if not any(domain_labels) or all(domain_labels):
+                continue
+            classifier._specialists[(domain, pii_type)] = tree(
+                domain_examples, domain_labels
+            )
+    return classifier

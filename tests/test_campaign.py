@@ -506,6 +506,70 @@ class TestReportAndCli:
         with pytest.raises(SystemExit):
             main(["campaign", "--population", "0"])
 
+    @pytest.fixture(scope="class")
+    def checkpoint(self, tmp_path_factory):
+        """A finished 2-user campaign's checkpoint directory."""
+        from repro.cli import main
+
+        directory = tmp_path_factory.mktemp("campaign-checkpoint")
+        code = main(self._argv("--checkpoint-dir", str(directory)))
+        assert code == 0 and (directory / "state.json").exists()
+        return directory
+
+    @staticmethod
+    def _argv(*extra):
+        return [
+            "campaign",
+            "--population",
+            "2",
+            "--seed",
+            "7",
+            "--services",
+            ",".join(SERVICE_SLUGS),
+            "--executor",
+            "serial",
+            "--duration",
+            "20",
+            "--bootstrap",
+            "10",
+            *extra,
+        ]
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--duration", "-5"], "session_duration must be positive"),
+            (["--population-spec", "{spec}"], "os_share must be an object"),
+            (["--seed", "8"], "different campaign configuration"),
+        ],
+        ids=["negative-duration", "os-share-not-object", "other-configuration"],
+    )
+    def test_cli_input_error_is_one_line_and_writes_nothing(
+        self, checkpoint, tmp_path, capsys, extra, message
+    ):
+        from repro.cli import main
+
+        spec_path = tmp_path / "pop.json"
+        spec_path.write_text(json.dumps({"os_share": 7}))
+        before = {path.name: path.read_bytes() for path in checkpoint.iterdir()}
+        extra = [arg.format(spec=spec_path) for arg in extra]
+        with pytest.raises(SystemExit) as excinfo:
+            main(self._argv("--checkpoint-dir", str(checkpoint), "--resume", *extra))
+        error = str(excinfo.value.code)
+        assert message in error and "\n" not in error
+        assert capsys.readouterr().out == ""
+        assert {path.name: path.read_bytes() for path in checkpoint.iterdir()} == before
+
+    def test_from_dict_type_errors_are_population_errors(self):
+        with pytest.raises(PopulationError, match="os_share must be an object"):
+            PopulationSpec.from_dict({"os_share": 7})
+        with pytest.raises(PopulationError, match="must be an object"):
+            PopulationSpec.from_dict(["os_share"])
+        with pytest.raises(PopulationError):
+            PopulationSpec.from_dict({"session_duration": "long"})
+        with pytest.raises(PopulationError):
+            PopulationSpec.from_dict({"services_per_user": 3})
+
 
 class TestCampaignCodec:
     """KIND_CAGG frames: exact round trips, strict failure on damage."""

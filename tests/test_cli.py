@@ -73,15 +73,25 @@ class TestCommands:
         with pytest.raises(SystemExit):
             main(["table", "1", "--services", "not-a-service"])
 
-    @pytest.mark.parametrize("verb", ["collect", "blocking"])
-    def test_unknown_service_rejected_before_work(self, verb, tmp_path):
+    @pytest.mark.parametrize(
+        "verb,services,named",
+        [
+            pytest.param("collect", "nosuch", "nosuch", id="collect"),
+            pytest.param("blocking", "nosuch", "nosuch", id="blocking"),
+            pytest.param(
+                "collect", "weather,nosuch,alsonot", "alsonot, nosuch", id="collect-mixed"
+            ),
+        ],
+    )
+    def test_unknown_service_rejected_before_work(self, verb, services, named, tmp_path):
         """An unknown slug is a usage error naming it — not an empty
-        dataset (collect) or a traceback (blocking)."""
+        dataset (collect) or a traceback (blocking) — and known slugs do
+        not carry unknown ones through."""
         out = tmp_path / "dataset"
-        argv = [verb, "--services", "nosuch", "--duration", "30"]
+        argv = [verb, "--services", services, "--duration", "30"]
         if verb == "collect":
             argv += ["--out", str(out)]
-        with pytest.raises(SystemExit, match="nosuch"):
+        with pytest.raises(SystemExit, match=named):
             main(argv)
         assert not out.exists()
 

@@ -223,6 +223,21 @@ class TestOracle:
         assert not report.ok
         assert any(d.component.startswith("matcher") for d in report.divergences)
 
+    def test_recon_mutation_canary(self, small_scenario):
+        """One changed leaf probability in a trained tree must be caught."""
+
+        def nudge(classifier):
+            node = next(iter(classifier._global.values()))._root
+            while not node.is_leaf:
+                node = node.present
+            node.probability = 1.0 - node.probability + 0.125
+            return classifier
+
+        report = run_oracle(small_scenario, mutators={"recon": nudge})
+        assert not report.ok
+        assert report.stats["recon_trees"] >= 1
+        assert all(d.component == "recon[reference-tree]" for d in report.divergences)
+
 
 class TestKillResume:
     @pytest.mark.parametrize("torn", ("",) + TORN_MODES)

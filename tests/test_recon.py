@@ -1,11 +1,14 @@
 """Tests for the ReCon-style classifier: features, trees, training."""
 
+import pickle
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.cache import _tree_shape, recon_shapes
 from repro.net.flow import CapturedRequest
+from repro.pii import recon as recon_module
 from repro.pii.recon import (
     DecisionTree,
     ReconClassifier,
@@ -13,7 +16,9 @@ from repro.pii.recon import (
     featurize,
     train_from_traces,
 )
+from repro.pii.structure import extract_fields
 from repro.pii.types import PiiType
+from repro.qa.reference import reference_recon, reference_tree
 
 
 def beacon(domain, pairs):
@@ -50,6 +55,36 @@ class TestFeaturize:
         assert "kv:h=hexdigest32" in features
         assert "kv:imei=digits_long" in features
         assert "kv:lat=float" in features
+
+    def test_given_fields_match_extracted(self):
+        request = beacon("t.com", [("email", "a@b.c"), ("lat", "42.36")])
+        assert featurize(request, extract_fields(request)) == featurize(request)
+
+    def test_unparsable_url_has_no_domain(self):
+        features = featurize(CapturedRequest("GET", "http://", headers=[]))
+        assert not any(f.startswith("domain:") for f in features)
+        example = ReconClassifier.make_example(
+            CapturedRequest("GET", "http://", headers=[]), set()
+        )
+        assert example.domain == ""
+
+    def test_shape_memo_is_bounded(self, monkeypatch):
+        """The memo clears when full and never keeps a long value."""
+        monkeypatch.setattr(recon_module, "_SHAPE_MEMO", {})
+        monkeypatch.setattr(recon_module, "_SHAPE_MEMO_MAX", 2)
+        monkeypatch.setattr(recon_module, "_SHAPE_VALUE_MAX", 4)
+        values = ("1", "a@b.co", "42.5", "7", "a@b.co", "1")
+        shapes = [recon_module._value_shape(v) for v in values]
+        assert shapes == [
+            "digits_short",
+            "email_like",
+            "float",
+            "digits_short",
+            "email_like",
+            "digits_short",
+        ]
+        assert "a@b.co" not in recon_module._SHAPE_MEMO
+        assert len(recon_module._SHAPE_MEMO) <= 2
 
 
 class TestDecisionTree:
@@ -120,6 +155,62 @@ class TestDecisionTree:
             labels[0] = not labels[0]
         tree = DecisionTree(min_samples_leaf=2).fit(samples, labels)
         assert 0.0 <= tree.predict_proba(samples[0]) <= 1.0
+
+
+class TestReferenceGrower:
+    """The bitset grower builds exactly the row-wise reference's trees."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_trees_equal_reference(self, data):
+        # Small alphabets make equal gains (and equal counts at the
+        # max_features cut) common, so tie-breaks are exercised.
+        alphabet = "abcdefghijkl"[: data.draw(st.integers(1, 12), label="letters")]
+        distinct = data.draw(
+            st.lists(st.frozensets(st.sampled_from(alphabet)), min_size=1, max_size=40),
+            label="samples",
+        )
+        repeats = data.draw(st.lists(st.sampled_from(distinct), max_size=20), label="repeats")
+        samples = [set(features) for features in distinct + repeats]
+        labels = data.draw(
+            st.lists(st.booleans(), min_size=len(samples), max_size=len(samples)),
+            label="labels",
+        )
+        vocabulary = len(set().union(*samples))
+        max_features = data.draw(st.integers(1, max(1, vocabulary)), label="max_features")
+        max_depth = data.draw(st.integers(1, 8), label="max_depth")
+        min_samples_leaf = data.draw(st.integers(0, 3), label="min_samples_leaf")
+        tree = DecisionTree(max_depth, min_samples_leaf, max_features).fit(samples, labels)
+        expected = reference_tree(samples, labels, max_depth, min_samples_leaf, max_features)
+        assert _tree_shape(tree._root) == _tree_shape(expected)
+
+    def test_classifier_equals_reference(self):
+        examples = _training_examples(random.Random(7), n=400)
+        for example in examples[::5]:
+            example.labels.add(PiiType.UNIQUE_ID)  # mixed labels per domain
+        fitted = ReconClassifier(min_domain_samples=20).fit(examples)
+        reference = reference_recon(examples, min_domain_samples=20)
+        assert fitted._specialists
+        assert recon_shapes(fitted) == recon_shapes(reference)
+        assert list(fitted._specialists) == list(reference._specialists)
+
+    def test_pickle_holds_only_the_model(self):
+        samples = [{"a", "b"}, {"a"}, {"b"}, {"c"}] * 5
+        labels = [True, True, False, False] * 5
+        tree = DecisionTree(max_depth=3, min_samples_leaf=1).fit(samples, labels)
+        restored = pickle.loads(pickle.dumps(tree))
+        assert set(vars(restored)) == {"max_depth", "min_samples_leaf", "max_features", "_root"}
+        assert _tree_shape(restored._root) == _tree_shape(tree._root)
+        classifier = ReconClassifier().fit(_training_examples(random.Random(8)))
+        assert set(vars(pickle.loads(pickle.dumps(classifier)))) == {
+            "threshold",
+            "min_domain_samples",
+            "max_depth",
+            "_rng",
+            "_global",
+            "_specialists",
+            "trained_types",
+        }
 
 
 def _training_examples(rng, n=300):
