@@ -510,7 +510,10 @@ def _load_policy(arg):
 
     if arg is None or arg == "default":
         return default_policy()
-    return MitigationPolicy.load(arg)
+    try:
+        return MitigationPolicy.load(arg)
+    except (OSError, ValueError) as exc:  # PolicyError and bad JSON included
+        raise SystemExit(f"invalid mitigation policy {arg}: {exc}")
 
 
 def cmd_mitigate(args) -> int:

@@ -26,6 +26,7 @@ from .policy import (
     PARTIES,
     THIRD_PARTY,
     MitigationPolicy,
+    PolicyError,
     default_policy,
 )
 from .report import MitigationOutcome, evaluate_mitigation, render_mitigation
@@ -42,6 +43,7 @@ __all__ = [
     "MitigationOutcome",
     "MitigationPolicy",
     "PARTIES",
+    "PolicyError",
     "THIRD_PARTY",
     "build_rewrite_plan",
     "default_policy",

@@ -1,11 +1,12 @@
 """The inline mitigation data plane.
 
 :class:`MitigationAddon` rides the proxy's request-rewrite stage (see
-``proxy/meddle.py``): for every decryptable request it runs the PR 1
-Aho–Corasick ground-truth matcher over the outgoing bytes, looks the
-matches up in a :class:`~repro.mitigate.policy.MitigationPolicy`, and
-rewrites the URL, headers, cookies, and body in place before the
-request reaches the (simulated) network.
+``proxy/meddle.py``): for every decryptable request it runs the
+ground-truth matcher (:mod:`repro.pii.matcher`) over the outgoing
+bytes, looks the matches up in a
+:class:`~repro.mitigate.policy.MitigationPolicy`, and rewrites the URL,
+headers, cookies, and body in place before the request reaches the
+(simulated) network.
 
 Rewrites are *shape-preserving*: every encoded variant of a value is
 replaced by a same-length string drawn from the same alphabet — hex

@@ -45,16 +45,29 @@ PARTIES = (FIRST_PARTY, THIRD_PARTY)
 POLICY_FORMAT = "repro-mitigation-policy/1"
 
 
+class PolicyError(ValueError):
+    """Raised on an invalid mitigation policy."""
+
+
 def _normalize_rules(rules: Mapping) -> Dict[PiiType, Dict[str, str]]:
+    if not isinstance(rules, Mapping):
+        raise PolicyError(f"rules must be an object, not {type(rules).__name__}")
     normalized: Dict[PiiType, Dict[str, str]] = {}
     for raw_type, cells in rules.items():
-        pii_type = PiiType(raw_type)
+        try:
+            pii_type = PiiType(raw_type)
+        except ValueError:
+            raise PolicyError(f"unknown PII type {raw_type!r}") from None
+        if not isinstance(cells, Mapping):
+            raise PolicyError(
+                f"rules[{raw_type!r}] must be an object, not {type(cells).__name__}"
+            )
         row: Dict[str, str] = {}
         for party, action in cells.items():
             if party not in PARTIES:
-                raise ValueError(f"unknown party {party!r}")
+                raise PolicyError(f"unknown party {party!r}")
             if action not in ACTIONS:
-                raise ValueError(f"unknown action {action!r}")
+                raise PolicyError(f"unknown action {action!r}")
             row[party] = action
         normalized[pii_type] = row
     return normalized
@@ -75,7 +88,7 @@ class MitigationPolicy:
 
     def __post_init__(self) -> None:
         if self.default_action not in ACTIONS:
-            raise ValueError(f"unknown action {self.default_action!r}")
+            raise PolicyError(f"unknown action {self.default_action!r}")
         object.__setattr__(self, "rules", _normalize_rules(self.rules))
 
     # -- lookup -------------------------------------------------------------
@@ -124,8 +137,17 @@ class MitigationPolicy:
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "MitigationPolicy":
+        """Parse a policy; any malformed payload raises :class:`PolicyError`."""
+        if not isinstance(payload, Mapping):
+            raise PolicyError(
+                f"a policy must be an object, not {type(payload).__name__}"
+            )
         if payload.get("format", POLICY_FORMAT) != POLICY_FORMAT:
-            raise ValueError(f"unknown policy format {payload.get('format')!r}")
+            raise PolicyError(f"unknown policy format {payload.get('format')!r}")
+        if not isinstance(payload.get("label", ""), str):
+            raise PolicyError(
+                f"label must be a string, not {type(payload['label']).__name__}"
+            )
         return cls(
             rules=payload.get("rules", {}),
             default_action=payload.get("default_action", ACTION_ALLOW),

@@ -1,6 +1,5 @@
 """PII detection: taxonomy, encodings, matching, and the ReCon classifier."""
 
-from .automaton import AhoCorasick
 from .detector import MATCHING, RECON, DetectionReport, PiiDetector, PiiObservation
 from .encodings import encode_value, hashed_forms, variants
 from .matcher import GroundTruthMatcher, PiiMatch, matcher_for
@@ -20,7 +19,6 @@ from .types import ALL_PII_TYPES, TABLE1_ORDER, PiiType
 
 __all__ = [
     "ALL_PII_TYPES",
-    "AhoCorasick",
     "DecisionTree",
     "DetectionReport",
     "Field",

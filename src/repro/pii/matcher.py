@@ -7,14 +7,16 @@ coordinates get special treatment — services transmit them "with
 arbitrary precision", so numeric tokens are compared within a tolerance
 instead of textually.
 
-Searching is the pipeline's hot path, so the default implementation is a
-single-pass multi-pattern scan over an Aho–Corasick automaton built once
-per ground-truth set (see :mod:`repro.pii.automaton`), with a per-matcher
-memo of scanned texts — captured traffic repeats header and cookie
-values thousands of times.  ``slow=True`` keeps the original per-form
-scan as the reference implementation; the equivalence tests assert both
-modes return identical matches (§3.2 fidelity: same matches, faster
-search).
+Searching is the pipeline's hot path.  The scan probes each encoded form
+with one C-level substring test (about 140 forms for one phone and
+persona), and a per-matcher memo of scanned texts and of requests answers
+the repeats — captured traffic repeats header and cookie values
+thousands of times.  Nothing is indexed per ground-truth set: every
+campaign session brings new ground truth, so a build is only the
+memoized :func:`~repro.pii.encodings.variants` lookups plus the scan
+plan.  ``slow=True`` skips both memos and is the reference the
+equivalence tests and the QA oracle compare against, so they pin the
+memo keys.
 
 Case handling is explicit: every form is searched case-insensitively
 (hosts uppercase MACs, lowercase e-mails, etc.), *except* that the pure
@@ -33,7 +35,6 @@ from dataclasses import dataclass
 
 from ..net.flow import CapturedRequest
 from . import encodings
-from .automaton import AhoCorasick
 from .structure import extract_fields, searchable_text
 from .types import PiiType
 
@@ -70,8 +71,8 @@ class GroundTruthMatcher:
     ) -> None:
         """``ground_truth`` maps :class:`PiiType` to lists of raw values.
 
-        ``slow=True`` selects the retained per-form linear scan — the
-        reference implementation the automaton fast path is verified
+        ``slow=True`` scans every text afresh, without the text and
+        request memos — the reference the memoized path is verified
         against.
         """
         self._slow = slow
@@ -101,8 +102,7 @@ class GroundTruthMatcher:
                             has_lower.add((pii_type, value))
 
         # Scan plan: (form, lowered form, type, value, encoding, mode),
-        # in registration order so fast and slow paths report matches
-        # identically ordered.
+        # in registration order, which is the order matches are reported.
         self._plan: list = []
         for form, (pii_type, value, encoding) in self._forms.items():
             if encoding == encodings.UPPER or (
@@ -112,7 +112,6 @@ class GroundTruthMatcher:
             else:
                 mode = _CI
             self._plan.append((form, form.lower(), pii_type, value, encoding, mode))
-        self._automaton = AhoCorasick(low for _, low, *_ in self._plan)
         self._memo: dict = {}
         self._request_memo: dict = {}
 
@@ -124,33 +123,16 @@ class GroundTruthMatcher:
             # four ("0.00").
             return []
         if self._slow:
-            return self._scan_linear(text)
+            return self._scan(text)
         cached = self._memo.get(text)
         if cached is None:
             if len(self._memo) >= _MEMO_MAX:
                 self._memo.clear()
-            cached = self._memo[text] = tuple(self._scan_automaton(text))
+            cached = self._memo[text] = tuple(self._scan(text))
         return list(cached)
 
-    def _scan_automaton(self, text: str) -> list:
-        """Fast path: one automaton pass, then confirm rare candidates."""
-        found: dict = {}
-        lowered = text.lower()
-        candidates = self._automaton.find_all(lowered)
-        if candidates:
-            for form, low, pii_type, value, encoding, mode in self._plan:
-                if low not in candidates:
-                    continue
-                if mode == _CS and form not in text:
-                    continue
-                found[(pii_type, value, encoding)] = PiiMatch(
-                    pii_type=pii_type, value=value, encoding=encoding, source="text"
-                )
-        self._scan_extras(text, found)
-        return list(found.values())
-
-    def _scan_linear(self, text: str) -> list:
-        """Reference path: the original per-form scan (``slow=True``)."""
+    def _scan(self, text: str) -> list:
+        """One substring probe per encoded form, then the extras."""
         found: dict = {}
         lowered = text.lower()
         for form, low, pii_type, value, encoding, mode in self._plan:
@@ -168,7 +150,7 @@ class GroundTruthMatcher:
         return list(found.values())
 
     def _scan_extras(self, text: str, found: dict) -> None:
-        """Digit-boundary and GPS-tolerance cases, shared by both paths."""
+        """Digit-boundary and GPS-tolerance cases."""
         for form, pattern, pii_type, value, encoding in self._digit_forms:
             # C-speed substring prescreen; the regex only confirms the
             # digit boundaries once the literal is known to occur.
@@ -240,9 +222,9 @@ class GroundTruthMatcher:
         return {match.pii_type for match in self.match_request(request)}
 
 
-# One matcher per distinct ground-truth set: construction (hash digests,
-# automaton build) dominates per-session cost, and study runs reuse the
-# same ground truth across many scans.
+# One matcher per distinct ground-truth set, so sessions that share
+# ground truth (a study's sessions on one phone and account) also share
+# the matcher's text and request memos.
 _MATCHER_CACHE: dict = {}
 _MATCHER_CACHE_MAX = 256
 

@@ -12,8 +12,9 @@ Paths compared against the ``workers=1`` batch reference:
   whose workers re-serialize every session through the binary codec
   and own a fresh string-hash seed;
 - streaming via :func:`repro.stream.stream_dataset` at each shard count;
-- the fast Aho–Corasick matcher vs ``GroundTruthMatcher(slow=True)``
-  per decrypted transaction and per generated probe text;
+- the memoized PII matcher vs ``GroundTruthMatcher(slow=True)``, the
+  same scan without memos, per decrypted transaction and per generated
+  probe text;
 - the indexed EasyList engine vs ``FilterList.match_linear`` over the
   scenario's URL probes (scenario filters and the bundled list);
 - PSL invariants (idempotence, reflexivity) over generated hostnames;

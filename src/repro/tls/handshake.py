@@ -12,6 +12,7 @@ proxy, device, and tests all agree on it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 from .certs import (
@@ -37,11 +38,15 @@ class ServerTlsProfile:
     # Pin set shipped in the service's *app*; web browsers do not pin.
     app_pins: Optional[PinSet] = None
 
+    # Profiles and certificates are frozen, so one instance per hostname
+    # is shared: every world build registers the same ~250 hosts again.
     @classmethod
+    @lru_cache(maxsize=1024)
     def standard(cls, hostname: str, issuer: str = "PublicCA") -> "ServerTlsProfile":
         return cls(hostname=hostname, certificate=make_certificate(hostname, issuer))
 
     @classmethod
+    @lru_cache(maxsize=1024)
     def pinned(cls, hostname: str, issuer: str = "PublicCA") -> "ServerTlsProfile":
         from .certs import pin_for
 

@@ -1,97 +1,36 @@
 """Equivalence and property tests for the fast-path detection engine.
 
-Every fast path in the detection stack keeps its original implementation
-as a reference mode: the Aho–Corasick matcher against the per-form scan
-(``GroundTruthMatcher(slow=True)``), and the indexed EasyList engine
-against the whole-list probe (``FilterList.match_linear``).  These tests
-pin the equivalences — the optimizations must change *how fast* answers
-arrive, never *which* answers (§3.2 fidelity: same matches, faster
-search) — plus the determinism of the ``workers`` analysis fan-out.
+Every fast path in the detection stack keeps a reference mode: the
+memoized ground-truth matcher against the same per-form scan without
+its text and request memos (``GroundTruthMatcher(slow=True)``), so these
+checks pin the memo keys, and the indexed EasyList engine against the
+whole-list probe (``FilterList.match_linear``).  These tests pin the
+equivalences — the optimizations must change *how fast* answers arrive,
+never *which* answers (§3.2 fidelity: same matches, faster search) —
+plus the matcher's build cost and the determinism of the ``workers``
+analysis fan-out.
 """
 
 from __future__ import annotations
 
+import random
 import string
+import tracemalloc
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.pipeline import analyze_dataset, run_study
+from repro.device.persona import generate_persona
+from repro.device.phone import Phone, PhoneSpec
 from repro.experiment.runner import ExperimentRunner
+from repro.http.transport import Network
 from repro.net.flow import CapturedRequest
-from repro.pii.automaton import AhoCorasick
 from repro.pii.encodings import encode_value, variants
 from repro.pii.matcher import GroundTruthMatcher, matcher_for
 from repro.pii.types import PiiType
 from repro.services.catalog import build_catalog
 from repro.services.world import build_world
 from repro.trackerdb.easylist import bundled_easylist
-
-# ---------------------------------------------------------------------------
-# Automaton unit tests
-
-
-class TestAhoCorasick:
-    def test_overlapping_patterns_all_found(self):
-        ac = AhoCorasick(["he", "she", "his", "hers"])
-        assert ac.find_all("ushers") == {"he", "she", "hers"}
-
-    def test_iter_matches_reports_overlaps_with_positions(self):
-        ac = AhoCorasick(["he", "she", "hers"])
-        matches = sorted(ac.iter_matches("ushers"))
-        assert matches == [(1, "she"), (2, "he"), (2, "hers")]
-
-    def test_duplicates_and_empties_dropped(self):
-        ac = AhoCorasick(["abc", "", "abc", "bc"])
-        assert ac.patterns == ("abc", "bc")
-        assert len(ac) == 2
-
-    def test_no_hit_returns_empty_set(self):
-        ac = AhoCorasick(["needle", "pin"])
-        assert ac.find_all("a perfectly ordinary haystack") == set()
-
-    def test_pattern_inside_larger_text(self):
-        ac = AhoCorasick(["token=secret"])
-        assert ac.find_all("https://x.example/?token=secret&y=1") == {
-            "token=secret"
-        }
-
-    def test_hex_digest_found_without_individual_shingle(self):
-        # 32+ char pure-hex patterns are prescreened as a class, not one
-        # shingle each — the class probe must not lose them.
-        digest = "d41d8cd98f00b204e9800998ecf8427e"
-        ac = AhoCorasick([digest])
-        assert ac._shingles == ()  # screened by the class regex alone
-        assert ac.find_all(f"uid={digest}&x=1") == {digest}
-        assert ac.find_all("uid=none") == set()
-
-    def test_long_digit_run_found_without_individual_shingle(self):
-        imei = "358240051234567"
-        ac = AhoCorasick([imei])
-        assert ac._shingles == ()
-        assert ac.find_all(f"imei={imei}") == {imei}
-        assert ac.find_all("imei=00000") == set()
-
-    def test_mixed_class_and_plain_patterns(self):
-        digest = "a" * 40  # pure hex, sha1-length
-        ac = AhoCorasick([digest, "plainword", "1234567890123456"])
-        assert ac.find_all(f"x={digest}") == {digest}
-        assert ac.find_all("has plainword inside") == {"plainword"}
-        assert ac.find_all("n=1234567890123456") == {"1234567890123456"}
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        patterns=st.lists(
-            st.text(alphabet=string.ascii_lowercase + string.digits, min_size=1, max_size=12),
-            min_size=1,
-            max_size=8,
-        ),
-        text=st.text(alphabet=string.ascii_lowercase + string.digits + ":/?=&.", max_size=120),
-    )
-    def test_find_all_agrees_with_naive_substring_search(self, patterns, text):
-        ac = AhoCorasick(patterns)
-        expected = {p for p in ac.patterns if p in text}
-        assert ac.find_all(text) == expected
-
 
 # ---------------------------------------------------------------------------
 # Fast matcher vs. slow=True reference
@@ -184,6 +123,27 @@ class TestFastSlowMatcherEquivalence:
         assert _match_keys(fast.match_request(request)) == _match_keys(
             slow.match_request(request)
         )
+
+
+class TestMatcherBuild:
+    def test_warm_build_keeps_little_memory(self):
+        """Campaign sessions each build a matcher for new ground truth, and
+        ``matcher_for`` keeps up to 256 of them, so a build must hold no
+        per-ground-truth index."""
+        rng = random.Random(1)
+        phone = Phone(PhoneSpec.nexus5(), Network(), rng)
+        phone.sign_in(generate_persona(rng))
+        truth = phone.ground_truth()
+        GroundTruthMatcher(truth)  # warms the memoized encoding variants
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            matcher = GroundTruthMatcher(truth)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert matcher.match_text(f"email={phone.persona.email}")
+        assert kept < 64 * 1024, kept
 
 
 # ---------------------------------------------------------------------------
@@ -295,8 +255,8 @@ class TestParallelAnalysis:
         assert _study_fingerprint(study)
 
     def test_collected_traffic_fast_slow_identical(self):
-        """End to end: every captured request matches identically under
-        the automaton fast path and the per-form reference scan."""
+        """End to end: every captured request matches identically with
+        and without the matcher's memos."""
         dataset, _ = self._dataset()
         checked = 0
         for record in dataset:

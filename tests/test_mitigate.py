@@ -1,5 +1,11 @@
 """Tests for the mitigation policy, inline data plane, and report."""
 
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.core.countermeasures import BlockedRequest, TrackerBlockingTransport
@@ -24,11 +30,14 @@ from repro.mitigate.policy import (
     ACTION_SCRUB,
     FIRST_PARTY,
     THIRD_PARTY,
+    PolicyError,
 )
 from repro.pii.types import PiiType
 from repro.qa.oracle import canonical_bytes
 from repro.services.world import build_world
 from repro.trackerdb.abpfilter import FilterList
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 class TestPolicy:
@@ -76,6 +85,52 @@ class TestPolicy:
         covered = set(policy.covered_types())
         assert PiiType.DEVICE_INFO not in covered
         assert covered == set(PiiType) - {PiiType.DEVICE_INFO}
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ({"rules": 3}, "rules must be an object"),
+            ([1, 2], "policy must be an object"),
+            ({"rules": {"email": {"third_party": "nuke"}}}, "unknown action 'nuke'"),
+            ({"rules": {"email": "block"}}, "rules['email'] must be an object"),
+            ({"rules": {"ssn": {}}}, "unknown PII type 'ssn'"),
+            ({"rules": {"email": {"fourth_party": "block"}}}, "unknown party"),
+            ({"default_action": "nuke"}, "unknown action 'nuke'"),
+            ({"label": ["x"]}, "label must be a string"),
+        ],
+    )
+    def test_from_dict_errors_are_policy_errors(self, payload, message):
+        with pytest.raises(PolicyError, match=re.escape(message)):
+            MitigationPolicy.from_dict(payload)
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            '{"rules": 3}',
+            "[1, 2]",
+            '{"rules": {"email": {"third_party": "nuke"}}}',
+        ],
+        ids=["rules-not-object", "top-level-list", "unknown-action"],
+    )
+    def test_cli_malformed_policy_is_one_line_error(self, tmp_path, body):
+        policy = tmp_path / "policy.json"
+        policy.write_text(body)
+        env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+        argv = ["mitigate", "--policy", str(policy), "--services", "weather"]
+        argv += ["--duration", "20", "--no-recon"]
+        result = subprocess.run(
+            [sys.executable, "-m", "repro", *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+            cwd=tmp_path,
+            timeout=120,
+        )
+        assert result.returncode != 0
+        assert result.stdout == ""
+        assert "Traceback" not in result.stderr
+        assert result.stderr.startswith("invalid mitigation policy")
+        assert result.stderr.count("\n") == 1
 
 
 class TestRewritePlan:

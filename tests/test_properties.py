@@ -10,6 +10,13 @@ from repro.http.message import Request, Response
 from repro.http.session import ClientSession
 from repro.http.transport import DirectTransport, Network
 from repro.http.url import encode_query
+from repro.mitigate.policy import (
+    ACTIONS,
+    PARTIES,
+    POLICY_FORMAT,
+    MitigationPolicy,
+    PolicyError,
+)
 from repro.net.clock import SimClock
 from repro.net.flow import CapturedRequest
 from repro.net.trace import SessionMeta, Trace
@@ -256,6 +263,55 @@ class TestMitigationRewriteProperty:
         other = rewrite_text(body, build_rewrite_plan([(PiiType.UNIQUE_ID, value, False, "hash")], seed=12))
         assert one == two
         assert one != other
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=12,
+)
+
+
+def _or_any_json(strategy):
+    return strategy | json_values
+
+
+# Any JSON value, or a policy-shaped object whose every field may be
+# valid or any JSON value, so both outcomes and every check are reached.
+policy_payloads = json_values | st.fixed_dictionaries(
+    {},
+    optional={
+        "format": _or_any_json(st.just(POLICY_FORMAT)),
+        "label": _or_any_json(st.text(max_size=8)),
+        "default_action": _or_any_json(st.sampled_from(ACTIONS)),
+        "rules": _or_any_json(
+            st.dictionaries(
+                st.sampled_from([pii_type.value for pii_type in PiiType])
+                | st.text(max_size=8),
+                _or_any_json(
+                    st.dictionaries(
+                        st.sampled_from(PARTIES) | st.text(max_size=8),
+                        _or_any_json(st.sampled_from(ACTIONS)),
+                        max_size=3,
+                    )
+                ),
+                max_size=4,
+            )
+        ),
+    },
+)
+
+
+class TestMitigationPolicyProperty:
+    @settings(max_examples=200, deadline=None)
+    @given(payload=policy_payloads)
+    def test_any_json_value_is_a_policy_or_policy_error(self, payload):
+        try:
+            policy = MitigationPolicy.from_dict(payload)
+        except PolicyError:
+            return
+        assert MitigationPolicy.from_dict(policy.to_dict()).to_dict() == policy.to_dict()
 
 
 class TestIngestAdmissionProperty:
