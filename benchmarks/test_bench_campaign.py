@@ -61,7 +61,7 @@ def campaign_world():
         seed=7,
         population_spec=pop_spec,
         services=specs,
-        executor="serial",
+        executor=1,
         shards=1,
     )
     return specs, pop_spec, reference.canonical_bytes(), reference.sessions
@@ -77,7 +77,7 @@ def test_bench_campaign_serial(benchmark, campaign_world, capsys):
             seed=7,
             population_spec=pop_spec,
             services=specs,
-            executor="serial",
+            executor=1,
             shards=4,
         )
 
@@ -105,7 +105,7 @@ def test_bench_campaign_process(benchmark, campaign_world, capsys):
         seed=7,
         population_spec=pop_spec,
         services=specs,
-        executor="serial",
+        executor=1,
         shards=4,
     )
     serial_seconds = time.perf_counter() - start
@@ -117,8 +117,7 @@ def test_bench_campaign_process(benchmark, campaign_world, capsys):
             seed=7,
             population_spec=pop_spec,
             services=specs,
-            executor="process",
-            workers=4,
+            executor=4,
             shards=8,
         )
 

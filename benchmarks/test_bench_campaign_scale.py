@@ -66,7 +66,7 @@ def test_bench_campaign_scale_master(benchmark, scale_blobs, capsys):
     blobs, users = scale_blobs
 
     merged = benchmark.pedantic(
-        lambda: reduce_campaign_blobs(blobs, executor="serial"), rounds=3, iterations=1
+        lambda: reduce_campaign_blobs(blobs, executor=1), rounds=3, iterations=1
     )
     assert merged.users == users
 
@@ -88,11 +88,11 @@ def test_bench_campaign_scale_worker(benchmark, scale_blobs, capsys):
     blobs, users = scale_blobs
 
     start = time.perf_counter()
-    master = reduce_campaign_blobs(blobs, executor="serial")
+    master = reduce_campaign_blobs(blobs, executor=1)
     master_seconds = time.perf_counter() - start
 
     merged = benchmark.pedantic(
-        lambda: reduce_campaign_blobs(blobs, executor="process", workers=4),
+        lambda: reduce_campaign_blobs(blobs, executor=4),
         rounds=3,
         iterations=1,
     )

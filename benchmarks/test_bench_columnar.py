@@ -175,7 +175,7 @@ def test_bench_columnar_suite(benchmark, synthetic_study):
     study, expected = synthetic_study
 
     def run():
-        return run_suite(study_aggregate(study, executor="serial"))
+        return run_suite(study_aggregate(study, executor=1))
 
     rendered = benchmark.pedantic(run, rounds=3, iterations=1)
     assert rendered == expected
@@ -216,9 +216,7 @@ def test_columnar_speedup(synthetic_study, capsys):
         seconds, rendered = timed(lambda: run_reference_suite(study))
         assert rendered == expected
         rows_times.append(seconds)
-        seconds, rendered = timed(
-            lambda: run_suite(study_aggregate(study, executor="serial"))
-        )
+        seconds, rendered = timed(lambda: run_suite(study_aggregate(study, executor=1)))
         assert rendered == expected
         columnar_times.append(seconds)
     rows_best, columnar_best = min(rows_times), min(columnar_times)

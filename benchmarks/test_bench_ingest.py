@@ -67,8 +67,8 @@ def served_ingest(tmp_path_factory):
     continuously for the whole measurement window while rejection stays
     near free.
 
-    The worker uses the *process* executor — the serving configuration
-    this benchmark exists to pin.  A serial executor runs the
+    The worker uses a two-process pool — the serving configuration
+    this benchmark exists to pin.  One in-process worker runs the
     pure-Python analysis inside the server process, and the GIL starves
     the event loop (read p50 degrades ~30x); shipping records to one
     long-lived pool of child processes keeps the serving thread
@@ -83,8 +83,7 @@ def served_ingest(tmp_path_factory):
     store = ResultStore(directory, train_recon=False, check_interval=60.0)
     ingest = IngestService(
         tmp_path_factory.mktemp("bench-ingest-jobs"),
-        executor="process",
-        workers=2,
+        executor=2,
         per_tenant=8,
         max_queued=16,
     )
@@ -204,9 +203,7 @@ def test_bench_read_p50_under_concurrent_ingest(benchmark, served_ingest, upload
 def test_bench_ingest_job_roundtrip(benchmark, upload_body, tmp_path_factory):
     """Service-level submit -> analyze -> assemble latency, one bundle."""
     root = tmp_path_factory.mktemp("bench-ingest-direct")
-    service = IngestService(
-        root, executor="serial", per_tenant=1024, max_queued=4096
-    )
+    service = IngestService(root, per_tenant=1024, max_queued=4096)
 
     def run():
         job = service.submit(upload_body, tenant="bench")

@@ -83,7 +83,7 @@ def test_bench_mitigate_enforcing(benchmark, capsys):
     assert latency["p50_us"] < P50_BUDGET_US
     assert latency["p99_us"] < P99_BUDGET_US
 
-    study = analyze_dataset(dataset, specs, train_recon=True, workers=1)
+    study = analyze_dataset(dataset, specs, train_recon=True)
     covered = set(policy.covered_types())
     for analysis in study.analyses():
         for leak in analysis.leaks:

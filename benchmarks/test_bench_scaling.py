@@ -41,28 +41,19 @@ def subset_world():
     world = build_world(specs)
     runner = ExperimentRunner(world, seed=2016)
     dataset = runner.run_study(specs, duration=240.0)
-    reference = canonical_bytes(
-        analyze_dataset(dataset, specs, train_recon=True, workers=1)
-    )
+    reference = canonical_bytes(analyze_dataset(dataset, specs, train_recon=True))
     return specs, dataset, reference
 
 
 @pytest.mark.parametrize(
-    "executor,workers",
-    [
-        ("serial", 1),
-        ("process", 2),
-        ("process", 4),
-    ],
+    "workers", [1, 2, 4], ids=["serial-1", "process-2", "process-4"]
 )
-def test_bench_executor_scaling(benchmark, subset_world, executor, workers):
-    """Per-session analysis fan-out, per executor and worker count."""
+def test_bench_executor_scaling(benchmark, subset_world, workers):
+    """Per-session analysis fan-out, per worker count."""
     specs, dataset, reference = subset_world
 
     def run():
-        return analyze_dataset(
-            dataset, specs, train_recon=True, workers=workers, executor=executor
-        )
+        return analyze_dataset(dataset, specs, train_recon=True, executor=workers)
 
     study = benchmark.pedantic(run, rounds=3, iterations=1)
     assert canonical_bytes(study) == reference

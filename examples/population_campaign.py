@@ -60,7 +60,7 @@ def main() -> None:
         population_spec=spec,
         services=services,
         cohorts="os,medium",
-        executor="serial",
+        executor=1,  # worker count: 1 in-process, N > 1 processes, 0 every CPU
     )
 
     overall = campaign.overall()

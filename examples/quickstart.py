@@ -19,8 +19,8 @@ def main() -> None:
         "--workers",
         type=int,
         default=1,
-        help="analysis worker processes; 1 runs in-process (results are "
-        "identical for any value)",
+        help="analysis fan-out: 1 = in-process, N > 1 = N processes, "
+        "0 = every usable CPU (results are identical for any value)",
     )
     args = parser.parse_args()
 
@@ -28,7 +28,7 @@ def main() -> None:
     chosen = [catalog[slug] for slug in ("weather", "yelp", "grubhub", "cnn", "priceline")]
 
     print(f"Running {len(chosen)} services x (app, web) x (android, ios)...")
-    study = run_study(services=chosen, train_recon=False, workers=args.workers)
+    study = run_study(services=chosen, train_recon=False, executor=args.workers)
 
     for result in study.services:
         spec = result.spec

@@ -634,7 +634,7 @@ def shard_blobs(study, shards: int = 1) -> list:
     return [encode_cells(metas, cells[index::shards]) for index in range(shards)]
 
 
-def shard_aggregates(study, shards: int = 1, executor=None) -> list:
+def shard_aggregates(study, shards: int = 1, executor=1) -> list:
     """Per-shard partial aggregates, kernels fanned out via repro.par."""
     from ..par import resolve_executor, tasks
 
@@ -644,13 +644,13 @@ def shard_aggregates(study, shards: int = 1, executor=None) -> list:
 
 def study_aggregate(
     study,
-    executor=None,
+    executor=1,
     shards: Optional[int] = None,
 ) -> StudyAggregate:
     """The columnar front door: encode, fan out kernels, merge.
 
-    ``executor`` is a :mod:`repro.par` backend (instance, name, or
-    ``None`` for serial); ``shards`` defaults to the executor's worker
+    ``executor`` is a :mod:`repro.par` executor or worker count (1:
+    in-process); ``shards`` defaults to the executor's worker
     count.  The merge folds partials in shard order — and because every
     reduction is associative and order-independent, any other merge
     tree yields the same aggregate (property-pinned).

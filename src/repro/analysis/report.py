@@ -297,9 +297,9 @@ def render_markdown(study, seed: int = 2016, duration: float = 240.0) -> str:
         "--seed S` re-measures the study across a whole simulated",
         "population instead (personas drawn from a `--population-spec`",
         "JSON of distributions) and reports the same tables per cohort",
-        "with Wilson and bootstrap confidence intervals; `--shards`,",
-        "`--executor`, and `--workers` control execution without changing",
-        "a single output byte.",
+        "with Wilson and bootstrap confidence intervals; `--shards` and",
+        "`--workers` control execution without changing a single output",
+        "byte.",
         "",
     ]
     for section, section_lines in sections.items():

@@ -11,7 +11,6 @@ count, or merge order yields identical canonical bytes.
 """
 
 from .engine import (
-    REDUCE_MODES,
     USER_METRIC_KEYS,
     AdaptiveSharder,
     CampaignAborted,
@@ -39,7 +38,6 @@ from .population import (
 from .report import cohort_summary_lines, render_campaign
 
 __all__ = [
-    "REDUCE_MODES",
     "USER_METRIC_KEYS",
     "AdaptiveSharder",
     "CampaignAborted",

@@ -61,11 +61,6 @@ USER_METRIC_KEYS = ("sessions", "flows_total", "aa_flows", "aa_bytes", "leak_eve
 #: Target users per shard; the shard plan is a pure function of N only.
 SHARD_TARGET_USERS = 256
 
-#: Reduction topologies: ``master`` is the serial reference fold,
-#: ``worker`` pushes the fold into the pool workers, ``auto`` picks
-#: worker whenever a parallel backend is in play.
-REDUCE_MODES = ("auto", "master", "worker")
-
 #: Default users between checkpoint writes when a checkpoint dir is set.
 CHECKPOINT_EVERY_USERS = 1024
 
@@ -486,7 +481,7 @@ def _offset_ranges(ranges: list, offset: int) -> list:
 
 
 class AdaptiveSharder:
-    """Feedback-driven chunk planner for the worker-reduce driver.
+    """Feedback-driven chunk planner for campaigns on a process pool.
 
     Starts at the static :data:`SHARD_TARGET_USERS` chunk size, then
     re-sizes from an EWMA of observed worker throughput so each chunk
@@ -650,7 +645,7 @@ class CampaignCheckpoint:
 class _ProgressLog:
     """Progress lines with a sliding-window rate and ETA appended.
 
-    The prefix (``shard i/n`` on the master path) and the
+    The prefix (``shard i/n`` on a fixed plan) and the
     ``done/population users simulated`` core are unchanged from the
     original single-line format; the rate/ETA ride behind a ``|`` so
     the line stays grep-stable for existing consumers.
@@ -675,16 +670,6 @@ class _ProgressLog:
         self.log(line)
 
 
-def _resolve_reduce(reduce: str, engine) -> str:
-    if reduce not in REDUCE_MODES:
-        raise CampaignError(
-            f"unknown reduce mode {reduce!r} (choose one of {REDUCE_MODES})"
-        )
-    if reduce != "auto":
-        return reduce
-    return "worker" if engine.workers > 1 else "master"
-
-
 def run_campaign(
     population: int,
     seed: int = 7,
@@ -692,10 +677,8 @@ def run_campaign(
     services: Optional[Sequence] = None,
     cohorts="os",
     shards: Optional[int] = None,
-    executor=None,
-    workers: int = 1,
+    executor=1,
     log=None,
-    reduce: str = "auto",
     checkpoint_dir=None,
     resume: bool = False,
     checkpoint_every: Optional[int] = None,
@@ -703,21 +686,19 @@ def run_campaign(
 ) -> CampaignAggregate:
     """Simulate a population and return the merged campaign aggregate.
 
-    ``executor``/``workers`` pick the :mod:`repro.par` executor (see
+    ``executor`` is the :mod:`repro.par` executor or worker count (see
     :func:`~repro.par.resolve_executor`; one worker runs in-process);
     ``cohorts`` is a dimension list (``"os"``, ``"os,medium"``,
     ``"none"``, or a tuple).  Memory stays flat at any population size:
     partials stream back and fold immediately.
 
-    ``reduce`` picks the reduction topology.  ``master`` is the
-    reference: fixed :func:`plan_shards` geometry, every shard partial
-    shipped back and folded serially by the coordinator.  ``worker``
-    submits larger contiguous chunks so pool workers fold shard-sized
-    work locally and ship one partial per chunk — O(chunks) coordinator
-    merges instead of O(shards) — with chunk sizes driven by
-    :class:`AdaptiveSharder` unless ``shards`` pins the geometry.
-    ``auto`` (default) picks ``worker`` on parallel backends.  Both
-    modes produce identical ``canonical_bytes`` (oracle-pinned).
+    The chunk plan follows from the arguments: an explicit ``shards``
+    pins fixed :func:`plan_shards` geometry; otherwise a pool of more
+    than one worker gets :class:`AdaptiveSharder` chunks, large enough
+    that workers fold shard-sized work locally and ship one partial per
+    chunk (O(chunks) coordinator merges instead of O(shards)); one
+    worker folds the fixed default plan.  Every plan produces identical
+    ``canonical_bytes`` (oracle-pinned).
 
     ``checkpoint_dir`` enables crash-safe periodic checkpoints (every
     ``checkpoint_every`` users) through :class:`CampaignCheckpoint`;
@@ -735,8 +716,7 @@ def run_campaign(
     spec = population_spec if population_spec is not None else PopulationSpec()
     dims = parse_cohort_dims(cohorts) if isinstance(cohorts, str) else tuple(cohorts)
     context = CampaignContext(spec, specs, seed, dims=dims)
-    engine = resolve_executor(executor, workers)
-    mode = _resolve_reduce(reduce, engine)
+    engine = resolve_executor(executor)
     if population < 1:
         raise CampaignError(f"population must be >= 1: {population}")
 
@@ -772,7 +752,7 @@ def run_campaign(
             )
 
     with engine.pool(context) as pool:
-        if mode == "master" or shards is not None:
+        if shards is not None or pool.workers == 1:
             ranges = plan_shards(population - start_user, shards)
             planner = _FixedPlan(_offset_ranges(ranges, start_user))
             prefix = f"shard {{}}/{len(ranges)}"
@@ -801,12 +781,12 @@ def run_campaign(
 
 
 def reduce_campaign_blobs(
-    blobs: Iterable, executor=None, workers: int = 1, window: Optional[int] = None
+    blobs: Iterable, executor=1, window: Optional[int] = None
 ) -> CampaignAggregate:
     """Tree-reduce KIND_CAGG blobs into one :class:`CampaignAggregate`.
 
     The reference path (one worker) decodes every blob and left-folds —
-    exactly the coordinator's master reduce.  A process pool folds
+    exactly the coordinator's serial fold.  A process pool folds
     contiguous windows of blobs on the workers (``tasks.merge``),
     repeating in rounds until one merged blob remains, so the
     coordinator decodes O(1) payloads instead of O(blobs).
@@ -819,8 +799,8 @@ def reduce_campaign_blobs(
     blobs = list(blobs)
     if not blobs:
         raise CampaignError("no campaign partials to merge")
-    engine = resolve_executor(executor, workers)
-    if engine.workers <= 1 or len(blobs) == 1:
+    engine = resolve_executor(executor)
+    if engine.workers == 1 or len(blobs) == 1:
         return merge_campaigns(codec.decode_campaign(blob) for blob in blobs)
     size = window if window else max(2, math.ceil(len(blobs) / engine.workers))
     while len(blobs) > 1:

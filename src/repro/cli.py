@@ -24,13 +24,6 @@ from .core.recommend import PrivacyPreferences, Recommender
 from .services.catalog import build_catalog
 
 
-def _resolve_workers(value: int) -> int:
-    """``--workers 0`` means "use every usable CPU"."""
-    from .par import usable_cpus
-
-    return value if value > 0 else usable_cpus()
-
-
 def _selected_services(args):
     services = build_catalog()
     if getattr(args, "services", None):
@@ -53,30 +46,36 @@ def _build_study(args):
         seed=args.seed,
         duration=args.duration,
         train_recon=not args.no_recon,
-        workers=_resolve_workers(getattr(args, "workers", 1)),
-        executor=getattr(args, "executor", None),
-        cache_dir=getattr(args, "cache_dir", None),
+        executor=args.workers,
+        cache_dir=args.cache_dir,
     )
 
 
 def _aggregate(study, args):
-    """The study's columnar aggregate, reduced once on the
-    ``--executor`` pool and shared by every table/figure/reach consumer."""
+    """The study's columnar aggregate, reduced once on ``--workers``
+    and shared by every table/figure/reach consumer."""
     from .analysis import columnar
 
-    return columnar.study_aggregate(study, executor=getattr(args, "executor", None))
+    return columnar.study_aggregate(study, executor=args.workers)
 
 
-def _add_executor(parser: argparse.ArgumentParser) -> None:
+def _worker_count(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0 (0 = every usable CPU): {value}")
+    return value
+
+
+def _add_workers(parser, what="analysis", flag="--workers", default=0) -> None:
+    """The one fan-out setting (see :class:`repro.par.Executor`)."""
     parser.add_argument(
-        "--executor",
-        choices=["auto", "serial", "thread", "process"],
-        default="auto",
-        help="analysis fan-out: 'process' uses one OS process per worker, "
-        "'serial' runs in-process (the reference), 'thread' is an alias "
-        "of 'process' kept for old scripts; 'auto' picks process when "
-        "more than one CPU is usable, else serial. Results are "
-        "byte-identical for every choice.",
+        flag,
+        type=_worker_count,
+        default=default,
+        metavar="N",
+        help=f"{what} fan-out: 1 = in-process, N > 1 = N processes, "
+        "0 = every usable CPU (default: %(default)s); results are "
+        "byte-identical for any value",
     )
 
 
@@ -90,25 +89,25 @@ def _add_study_inputs(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    _add_study_inputs(parser)
+def _add_analysis(parser: argparse.ArgumentParser, cache: bool = True) -> None:
+    """``--no-recon`` and ``--workers``, plus ``--cache-dir`` on the
+    verbs that read it."""
     parser.add_argument(
         "--no-recon", action="store_true", help="skip ReCon training (matching only)"
     )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="analysis workers; 0 = one per usable CPU (results are "
-        "identical for any value)",
-    )
-    _add_executor(parser)
-    parser.add_argument(
-        "--cache-dir",
-        help="persistent incremental-analysis cache directory: campaign, "
-        "classifier, and per-session results are reused when their "
-        "content and config are unchanged",
-    )
+    _add_workers(parser)
+    if cache:
+        parser.add_argument(
+            "--cache-dir",
+            help="persistent incremental-analysis cache directory: collected "
+            "campaigns, the classifier, and per-session results are reused "
+            "when their content and config are unchanged",
+        )
+
+
+def _add_common(parser: argparse.ArgumentParser, cache: bool = True) -> None:
+    _add_study_inputs(parser)
+    _add_analysis(parser, cache)
 
 
 def cmd_run(args) -> int:
@@ -227,7 +226,7 @@ def cmd_analyze(args) -> int:
     slugs = set(dataset.services())
     services = [s for s in build_catalog() if s.slug in slugs]
     cache = None
-    if getattr(args, "cache_dir", None):
+    if args.cache_dir:
         from .core.cache import AnalysisCache
 
         cache = AnalysisCache(args.cache_dir)
@@ -235,8 +234,7 @@ def cmd_analyze(args) -> int:
         dataset,
         services,
         train_recon=not args.no_recon,
-        workers=_resolve_workers(getattr(args, "workers", 1)),
-        executor=getattr(args, "executor", None),
+        executor=args.workers,
         cache=cache,
     )
     agg = _aggregate(study, args)
@@ -263,7 +261,7 @@ def cmd_stream(args) -> int:
             checkpoint_dir=args.checkpoint_dir,
             checkpoint_every=args.checkpoint_every,
             resume=args.resume,
-            executor=args.executor,
+            executor=args.workers,
         )
         streamer.run()
         study = streamer.finalize(train_recon=not args.no_recon)
@@ -280,7 +278,7 @@ def cmd_stream(args) -> int:
             streaming=True,
             shards=args.shards,
             checkpoint_dir=args.checkpoint_dir,
-            executor=args.executor,
+            executor=args.workers,
         )
         stats = throughput = None
     agg = _aggregate(study, args)
@@ -300,11 +298,11 @@ def cmd_serve(args) -> int:
     """Serve the recommender + study-query API over saved results."""
     import logging
 
+    from .par import usable_cpus
     from .serve import LruTtlCache, RateLimiter, ResultStore, ServeApp, ServeServer
     from .serve.server import MAX_BODY_BYTES
 
     logging.basicConfig(level=logging.INFO, format="%(message)s")
-    workers = _resolve_workers(args.workers)
     store = ResultStore(args.result, train_recon=not args.no_recon)
     limiter = None
     if args.rate > 0:
@@ -316,8 +314,7 @@ def cmd_serve(args) -> int:
 
         ingest = IngestService(
             args.ingest_dir,
-            executor=args.ingest_executor,
-            workers=_resolve_workers(args.ingest_workers),
+            executor=args.ingest_workers,
             per_tenant=args.tenant_queue,
             max_queued=args.ingest_queue,
             tenant_rate=args.ingest_rate,
@@ -337,7 +334,7 @@ def cmd_serve(args) -> int:
         app,
         host=args.host,
         port=args.port,
-        max_concurrency=workers,
+        max_concurrency=args.workers or usable_cpus(),
         request_timeout=args.timeout,
         drain_timeout=args.drain_timeout,
         max_body_bytes=max_body_bytes,
@@ -529,8 +526,7 @@ def cmd_mitigate(args) -> int:
         seed=args.seed,
         duration=args.duration,
         train_recon=not args.no_recon,
-        workers=_resolve_workers(getattr(args, "workers", 1)),
-        executor=getattr(args, "executor", None),
+        executor=args.workers,
         blocking=not args.no_blocking,
     )
     if args.baseline_out:
@@ -678,7 +674,7 @@ def cmd_campaign(args) -> int:
     except (OSError, ValueError, PopulationError) as exc:
         raise SystemExit(f"invalid population spec: {exc}")
 
-    engine = resolve_executor(args.executor, _resolve_workers(args.workers))
+    engine = resolve_executor(args.workers)
     log = (lambda message: print(message, file=sys.stderr)) if args.progress else None
     started = time.perf_counter()
     try:
@@ -691,7 +687,6 @@ def cmd_campaign(args) -> int:
             shards=args.shards,
             executor=engine,
             log=log,
-            reduce=args.reduce,
             checkpoint_dir=args.checkpoint_dir,
             resume=args.resume,
             checkpoint_every=args.checkpoint_every,
@@ -780,7 +775,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument("--port", type=int, default=8080)
     serve_parser.add_argument(
         "--workers",
-        type=int,
+        type=_worker_count,
         default=16,
         help="max concurrent requests (0 = one per usable CPU)",
     )
@@ -816,18 +811,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="enable POST /v1/traces: durable job state lives here "
         "(jobs parked by a SIGTERM drain resume from it on restart)",
     )
-    serve_parser.add_argument(
-        "--ingest-executor",
-        choices=["auto", "serial", "thread", "process"],
-        default="serial",
-        help="repro.par executor for uploaded-trace analysis ('thread' is "
-        "an alias of 'process'; results are byte-identical for every choice)",
-    )
-    serve_parser.add_argument(
-        "--ingest-workers",
-        type=int,
-        default=1,
-        help="processes in the ingest pool (0 = one per usable CPU)",
+    _add_workers(
+        serve_parser, "uploaded-trace analysis", flag="--ingest-workers", default=1
     )
     serve_parser.add_argument(
         "--ingest-threads",
@@ -916,25 +901,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     analyze_parser = sub.add_parser("analyze", help="analyze a saved dataset")
     analyze_parser.add_argument("dataset", help="dataset directory from 'collect'")
-    analyze_parser.add_argument("--no-recon", action="store_true")
-    analyze_parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="analysis workers (results are identical for any value)",
-    )
-    _add_executor(analyze_parser)
-    analyze_parser.add_argument(
-        "--cache-dir",
-        help="persistent per-session analysis cache (content-addressed; "
-        "config changes invalidate automatically)",
-    )
+    _add_analysis(analyze_parser)
     analyze_parser.set_defaults(func=cmd_analyze)
 
     stream_parser = sub.add_parser(
         "stream", help="streaming capture + online analysis (live or replay)"
     )
-    _add_common(stream_parser)
+    _add_common(stream_parser, cache=False)
     stream_parser.add_argument(
         "--dataset", help="replay a saved dataset instead of capturing live"
     )
@@ -975,7 +948,7 @@ def build_parser() -> argparse.ArgumentParser:
     mitigate_parser = sub.add_parser(
         "mitigate", help="inline PII mitigation: re-score the study under a policy"
     )
-    _add_common(mitigate_parser)
+    _add_common(mitigate_parser, cache=False)
     mitigate_parser.add_argument(
         "--policy",
         default="default",
@@ -1055,8 +1028,9 @@ def build_parser() -> argparse.ArgumentParser:
     campaign_parser.add_argument(
         "--shards",
         type=int,
-        help="shard count override (default: a pure function of the "
-        "population; results are identical for any value)",
+        help="pin a fixed plan of this many shards (default: on one worker "
+        "a pure function of the population, on a process pool adaptive "
+        "chunks); results are identical for any value",
     )
     campaign_parser.add_argument(
         "--services", help="comma-separated service slugs (default: all 50)"
@@ -1092,22 +1066,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="log per-shard progress and a throughput summary to stderr",
     )
-    campaign_parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="simulation workers; 0 = one per usable CPU (results are "
-        "identical for any value)",
-    )
-    campaign_parser.add_argument(
-        "--reduce",
-        choices=["auto", "master", "worker"],
-        default="auto",
-        help="reduction topology: master = serial coordinator fold "
-        "(the reference), worker = pool workers fold locally and ship "
-        "merged partials; results are byte-identical either way "
-        "(default: worker on parallel backends)",
-    )
+    _add_workers(campaign_parser, "simulation")
     campaign_parser.add_argument(
         "--checkpoint-dir",
         help="write crash-safe periodic checkpoints (merged partial + "
@@ -1130,7 +1089,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="chaos hook: abort (exit 3) once this many users have "
         "folded — simulates a mid-campaign kill for resume testing",
     )
-    _add_executor(campaign_parser)
     campaign_parser.set_defaults(func=cmd_campaign)
     return parser
 

@@ -285,8 +285,7 @@ def train_recon_on_dataset(
     dataset: Dataset,
     every_nth_service: int = 4,
     rng_seed: int = 7,
-    workers: int = 1,
-    executor=None,
+    executor=1,
     cache=None,
 ) -> ReconClassifier:
     """Train ReCon on a slice of the dataset's sessions.
@@ -295,10 +294,10 @@ def train_recon_on_dataset(
     become training traffic; labels come from each session's own ground
     truth, which is how the controlled experiments make ML training
     possible without manual annotation.  ``executor`` (an
-    :class:`repro.par.Executor` or backend name) parallelizes label
+    :class:`repro.par.Executor` or a worker count) parallelizes label
     extraction per session; examples are concatenated in deterministic
-    session order so the trained tree is identical for any backend and
-    worker count.  ``cache`` (an
+    session order so the trained tree is identical for any worker
+    count.  ``cache`` (an
     :class:`repro.core.cache.AnalysisCache`) memoizes the fitted
     classifier keyed by the training slice's content.
     """
@@ -309,9 +308,8 @@ def train_recon_on_dataset(
         cached = cache.load_recon(records, every_nth_service, rng_seed)
         if cached is not None:
             return cached
-    engine = resolve_executor(executor, workers)
     examples = []
-    for batch in engine.map(tasks.label, records):
+    for batch in resolve_executor(executor).map(tasks.label, records):
         examples.extend(batch)
     import random
 
@@ -327,29 +325,25 @@ def analyze_dataset(
     services: list,
     recon: Optional[ReconClassifier] = None,
     train_recon: bool = True,
-    workers: int = 1,
-    executor=None,
+    executor=1,
     cache=None,
 ) -> StudyResult:
     """Evaluate a collected dataset into a :class:`StudyResult`.
 
-    ``executor`` picks the fan-out (``"serial"``, ``"process"``,
-    ``"auto"``, an :class:`repro.par.Executor`, or ``None`` for
-    ``workers`` processes — in-process when ``workers`` is 1; see
-    :func:`repro.par.resolve_executor`); sessions are processed in
+    ``executor`` picks the fan-out: an :class:`repro.par.Executor` or a
+    worker count (1 in-process, N > 1 processes, 0 every usable CPU;
+    see :func:`repro.par.resolve_executor`).  Sessions are processed in
     ``(service, os, medium)`` order and results assembled in the
     dataset's own order, so the study is byte-for-byte identical for
-    any executor and worker count.
+    any worker count.
     ``cache`` reuses persisted per-session analyses when the trace
     content and detection config both match.
     """
     from ..par import resolve_executor, tasks
 
-    engine = resolve_executor(executor, workers)
+    engine = resolve_executor(executor)
     if recon is None and train_recon:
-        recon = train_recon_on_dataset(
-            dataset, workers=workers, executor=engine, cache=cache
-        )
+        recon = train_recon_on_dataset(dataset, executor=engine, cache=cache)
     by_slug = {spec.slug: spec for spec in services}
     records = list(dataset)
     ordered = sorted(records, key=_session_order)
@@ -378,17 +372,16 @@ def run_study(
     duration: float = 240.0,
     train_recon: bool = True,
     world: Optional[World] = None,
-    workers: int = 1,
     streaming: bool = False,
     shards: int = 1,
     checkpoint_dir=None,
-    executor=None,
+    executor=1,
     cache_dir=None,
     mitigation=None,
 ) -> StudyResult:
     """Collect and evaluate the full study (the paper, end to end).
 
-    ``executor``/``workers`` pick the analysis fan-out backend (see
+    ``executor`` picks the analysis fan-out (see
     :func:`analyze_dataset`); collection itself stays sequential because
     the simulated world advances a single deterministic clock.
 
@@ -432,7 +425,6 @@ def run_study(
                     dataset,
                     services,
                     train_recon=train_recon,
-                    workers=workers,
                     executor=executor,
                     cache=cache,
                 )
@@ -448,7 +440,6 @@ def run_study(
             dataset,
             specs,
             train_recon=train_recon,
-            workers=workers,
             executor=executor,
             cache=cache,
         )

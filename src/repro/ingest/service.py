@@ -8,8 +8,8 @@ per-record analysis onto a :mod:`repro.par` executor, and assembles the
 final response with the exact same functions the offline pipeline uses.
 The contract, pinned by ``tests/test_ingest.py`` and the QA oracle: the
 result bytes for an uploaded dataset are identical to running
-``analyze_dataset`` offline on the same records, for every executor
-backend, and across a kill/restart mid-job.
+``analyze_dataset`` offline on the same records, for any worker count,
+and across a kill/restart mid-job.
 
 Admission is all-or-nothing.  An upload is decoded and validated
 *before* any state is created — a malformed blob, unknown service, or
@@ -32,7 +32,7 @@ import contextlib
 import sys
 import threading
 import time
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional
 
 from ..core.pipeline import ServiceResult, SessionAnalysis, StudyResult
 from ..core.recommend import PrivacyPreferences
@@ -166,8 +166,7 @@ class IngestService:
     def __init__(
         self,
         root,
-        executor: Union[str, None] = "serial",
-        workers: int = 1,
+        executor=1,
         specs: Optional[list] = None,
         per_tenant: int = 8,
         max_queued: int = 64,
@@ -181,7 +180,7 @@ class IngestService:
     ) -> None:
         self.store = JobStore(root)
         self.queue = TenantQueue(per_tenant=per_tenant, total=max_queued)
-        self.engine = resolve_executor(executor or "serial", workers)
+        self.engine = resolve_executor(executor)
         self.max_upload_bytes = max_upload_bytes
         self.max_records = max_records
         #: Background-worker niceness: after each job a worker sleeps

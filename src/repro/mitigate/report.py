@@ -119,8 +119,7 @@ def evaluate_mitigation(
     seed: int = 2016,
     duration: float = 240.0,
     train_recon: bool = True,
-    workers: int = 1,
-    executor=None,
+    executor=1,
     blocking: bool = True,
     record_latency: bool = True,
 ) -> MitigationOutcome:
@@ -135,11 +134,7 @@ def evaluate_mitigation(
     baseline_runner = ExperimentRunner(baseline_world, seed=seed)
     baseline_dataset = baseline_runner.run_study(services, duration=duration)
     baseline = analyze_dataset(
-        baseline_dataset,
-        services,
-        train_recon=train_recon,
-        workers=workers,
-        executor=executor,
+        baseline_dataset, services, train_recon=train_recon, executor=executor
     )
 
     mitigated_world = build_world(services)
@@ -151,11 +146,7 @@ def evaluate_mitigation(
         services, duration=duration, mitigation=addon
     )
     mitigated = analyze_dataset(
-        mitigated_dataset,
-        services,
-        train_recon=train_recon,
-        workers=workers,
-        executor=executor,
+        mitigated_dataset, services, train_recon=train_recon, executor=executor
     )
 
     outcomes = []

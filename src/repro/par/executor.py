@@ -8,6 +8,8 @@ from :mod:`repro.par.tasks` over an ordered stream of items.  An
 
 - ``workers == 1`` calls each task in-process on live objects (no codec
   encode/decode, no dict round trip) — the reference;
+- ``workers == 0`` means every usable CPU (the CLI default; translated
+  here and nowhere else);
 - ``workers > 1`` runs one process pool (``fork`` preferred, ``spawn``
   as the fallback): items ship as codec blobs, the task's context is
   installed once per worker by a pool initializer, and results come
@@ -36,13 +38,13 @@ from typing import Optional, Union
 
 from . import tasks
 
-#: Names :func:`resolve_executor` accepts besides ``"auto"``; ``thread``
-#: is an alias of ``process`` kept so old scripts still run.
-EXECUTOR_NAMES = ("serial", "thread", "process")
+#: The two names :func:`resolve_executor` still reads: one in-process
+#: worker, and every usable CPU (the old CLI default).
+_NAMED_COUNTS = {"serial": 1, "auto": 0}
 
 
 class ExecutorError(Exception):
-    """An unknown executor name, or a task that failed on a named item."""
+    """A bad worker count, or a task that failed on a named item."""
 
 
 def usable_cpus() -> int:
@@ -124,10 +126,13 @@ class Pool:
 
 class Executor:
     """Maps named tasks over ordered items on ``workers`` processes
-    (one worker: in-process)."""
+    (one worker: in-process; zero: one per usable CPU)."""
 
     def __init__(self, workers: int = 1) -> None:
-        self.workers = max(1, int(workers))
+        workers = int(workers)
+        if workers < 0:
+            raise ExecutorError(f"worker count must be >= 0 (0 = every usable CPU): {workers}")
+        self.workers = workers or usable_cpus()
 
     @property
     def name(self) -> str:
@@ -163,40 +168,30 @@ class Executor:
     def map(self, task, items, *, context=None) -> list:
         """All results as a list; never starts more processes than items."""
         items = list(items)
-        engine = self if len(items) >= self.workers else Executor(len(items))
+        engine = self if len(items) >= self.workers else Executor(max(1, len(items)))
         return list(engine.imap(task, items, context=context))
 
     def __repr__(self) -> str:
         return f"<Executor {self.name} workers={self.workers}>"
 
 
-def default_executor_name() -> str:
-    """The ``auto`` policy: ``process`` when more than one CPU is usable."""
-    return "process" if usable_cpus() > 1 else "serial"
+def resolve_executor(executor: Union[Executor, int, str] = 1, _legacy=None) -> Executor:
+    """Turn a fan-out setting into an :class:`Executor`.
 
-
-def resolve_executor(
-    executor: Union[Executor, str, None],
-    workers: int = 1,
-) -> Executor:
-    """Turn an executor spec into an :class:`Executor`.
-
-    ``"serial"`` is one in-process worker; ``"process"``, ``None`` (the
-    library's ``workers=N``) and the ``"thread"`` alias are ``workers``
-    processes.  ``"auto"`` applies the CLI default policy: on hosts with
-    more than one usable CPU, ``workers`` processes — every usable CPU
-    when ``workers`` was left at 1 — else serial.  An :class:`Executor`
-    passes through.
+    Every library entry point takes one ``executor=``: an
+    :class:`Executor` (passed through) or a worker count (``1``
+    in-process, ``N > 1`` processes, ``0`` every usable CPU).  Two
+    names stay because ``perfbench/child.py`` passes them:
+    ``"serial"`` is one worker, and ``resolve_executor("auto", 1)`` is
+    every usable CPU (the second argument is ignored).
     """
     if isinstance(executor, Executor):
         return executor
-    if executor == "serial":
-        return Executor(1)
-    if executor == "auto":
-        cpus = usable_cpus()
-        return Executor((workers if workers > 1 else cpus) if cpus > 1 else 1)
-    if executor is None or executor in EXECUTOR_NAMES:
-        return Executor(workers)
-    raise ExecutorError(
-        f"unknown executor {executor!r} (choose one of {EXECUTOR_NAMES} or 'auto')"
-    )
+    if isinstance(executor, str):
+        if executor not in _NAMED_COUNTS:
+            raise ExecutorError(
+                f"unknown executor {executor!r}: pass a worker count "
+                "(1 = in-process, N > 1 = N processes, 0 = every usable CPU)"
+            )
+        return Executor(_NAMED_COUNTS[executor])
+    return Executor(executor)

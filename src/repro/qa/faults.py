@@ -243,7 +243,7 @@ def check_transport_chaos(scenario, specs, plan, mutate):
     chaos_dataset = runner.run_study(
         specs, duration=scenario.duration, phone_setup=install_faults
     )
-    batch = analyze_dataset(chaos_dataset, specs, train_recon=False, workers=1)
+    batch = analyze_dataset(chaos_dataset, specs, train_recon=False)
     expected = canonical_bytes(batch)
     streamed = mutate(
         "stream", stream_dataset(chaos_dataset, specs, shards=2, train_recon=False)
@@ -265,7 +265,7 @@ def check_addon_chaos(scenario, specs, expected, plan, mutate):
     dataset = runner.run_study(specs, duration=scenario.duration)
     study = mutate(
         "addon",
-        analyze_dataset(dataset, specs, train_recon=scenario.train_recon, workers=1),
+        analyze_dataset(dataset, specs, train_recon=scenario.train_recon),
     )
     out = []
     actual = canonical_bytes(study)
@@ -304,13 +304,11 @@ def check_mitigation_chaos(scenario, specs, plan, mutate):
         return dataset, world.proxy
 
     clean_dataset, _ = collect(chaos=False)
-    expected = canonical_bytes(
-        analyze_dataset(clean_dataset, specs, train_recon=False, workers=1)
-    )
+    expected = canonical_bytes(analyze_dataset(clean_dataset, specs, train_recon=False))
     chaos_dataset, proxy = collect(chaos=True)
     study = mutate(
         "mitigate",
-        analyze_dataset(chaos_dataset, specs, train_recon=False, workers=1),
+        analyze_dataset(chaos_dataset, specs, train_recon=False),
     )
     out = []
     actual = canonical_bytes(study)
@@ -335,7 +333,7 @@ def check_serve_snapshot(scenario, specs, dataset, mutate):
     """Serve must never expose a half-written journal append."""
     from .oracle import canonical_bytes
 
-    reference = analyze_dataset(dataset, specs, train_recon=False, workers=1)
+    reference = analyze_dataset(dataset, specs, train_recon=False)
     expected = canonical_bytes(reference)
     out = []
     with tempfile.TemporaryDirectory(prefix="repro-qa-serve-") as tmp:
@@ -392,7 +390,7 @@ def check_ingest_faults(scenario, specs, dataset, plan, mutate):
     if not records:
         return out
     body = codec.frame(codec.KIND_BUNDLE, codec.encode_bundle(records))
-    offline = analyze_dataset(dataset, specs, train_recon=False, workers=1)
+    offline = analyze_dataset(dataset, specs, train_recon=False)
 
     def expected_result(job) -> bytes:
         payload = job_result_payload(
@@ -402,7 +400,7 @@ def check_ingest_faults(scenario, specs, dataset, plan, mutate):
 
     # Truncated upload body: rejected, and rejected *atomically*.
     with tempfile.TemporaryDirectory(prefix="repro-qa-ingest-") as tmp:
-        service = IngestService(tmp, executor="serial", specs=specs)
+        service = IngestService(tmp, specs=specs)
         cut = max(1, min(plan.torn_bytes, len(body) - len(codec.MAGIC) - 2))
         try:
             service.submit(body[:-cut], tenant="chaos")
@@ -433,12 +431,12 @@ def check_ingest_faults(scenario, specs, dataset, plan, mutate):
 
     # Torn job-journal tail: recovery requeues, replay is byte-identical.
     with tempfile.TemporaryDirectory(prefix="repro-qa-ingest-") as tmp:
-        service = IngestService(tmp, executor="serial", specs=specs)
+        service = IngestService(tmp, specs=specs)
         job = service.submit(body, tenant="chaos")
         tear_journal(
             Path(tmp) / "journal.jsonl", plan.torn_tail or "garbage", plan.torn_bytes
         )
-        resumed = IngestService(tmp, executor="serial", specs=specs)
+        resumed = IngestService(tmp, specs=specs)
         resumed.run_pending()
         actual = resumed.store.result_bytes(job.job_id) or b'"<missing>"'
         if actual != expected_result(job):
@@ -453,7 +451,7 @@ def check_ingest_faults(scenario, specs, dataset, plan, mutate):
 
     # Worker crash mid-analysis: partial results survive, resume finishes.
     with tempfile.TemporaryDirectory(prefix="repro-qa-ingest-") as tmp:
-        service = IngestService(tmp, executor="serial", specs=specs)
+        service = IngestService(tmp, specs=specs)
         job = service.submit(body, tenant="chaos")
         service.crash_after = 1
         try:
@@ -465,7 +463,7 @@ def check_ingest_faults(scenario, specs, dataset, plan, mutate):
             )
         except WorkerCrash:
             pass
-        resumed = IngestService(tmp, executor="serial", specs=specs)
+        resumed = IngestService(tmp, specs=specs)
         resumed.run_pending()
         actual = resumed.store.result_bytes(job.job_id) or b'"<missing>"'
         if actual != expected_result(job):
@@ -499,7 +497,6 @@ def check_campaign_resume(scenario, specs, mutate):
         seed=scenario.study_seed,
         population_spec=pop_spec,
         services=specs,
-        executor="serial",
     )
     expected = run_campaign(population, shards=3, **kwargs).canonical_bytes()
     out = []

@@ -6,9 +6,9 @@ study is serialized to canonical JSON bytes.  Any byte difference is a
 failure, reported as the first divergent field (recursive structural
 diff), so a fuzz failure points straight at the layer that broke.
 
-Paths compared against the ``workers=1`` batch reference:
+Paths compared against the one-worker (in-process) batch reference:
 
-- batch through the :mod:`repro.par` process pool (``workers=4``),
+- batch through a four-worker :mod:`repro.par` process pool,
   whose workers re-serialize every session through the binary codec
   and own a fresh string-hash seed;
 - streaming via :func:`repro.stream.stream_dataset` at each shard count;
@@ -173,9 +173,7 @@ def run_oracle(scenario: Scenario, mutators=None) -> OracleReport:
     stats["sessions"] = len(dataset)
     stats["flows"] = dataset.total_flows()
 
-    reference = analyze_dataset(
-        dataset, specs, train_recon=scenario.train_recon, workers=1
-    )
+    reference = analyze_dataset(dataset, specs, train_recon=scenario.train_recon)
     expected = canonical_bytes(reference)
 
     def check_study(component, study, mutator_key):
@@ -187,7 +185,7 @@ def run_oracle(scenario: Scenario, mutators=None) -> OracleReport:
 
     # -- batch through the process pool -------------------------------------
     pooled = analyze_dataset(
-        dataset, specs, train_recon=scenario.train_recon, workers=4, executor="process"
+        dataset, specs, train_recon=scenario.train_recon, executor=4
     )
     check_study("batch[process,workers=4]", pooled, "process")
 
@@ -337,7 +335,6 @@ def run_oracle(scenario: Scenario, mutators=None) -> OracleReport:
         seed=scenario.study_seed,
         population_spec=pop_spec,
         services=specs,
-        executor="serial",
         shards=1,
     )
     campaign_expected = campaign_reference.canonical_bytes()
@@ -364,8 +361,7 @@ def run_oracle(scenario: Scenario, mutators=None) -> OracleReport:
         seed=scenario.study_seed,
         population_spec=pop_spec,
         services=specs,
-        executor="process",
-        workers=2,
+        executor=2,
         shards=2,
     )
     check_campaign_bytes(
@@ -375,10 +371,10 @@ def run_oracle(scenario: Scenario, mutators=None) -> OracleReport:
     )
 
     # Scale-out data plane pins: the KIND_CAGG codec must round-trip to
-    # identical canonical bytes, worker-side reduction (pool workers
-    # folding locally, adaptive chunk geometry) must match the serial
-    # master fold, and the blob tree reduction must match a serial
-    # left fold of the same shard blobs.
+    # identical canonical bytes, a pool campaign without pinned shards
+    # (pool workers folding adaptive chunks locally) must match the
+    # serial fixed-plan fold, and the blob tree reduction must match a
+    # serial left fold of the same shard blobs.
     from ..net import codec as _codec
 
     check_campaign_bytes(
@@ -393,12 +389,10 @@ def run_oracle(scenario: Scenario, mutators=None) -> OracleReport:
         seed=scenario.study_seed,
         population_spec=pop_spec,
         services=specs,
-        executor="process",
-        workers=2,
-        reduce="worker",
+        executor=2,
     )
     check_campaign_bytes(
-        "campaign[worker-reduce,adaptive]",
+        "campaign[process,adaptive]",
         campaign_expected,
         campaign_worker.canonical_bytes(),
     )
@@ -410,9 +404,7 @@ def run_oracle(scenario: Scenario, mutators=None) -> OracleReport:
     check_campaign_bytes(
         "campaign[tree-reduce blobs]",
         campaign_expected,
-        reduce_campaign_blobs(
-            shard_blobs, executor="process", workers=2, window=2
-        ).canonical_bytes(),
+        reduce_campaign_blobs(shard_blobs, executor=2, window=2).canonical_bytes(),
     )
 
     # -- mitigation data plane ----------------------------------------------
@@ -451,9 +443,7 @@ def run_oracle(scenario: Scenario, mutators=None) -> OracleReport:
     )
     check_mitigated(
         "mitigate[inert-policy]",
-        analyze_dataset(
-            inert_dataset, specs, train_recon=scenario.train_recon, workers=1
-        ),
+        analyze_dataset(inert_dataset, specs, train_recon=scenario.train_recon),
         expected,
     )
 
@@ -468,18 +458,14 @@ def run_oracle(scenario: Scenario, mutators=None) -> OracleReport:
 
     mitigated_dataset = collect_mitigated()
     mitigated_reference = analyze_dataset(
-        mitigated_dataset, specs, train_recon=scenario.train_recon, workers=1
+        mitigated_dataset, specs, train_recon=scenario.train_recon
     )
     mitigated_expected = canonical_bytes(mitigated_reference)
 
     check_mitigated(
         "mitigate[process,workers=2]",
         analyze_dataset(
-            mitigated_dataset,
-            specs,
-            train_recon=scenario.train_recon,
-            workers=2,
-            executor="process",
+            mitigated_dataset, specs, train_recon=scenario.train_recon, executor=2
         ),
         mitigated_expected,
     )
@@ -492,9 +478,7 @@ def run_oracle(scenario: Scenario, mutators=None) -> OracleReport:
     )
     check_mitigated(
         "mitigate[recollect]",
-        analyze_dataset(
-            collect_mitigated(), specs, train_recon=scenario.train_recon, workers=1
-        ),
+        analyze_dataset(collect_mitigated(), specs, train_recon=scenario.train_recon),
         mitigated_expected,
     )
 
@@ -632,10 +616,10 @@ def run_oracle(scenario: Scenario, mutators=None) -> OracleReport:
     offline_no_recon = (
         reference
         if not scenario.train_recon
-        else analyze_dataset(dataset, specs, train_recon=False, workers=1)
+        else analyze_dataset(dataset, specs, train_recon=False)
     )
     with tempfile.TemporaryDirectory(prefix="repro-qa-ingest-") as ingest_tmp:
-        ingest = IngestService(ingest_tmp, executor="serial", specs=specs)
+        ingest = IngestService(ingest_tmp, specs=specs)
         upload = codec.frame(codec.KIND_BUNDLE, codec.encode_bundle(list(dataset)))
         ingest_job = ingest.submit(upload, tenant="oracle")
         ingest.run_pending()

@@ -209,7 +209,7 @@ class ResultStore:
         # In-process: the store builds inside the serving process, at
         # start-up and on every hot reload, which should not fork it.
         study = analyze_dataset(
-            dataset, specs, train_recon=self._train_recon, executor="serial"
+            dataset, specs, train_recon=self._train_recon, executor=1
         )
         self._version += 1
         return StoreSnapshot(

@@ -25,7 +25,6 @@ that for any seed, shard count, and kill/resume point the resulting
 
 from __future__ import annotations
 
-import random
 import tempfile
 import threading
 import time
@@ -37,6 +36,7 @@ from ..core.pipeline import (
     SessionAnalysis,
     StudyResult,
     categorizer_for,
+    train_recon_on_dataset,
 )
 from ..experiment.dataset import Dataset, SessionRecord
 from ..experiment.filtering import is_background_flow
@@ -61,11 +61,6 @@ from .checkpoint import CheckpointManager, FlowJournal
 
 #: How many flow events a shard folds in between checkpoint snapshots.
 DEFAULT_CHECKPOINT_EVERY = 200
-
-#: Batch parity: which services feed ReCon training, and the tree seed
-#: (see :func:`repro.core.pipeline.train_recon_on_dataset`).
-RECON_EVERY_NTH_SERVICE = 4
-RECON_RNG_SEED = 7
 
 
 class StreamError(Exception):
@@ -281,11 +276,11 @@ class StreamAnalyzer:
         checkpoint_dir=None,
         checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
         resume: bool = False,
-        executor=None,
+        executor=1,
     ) -> None:
         self.services = list(services)
         self.specs_by_slug = {spec.slug: spec for spec in self.services}
-        self.executor = executor  # backend for the deferred ReCon passes
+        self.executor = executor  # executor or worker count for the ReCon passes
         self._tempdir = None
         if checkpoint_dir is None:
             # The journal backs the deferred ReCon passes even when the
@@ -378,29 +373,32 @@ class StreamAnalyzer:
         self.finish()
         self.journal.close()
         try:
-            engine = resolve_executor(self.executor)
             states = self.session_states()
-            if recon is None and train_recon and states:
-                recon = self._train_recon(states, engine)
-            if recon is not None:
-                self._apply_recon(states, recon, engine)
+            if states and (recon is not None or train_recon):
+                engine = resolve_executor(self.executor)
+                journaled = self._journal_dataset(states)
+                if recon is None:
+                    recon = train_recon_on_dataset(journaled, executor=engine)
+                self._apply_recon(states, journaled, recon, engine)
             return self._assemble(states, recon)
         finally:
             if self._tempdir is not None:
                 self._tempdir.cleanup()
 
-    def _journal_records(self, keep) -> list:
-        """Bulk journal replay as :class:`SessionRecord` work items.
+    def _journal_dataset(self, states: dict) -> Dataset:
+        """Bulk journal replay as a :class:`Dataset` of work items.
 
-        Each journaled session whose key passes ``keep`` becomes a
-        record (ground truth in publish order, flows in journal order)
-        — the executor's unit of fan-out; the process backend ships
-        them to workers in codec form.  Returned sorted by session key,
-        the canonical processing order of every pipeline path.
+        Each journaled session in ``states`` becomes a
+        :class:`SessionRecord` (ground truth in publish order, flows in
+        journal order) — the executor's unit of fan-out; a process pool
+        ships them to workers in codec form.  Records iterate sorted by
+        session key, the canonical processing order of every pipeline
+        path, and ReCon trains on the dataset exactly as the batch
+        pipeline does.
         """
         records = []
         for key, ground_truth, flows in self.journal.sessions():
-            if not keep(key):
+            if key not in states:
                 continue
             trace = Trace(
                 meta=SessionMeta(service=key[0], os_name=key[1], medium=key[2]),
@@ -415,26 +413,14 @@ class StreamAnalyzer:
                     ground_truth=ground_truth,
                 )
             )
-        records.sort(key=lambda record: record.key)
-        return records
+        dataset = Dataset()
+        for record in sorted(records, key=lambda record: record.key):
+            dataset.add(record)
+        return dataset
 
-    def _train_recon(self, states: dict, engine) -> ReconClassifier:
-        """Train ReCon from the journal, mirroring the batch slice.
-
-        Same selection (every 4th service by sorted slug), same label
-        source (each session's own ground truth), same deterministic
-        example order (sessions sorted by key), same tree seed.
-        """
-        slugs = sorted({key[0] for key in states})
-        chosen = set(slugs[::RECON_EVERY_NTH_SERVICE])
-        records = self._journal_records(lambda key: key[0] in chosen)
-        examples: list = []
-        for batch in engine.map(tasks.label, records):
-            examples.extend(batch)
-        classifier = ReconClassifier(rng=random.Random(RECON_RNG_SEED))
-        return classifier.fit(examples)
-
-    def _apply_recon(self, states: dict, recon: ReconClassifier, engine) -> None:
+    def _apply_recon(
+        self, states: dict, dataset: Dataset, recon: ReconClassifier, engine
+    ) -> None:
         """Replay journaled transactions through the combined detector.
 
         Overwrites each session's leak list and false-positive count
@@ -442,10 +428,9 @@ class StreamAnalyzer:
         :func:`~repro.core.pipeline.analyze_session` computes (the
         shared :func:`~repro.core.pipeline.rescan_session` stage).
         """
-        records = self._journal_records(lambda key: key in states)
         context = tasks.AnalysisContext(self.services, recon)
-        results = engine.map(tasks.rescan, records, context=context)
-        for record, (leaks, false_positives) in zip(records, results):
+        results = engine.map(tasks.rescan, dataset, context=context)
+        for record, (leaks, false_positives) in zip(dataset, results):
             state = states[record.key]
             state.analysis.leaks = leaks
             state.analysis.recon_false_positives = false_positives
@@ -538,14 +523,14 @@ def stream_dataset(
     checkpoint_dir=None,
     checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
     resume: bool = False,
-    executor=None,
+    executor=1,
 ) -> StudyResult:
     """Evaluate a collected dataset through the streaming subsystem.
 
     The streaming twin of :func:`repro.core.pipeline.analyze_dataset`:
     same inputs, byte-for-byte equal output, for any ``shards`` value
-    and any ``executor`` backend (the deferred ReCon passes fan out
-    through :mod:`repro.par`).  With ``checkpoint_dir`` set, a killed
+    and any ``executor`` worker count (the deferred ReCon passes fan
+    out through :mod:`repro.par`).  With ``checkpoint_dir`` set, a killed
     run re-invoked with ``resume=True`` picks up from the last snapshot
     without re-analyzing already-processed flows.
     """

@@ -64,7 +64,7 @@ def reference(services):
         seed=7,
         population_spec=small_spec(),
         services=services,
-        executor="serial",
+        executor=1,
         shards=1,
     )
 
@@ -271,7 +271,7 @@ class TestCampaignDeterminism:
             seed=7,
             population_spec=small_spec(),
             services=services,
-            executor="serial",
+            executor=1,
             shards=3,
         )
         assert sharded.canonical_bytes() == reference.canonical_bytes()
@@ -307,23 +307,10 @@ class TestCampaignDeterminism:
             seed=7,
             population_spec=small_spec(),
             services=services,
-            executor="process",
-            workers=2,
+            executor=2,
             shards=3,
         )
         assert pooled.canonical_bytes() == reference.canonical_bytes()
-
-    def test_thread_matches_serial(self, services, reference):
-        threaded = run_campaign(
-            10,
-            seed=7,
-            population_spec=small_spec(),
-            services=services,
-            executor="thread",
-            workers=2,
-            shards=3,
-        )
-        assert threaded.canonical_bytes() == reference.canonical_bytes()
 
     def test_map_sessions_is_streaming(self, services):
         """The serial fan-out yields shard partials lazily."""
@@ -391,10 +378,10 @@ class TestAggregates:
             },
         )
         denied = run_campaign(
-            6, seed=3, population_spec=deny, services=services, executor="serial"
+            6, seed=3, population_spec=deny, services=services, executor=1
         )
         granted = run_campaign(
-            6, seed=3, population_spec=grant, services=services, executor="serial"
+            6, seed=3, population_spec=grant, services=services, executor=1
         )
         denied_events = denied.overall().user_moments["leak_events"].sum()
         granted_events = granted.overall().user_moments["leak_events"].sum()
@@ -462,8 +449,8 @@ class TestReportAndCli:
                 "7",
                 "--services",
                 ",".join(SERVICE_SLUGS),
-                "--executor",
-                "serial",
+                "--workers",
+                "1",
                 "--duration",
                 "20",
                 "--bootstrap",
@@ -487,8 +474,8 @@ class TestReportAndCli:
                 "3",
                 "--services",
                 ",".join(SERVICE_SLUGS),
-                "--executor",
-                "serial",
+                "--workers",
+                "1",
                 "--population-spec",
                 str(path),
                 "--cohorts",
@@ -526,8 +513,8 @@ class TestReportAndCli:
             "7",
             "--services",
             ",".join(SERVICE_SLUGS),
-            "--executor",
-            "serial",
+            "--workers",
+            "1",
             "--duration",
             "20",
             "--bootstrap",
@@ -629,11 +616,12 @@ class TestCampaignCodec:
 
 
 class TestWorkerReduce:
-    """Worker-side reduction must be byte-identical to the master path."""
+    """Pool workers folding chunks locally must be byte-identical to
+    the serial fold, for a pinned and for an adaptive chunk plan."""
 
-    @pytest.mark.parametrize("executor", ["thread", "process"])
+    @pytest.mark.parametrize("workers", [1, 2], ids=["serial", "process"])
     def test_fixed_geometry_matches_reference(
-        self, services, reference, executor
+        self, services, reference, workers
     ):
         from repro.campaign import run_campaign
 
@@ -642,10 +630,8 @@ class TestWorkerReduce:
             seed=7,
             population_spec=small_spec(),
             services=services,
-            executor=executor,
-            workers=2,
+            executor=workers,
             shards=4,
-            reduce="worker",
         )
         assert campaign.canonical_bytes() == reference.canonical_bytes()
 
@@ -657,23 +643,23 @@ class TestWorkerReduce:
             seed=7,
             population_spec=small_spec(),
             services=services,
-            executor="thread",
-            workers=2,
-            reduce="worker",  # no shards= -> AdaptiveSharder plans chunks
+            executor=2,  # a pool and no shards= -> AdaptiveSharder plans chunks
         )
         assert campaign.canonical_bytes() == reference.canonical_bytes()
 
     def test_unknown_reduce_mode_rejected(self, services):
-        from repro.campaign import REDUCE_MODES, run_campaign
+        """The chunk plan follows from ``shards=`` and the worker count
+        alone, so every reduce mode is unknown."""
+        from repro.campaign import run_campaign
 
-        assert REDUCE_MODES == ("auto", "master", "worker")
-        with pytest.raises(CampaignError):
-            run_campaign(
-                4,
-                population_spec=small_spec(),
-                services=services,
-                reduce="gossip",
-            )
+        for mode in ("master", "worker", "gossip"):
+            with pytest.raises(TypeError):
+                run_campaign(
+                    4,
+                    population_spec=small_spec(),
+                    services=services,
+                    reduce=mode,
+                )
 
 
 class TestAdaptiveSharder:
@@ -733,7 +719,7 @@ class TestCheckpointResume:
             seed=7,
             population_spec=small_spec(),
             services=services,
-            executor="serial",
+            executor=1,
         )
 
     def test_abort_then_resume_is_byte_identical(
@@ -811,7 +797,7 @@ class TestCheckpointResume:
         from repro.campaign import CampaignAborted, run_campaign
 
         kwargs = self._kwargs(services)
-        kwargs.update(executor="thread", workers=2, reduce="worker")
+        kwargs.update(executor=2)
         with pytest.raises(CampaignAborted):
             run_campaign(
                 10,
@@ -828,9 +814,9 @@ class TestCheckpointResume:
 
 
 class TestTreeReduce:
-    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("workers", [1, 2], ids=["serial", "process"])
     def test_blob_reduction_matches_reference(
-        self, services, reference, executor
+        self, services, reference, workers
     ):
         from repro.campaign import reduce_campaign_blobs
         from repro.net import codec
@@ -840,9 +826,7 @@ class TestTreeReduce:
             codec.encode_campaign(context.run_shard(start, stop))
             for start, stop in plan_shards(10, 5)
         ]
-        merged = reduce_campaign_blobs(
-            blobs, executor=executor, workers=2, window=2
-        )
+        merged = reduce_campaign_blobs(blobs, executor=workers, window=2)
         assert merged.canonical_bytes() == reference.canonical_bytes()
 
     def test_no_blobs_rejected(self):
@@ -864,7 +848,7 @@ class TestProgressLog:
             seed=7,
             population_spec=small_spec(),
             services=services,
-            executor="serial",
+            executor=1,
             shards=3,
             log=lines.append,
         )

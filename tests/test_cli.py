@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import argparse
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -30,12 +32,48 @@ class TestParser:
             ["collect", "--out", "ds", "--cache-dir", "cache"],
             ["blocking", "--no-recon"],
             ["blocking", "--executor", "serial"],
+            ["stream", "--cache-dir", "cache"],
+            ["mitigate", "--cache-dir", "cache"],
+            ["run", "--executor", "serial"],
+            ["analyze", "ds", "--executor", "process"],
+            ["stream", "--executor", "thread"],
+            ["campaign", "--population", "4", "--reduce", "master"],
+            ["serve", "--result", "ds", "--ingest-executor", "process"],
+            ["analyze", "ds", "--workers", "-1"],
+            ["serve", "--result", "ds", "--ingest-workers", "-2"],
         ],
     )
     def test_unread_options_rejected(self, argv):
-        """collect and blocking accept only the options they read."""
-        with pytest.raises(SystemExit):
+        """Every verb accepts only the options it reads: ``--workers``
+        (``--ingest-workers`` on serve) is the only fan-out option, and
+        it takes a count >= 0."""
+        with pytest.raises(SystemExit) as excinfo:
             build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+
+    def test_help_shows_no_second_fan_out_option(self):
+        parser = build_parser()
+        verbs = next(
+            action
+            for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ).choices
+        for verb, subparser in verbs.items():
+            text = subparser.format_help()
+            for flag in ("--executor", "--ingest-executor", "--reduce"):
+                assert flag not in text, (verb, flag)
+
+    def test_workers_default_is_every_usable_cpu(self):
+        parser = build_parser()
+        for argv in (
+            ["run"],
+            ["analyze", "ds"],
+            ["stream"],
+            ["mitigate"],
+            ["campaign", "--population", "1"],
+        ):
+            assert parser.parse_args(argv).workers == 0, argv
+        assert parser.parse_args(["serve", "--result", "ds"]).ingest_workers == 1
 
 
 class TestCommands:
@@ -102,3 +140,58 @@ class TestCommands:
     def test_unknown_figure(self):
         with pytest.raises(SystemExit):
             main(["figure", "9z", "--services", "weather", "--duration", "30", "--no-recon"])
+
+
+@pytest.fixture(scope="module")
+def weather_dataset(tmp_path_factory):
+    out = tmp_path_factory.mktemp("cli-workers") / "ds"
+    argv = ["collect", "--services", "weather", "--duration", "40", "--out", str(out)]
+    assert main(argv) == 0
+    return str(out)
+
+
+class TestWorkers:
+    """``--workers N`` alone sizes every fan-out of a verb: ReCon
+    labeling, per-session analysis, the streaming re-scan and the
+    columnar aggregate."""
+
+    @pytest.fixture
+    def two_cpus_no_pool(self, monkeypatch):
+        from repro.par import executor
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(executor, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(executor, "ProcessPoolExecutor", refuse)
+
+    @pytest.mark.parametrize(
+        "verb",
+        [["analyze", "{}"], ["stream", "--dataset", "{}"]],
+        ids=["analyze", "stream"],
+    )
+    def test_one_worker_runs_in_process(
+        self, weather_dataset, two_cpus_no_pool, capsys, verb
+    ):
+        argv = [arg.format(weather_dataset) for arg in verb] + ["--workers", "1"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "%Leak" in out and "SvcA" in out  # Tables 1 and 3 printed
+
+    def test_stream_recon_passes_use_the_worker_count(
+        self, weather_dataset, monkeypatch, capsys
+    ):
+        from repro.par import executor
+
+        seen = []
+        original = executor.Executor.map
+
+        def spy(self, task, items, **kwargs):
+            seen.append((task.__name__, self.workers))
+            return original(self, task, items, **kwargs)
+
+        monkeypatch.setattr(executor, "usable_cpus", lambda: 4)
+        monkeypatch.setattr(executor.Executor, "map", spy)
+        assert main(["stream", "--dataset", weather_dataset, "--workers", "2"]) == 0
+        assert ("label", 2) in seen and ("rescan", 2) in seen
+        assert all(workers == 2 for _task, workers in seen), seen

@@ -46,13 +46,13 @@ from repro.analysis.tables import (
 )
 from repro.core.compare import study_diffs
 from repro.net.codec import KIND_ABATCH, KIND_RECORD, CodecError, frame
-from repro.par import resolve_executor
+from repro.par import Executor
 from repro.qa import reference
 
 
 @pytest.fixture(scope="module")
 def mini_aggregate(mini_study):
-    return study_aggregate(mini_study, executor="serial")
+    return study_aggregate(mini_study, executor=1)
 
 
 class TestByteIdentity:
@@ -156,12 +156,12 @@ class TestMergeAlgebra:
     def test_shard_counts_identical(self, mini_study, mini_aggregate):
         reference = mini_aggregate.canonical_bytes()
         for shards in (1, 2, 3, 5, 24, 1000):
-            agg = study_aggregate(mini_study, executor="serial", shards=shards)
+            agg = study_aggregate(mini_study, executor=1, shards=shards)
             assert agg.canonical_bytes() == reference, f"shards={shards}"
 
     def test_merge_reversed_and_shuffled(self, mini_study, mini_aggregate):
         reference = mini_aggregate.canonical_bytes()
-        partials = shard_aggregates(mini_study, shards=4, executor="serial")
+        partials = shard_aggregates(mini_study, shards=4, executor=1)
         assert merge_aggregates(partials[::-1]).canonical_bytes() == reference
         shuffled = list(partials)
         random.Random(11).shuffle(shuffled)
@@ -172,7 +172,7 @@ class TestMergeAlgebra:
         assert merged.canonical_bytes() == mini_aggregate.canonical_bytes()
 
     def test_merge_is_associative(self, mini_study, mini_aggregate):
-        a, b, c = shard_aggregates(mini_study, shards=3, executor="serial")
+        a, b, c = shard_aggregates(mini_study, shards=3, executor=1)
         left = merge_aggregates([merge_aggregates([a, b]), c])
         right = merge_aggregates([a, merge_aggregates([b, c])])
         assert left.canonical_bytes() == right.canonical_bytes()
@@ -288,17 +288,16 @@ class TestCodec:
 class TestExecutorBackends:
     """The aggregate task on every repro.par executor, identical partials."""
 
-    @pytest.mark.parametrize("backend", ("serial", "thread", "process"))
-    def test_backend_equivalence(self, mini_study, mini_aggregate, backend):
-        engine = resolve_executor(backend, workers=2)
-        agg = study_aggregate(mini_study, executor=engine, shards=3)
+    @pytest.mark.parametrize("workers", (1, 2), ids=("serial", "process"))
+    def test_backend_equivalence(self, mini_study, mini_aggregate, workers):
+        agg = study_aggregate(mini_study, executor=Executor(workers), shards=3)
         assert agg.canonical_bytes() == mini_aggregate.canonical_bytes()
 
     def test_empty_blob_list(self):
         from repro.par import tasks
 
-        for backend in ("serial", "thread", "process"):
-            assert resolve_executor(backend, workers=2).map(tasks.aggregate, []) == []
+        for workers in (1, 2):
+            assert Executor(workers).map(tasks.aggregate, []) == []
 
 
 class TestOraclePin:
@@ -366,6 +365,6 @@ class TestCli:
             seed=7,
             duration=30.0,
             train_recon=False,
-            executor="serial",
+            executor=1,
         )
         assert printed == render_table1(reference.table1(study)) + "\n"

@@ -243,14 +243,14 @@ class TestParallelAnalysis:
 
     def test_workers_do_not_change_results(self):
         dataset, specs = self._dataset()
-        serial = analyze_dataset(dataset, specs, train_recon=False, workers=1)
-        threaded = analyze_dataset(dataset, specs, train_recon=False, workers=4)
-        assert _study_fingerprint(serial) == _study_fingerprint(threaded)
+        serial = analyze_dataset(dataset, specs, train_recon=False)
+        pooled = analyze_dataset(dataset, specs, train_recon=False, executor=4)
+        assert _study_fingerprint(serial) == _study_fingerprint(pooled)
 
     def test_run_study_accepts_workers(self):
         specs = [s for s in build_catalog() if s.slug == "weather"]
         study = run_study(
-            services=specs, seed=2016, duration=40.0, train_recon=False, workers=2
+            services=specs, seed=2016, duration=40.0, train_recon=False, executor=2
         )
         assert _study_fingerprint(study)
 

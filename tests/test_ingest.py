@@ -4,8 +4,8 @@ The acceptance surface of the analysis-as-a-service PR:
 
 - **Byte identity**: an uploaded bundle's final result bytes equal the
   offline ``analyze_dataset`` study assembled through the same payload
-  builder — for every executor backend (serial, thread, process), over
-  HTTP, and with 1 or 4 uploads in flight at once.
+  builder — in-process and on a process pool, over HTTP, and with 1 or
+  4 uploads in flight at once.
 - **Crash safety**: a worker crash mid-analysis or a restart before any
   processing leaves the job resumable; the resumed run skips records
   already journaled and produces the identical bytes.
@@ -81,9 +81,7 @@ def upload_body(records):
 @pytest.fixture(scope="module")
 def offline_study(seeded_study):
     """The ingest reference: the no-recon batch study of the same records."""
-    return analyze_dataset(
-        seeded_study.dataset, _specs(), train_recon=False, workers=1
-    )
+    return analyze_dataset(seeded_study.dataset, _specs(), train_recon=False)
 
 
 def expected_bytes(job, records, offline_study) -> bytes:
@@ -260,7 +258,7 @@ class TestAdmission:
             decode_upload(framed)
 
     def test_rejection_leaves_no_trace(self, tmp_path, upload_body):
-        service = IngestService(tmp_path, executor="serial")
+        service = IngestService(tmp_path)
         with pytest.raises(CodecError):
             service.submit(upload_body[:-3], tenant="t")
         assert list(service.store.jobs_dir.iterdir()) == []
@@ -268,7 +266,7 @@ class TestAdmission:
         assert service.queue.pending() == 0
 
     def test_unknown_service_rejected(self, tmp_path, records):
-        service = IngestService(tmp_path, executor="serial", specs=_specs(("cnn",)))
+        service = IngestService(tmp_path, specs=_specs(("cnn",)))
         body = codec.frame(codec.KIND_BUNDLE, codec.encode_bundle(records))
         with pytest.raises(IngestError, match="unknown service"):
             service.submit(body, tenant="t")
@@ -277,17 +275,17 @@ class TestAdmission:
         body = codec.frame(
             codec.KIND_BUNDLE, codec.encode_bundle([records[0], records[0]])
         )
-        service = IngestService(tmp_path, executor="serial")
+        service = IngestService(tmp_path)
         with pytest.raises(IngestError, match="duplicate session"):
             service.submit(body, tenant="t")
 
     def test_oversized_upload_rejected(self, tmp_path, upload_body):
-        service = IngestService(tmp_path, executor="serial", max_upload_bytes=16)
+        service = IngestService(tmp_path, max_upload_bytes=16)
         with pytest.raises(UploadTooLarge):
             service.submit(upload_body, tenant="t")
 
     def test_record_cap_rejected(self, tmp_path, upload_body):
-        service = IngestService(tmp_path, executor="serial", max_records=2)
+        service = IngestService(tmp_path, max_records=2)
         with pytest.raises(IngestError, match="limit 2"):
             service.submit(upload_body, tenant="t")
 
@@ -295,7 +293,6 @@ class TestAdmission:
         clock = [0.0]
         service = IngestService(
             tmp_path,
-            executor="serial",
             tenant_rate=1.0,
             tenant_burst=1,
             clock=lambda: clock[0],
@@ -307,18 +304,15 @@ class TestAdmission:
 
 
 # ---------------------------------------------------------------------------
-# the differential: upload == offline, every executor
+# the differential: upload == offline, any worker count
 
 
 class TestDifferential:
-    @pytest.mark.parametrize("executor", ("serial", "thread", "process"))
+    @pytest.mark.parametrize("workers", (1, 2), ids=("serial", "process"))
     def test_result_bytes_match_offline(
-        self, tmp_path, upload_body, records, offline_study, executor
+        self, tmp_path, upload_body, records, offline_study, workers
     ):
-        workers = 1 if executor == "serial" else 2
-        service = IngestService(
-            tmp_path / executor, executor=executor, workers=workers
-        )
+        service = IngestService(tmp_path / str(workers), executor=workers)
         job = service.submit(upload_body, tenant="t")
         assert service.run_pending() == 1
         status = service.job_status(job.job_id)
@@ -336,7 +330,7 @@ class TestDifferential:
         from repro.cli import _recommend_json_payload
         from repro.core.recommend import PrivacyPreferences
 
-        service = IngestService(tmp_path, executor="serial")
+        service = IngestService(tmp_path)
         job = service.submit(upload_body, tenant="t")
         service.run_pending()
         payload = json.loads(service.store.result_bytes(job.job_id))
@@ -345,7 +339,7 @@ class TestDifferential:
 
     def test_single_record_upload(self, tmp_path, records):
         body = codec.frame(codec.KIND_RECORD, codec.encode_record(records[0]))
-        service = IngestService(tmp_path, executor="serial")
+        service = IngestService(tmp_path)
         job = service.submit(body, tenant="t")
         service.run_pending()
         payload = json.loads(service.store.result_bytes(job.job_id))
@@ -354,7 +348,7 @@ class TestDifferential:
         assert list(payload["analyses"]) == [key]
 
     def test_failed_job_records_error(self, tmp_path, upload_body, monkeypatch):
-        service = IngestService(tmp_path, executor="serial")
+        service = IngestService(tmp_path)
         job = service.submit(upload_body, tenant="t")
         monkeypatch.setattr(
             tasks, "analyze", lambda *a, **k: (_ for _ in ()).throw(RuntimeError("boom"))
@@ -373,22 +367,21 @@ class TestKillRestart:
     def test_restart_before_processing_requeues(
         self, tmp_path, upload_body, records, offline_study
     ):
-        first = IngestService(tmp_path, executor="serial")
+        first = IngestService(tmp_path)
         job = first.submit(upload_body, tenant="t")
         # "Kill" before any record ran: a fresh service over the same
         # root recovers the job from the journal and replays it.
-        resumed = IngestService(tmp_path, executor="serial")
+        resumed = IngestService(tmp_path)
         assert resumed.run_pending() == 1
         actual = resumed.store.result_bytes(job.job_id)
         assert actual == expected_bytes(job, records, offline_study)
 
-    @pytest.mark.parametrize("executor", ("serial", "thread", "process"))
+    @pytest.mark.parametrize("workers", (1, 2), ids=("serial", "process"))
     def test_crash_mid_job_resumes_byte_identical(
-        self, tmp_path, upload_body, records, offline_study, executor
+        self, tmp_path, upload_body, records, offline_study, workers
     ):
-        workers = 1 if executor == "serial" else 2
-        root = tmp_path / executor
-        service = IngestService(root, executor=executor, workers=workers)
+        root = tmp_path / str(workers)
+        service = IngestService(root, executor=workers)
         job = service.submit(upload_body, tenant="t")
         service.crash_after = 2
         with pytest.raises(WorkerCrash):
@@ -400,7 +393,7 @@ class TestKillRestart:
         assert len(partial) == 2
         # Restart: recovery requeues; resume skips the journaled records
         # and the final bytes equal an uninterrupted offline run.
-        resumed = IngestService(root, executor=executor, workers=workers)
+        resumed = IngestService(root, executor=workers)
         assert resumed.run_pending() == 1
         actual = resumed.store.result_bytes(job.job_id)
         assert actual == expected_bytes(job, records, offline_study)
@@ -408,12 +401,12 @@ class TestKillRestart:
     def test_resume_skips_already_analyzed_records(
         self, tmp_path, upload_body, records, monkeypatch
     ):
-        service = IngestService(tmp_path, executor="serial")
+        service = IngestService(tmp_path)
         job = service.submit(upload_body, tenant="t")
         service.crash_after = 2
         with pytest.raises(WorkerCrash):
             service.run_pending()
-        resumed = IngestService(tmp_path, executor="serial")
+        resumed = IngestService(tmp_path)
         analyzed = []
         original = tasks.analyze
 
@@ -426,7 +419,7 @@ class TestKillRestart:
         assert len(analyzed) == len(records) - 2
 
     def test_drain_parks_job_durably(self, tmp_path, upload_body, records, offline_study):
-        service = IngestService(tmp_path, executor="serial")
+        service = IngestService(tmp_path)
         job = service.submit(upload_body, tenant="t")
         # Draining mid-job: the worker finishes the record in flight,
         # parks the job back to 'queued', and stops.
@@ -436,7 +429,7 @@ class TestKillRestart:
         assert parked.state == "queued"
         assert service.jobs_parked == 1
         assert 0 < len(service.store.load_results(job.job_id)) < len(records)
-        resumed = IngestService(tmp_path, executor="serial")
+        resumed = IngestService(tmp_path)
         assert resumed.run_pending() == 1
         assert resumed.store.result_bytes(job.job_id) == expected_bytes(
             job, records, offline_study
@@ -457,7 +450,7 @@ def result_dir(seeded_study, tmp_path_factory):
 @pytest.fixture()
 def live_ingest(result_dir, tmp_path):
     store = ResultStore(result_dir, train_recon=False, check_interval=0.0)
-    ingest = IngestService(tmp_path / "ingest", executor="serial")
+    ingest = IngestService(tmp_path / "ingest")
     app = ServeApp(store, cache=LruTtlCache(maxsize=64, ttl=60.0), ingest=ingest)
     with BackgroundServer(
         app,
@@ -619,9 +612,7 @@ class TestBackpressure:
         store = ResultStore(result_dir, train_recon=False, check_interval=0.0)
         # No worker threads: the queue only fills.  One slot per tenant,
         # two total.
-        ingest = IngestService(
-            tmp_path / "ingest", executor="serial", per_tenant=1, max_queued=2
-        )
+        ingest = IngestService(tmp_path / "ingest", per_tenant=1, max_queued=2)
         app = ServeApp(store, ingest=ingest)
         with BackgroundServer(
             app, max_body_bytes=ingest.max_upload_bytes + 64 * 1024
@@ -649,7 +640,7 @@ class TestBackpressure:
 
     def test_oversized_body_maps_to_413(self, result_dir, tmp_path):
         store = ResultStore(result_dir, train_recon=False, check_interval=0.0)
-        ingest = IngestService(tmp_path / "ingest", executor="serial", max_upload_bytes=64)
+        ingest = IngestService(tmp_path / "ingest", max_upload_bytes=64)
         app = ServeApp(store, ingest=ingest)
         with BackgroundServer(app) as background:
             conn = _http(background)
@@ -673,7 +664,7 @@ class TestSweep:
         os.utime(path, (stamp, stamp))
 
     def test_expired_done_job_answers_404(self, tmp_path, upload_body):
-        service = IngestService(tmp_path, executor="serial", ttl_seconds=60.0)
+        service = IngestService(tmp_path, ttl_seconds=60.0)
         job = service.submit(upload_body, tenant="t")
         service.run_pending()
         assert service.job_status(job.job_id)["state"] == "done"
@@ -685,7 +676,7 @@ class TestSweep:
         assert not service.store.job_dir(job.job_id).exists()
 
     def test_young_job_untouched(self, tmp_path, upload_body):
-        service = IngestService(tmp_path, executor="serial", ttl_seconds=3600.0)
+        service = IngestService(tmp_path, ttl_seconds=3600.0)
         job = service.submit(upload_body, tenant="t")
         service.run_pending()
         expected = service.store.result_bytes(job.job_id)
@@ -695,14 +686,14 @@ class TestSweep:
         assert service.store.result_bytes(job.job_id) == expected
 
     def test_queued_job_never_swept(self, tmp_path, upload_body):
-        service = IngestService(tmp_path, executor="serial", ttl_seconds=1.0)
+        service = IngestService(tmp_path, ttl_seconds=1.0)
         job = service.submit(upload_body, tenant="t")  # accepted, not run
         self._age(service, job.job_id, 9999.0)
         assert service.sweep() == []
         assert service.job_status(job.job_id)["state"] == "queued"
 
     def test_zero_ttl_disables_sweeping(self, tmp_path, upload_body):
-        service = IngestService(tmp_path, executor="serial")
+        service = IngestService(tmp_path)
         job = service.submit(upload_body, tenant="t")
         service.run_pending()
         self._age(service, job.job_id, 9999.0)
@@ -711,7 +702,7 @@ class TestSweep:
         assert service.job_status(job.job_id)["state"] == "done"
 
     def test_failed_jobs_are_eligible(self, tmp_path, upload_body, monkeypatch):
-        service = IngestService(tmp_path, executor="serial", ttl_seconds=60.0)
+        service = IngestService(tmp_path, ttl_seconds=60.0)
         job = service.submit(upload_body, tenant="t")
         monkeypatch.setattr(
             tasks, "analyze", lambda *a, **k: (_ for _ in ()).throw(RuntimeError("boom"))
@@ -724,13 +715,13 @@ class TestSweep:
 
     def test_restart_after_sweep_recovers_cleanly(self, tmp_path, upload_body):
         """The journal still names the swept job; recovery must shrug."""
-        service = IngestService(tmp_path, executor="serial", ttl_seconds=60.0)
+        service = IngestService(tmp_path, ttl_seconds=60.0)
         job = service.submit(upload_body, tenant="t")
         service.run_pending()
         self._age(service, job.job_id, 120.0)
         service.sweep()
 
-        reborn = IngestService(tmp_path, executor="serial")
+        reborn = IngestService(tmp_path)
         assert reborn.job_status(job.job_id) is None
         fresh = reborn.submit(upload_body, tenant="t")
         assert reborn.run_pending() == 1

@@ -203,7 +203,7 @@ class TestDataPlaneEndToEnd:
         runner = ExperimentRunner(world, seed=2016)
         addon = MitigationAddon(policy, one_spec, seed=2016)
         dataset = runner.run_study(one_spec, duration=240.0, mitigation=addon)
-        study = analyze_dataset(dataset, one_spec, train_recon=True, workers=1)
+        study = analyze_dataset(dataset, one_spec, train_recon=True)
         covered = set(policy.covered_types())
         categorizer = categorizer_for(one_spec[0])
         for analysis in study.analyses():
@@ -235,23 +235,15 @@ class TestDataPlaneEndToEnd:
     def test_inert_policy_byte_identical(self, one_spec):
         plain = _collect(one_spec)
         inert = _collect(one_spec, mitigation=MitigationPolicy(label="inert"))
-        expected = canonical_bytes(
-            analyze_dataset(plain, one_spec, train_recon=True, workers=1)
-        )
-        actual = canonical_bytes(
-            analyze_dataset(inert, one_spec, train_recon=True, workers=1)
-        )
+        expected = canonical_bytes(analyze_dataset(plain, one_spec, train_recon=True))
+        actual = canonical_bytes(analyze_dataset(inert, one_spec, train_recon=True))
         assert actual == expected
 
     def test_mitigated_collection_deterministic(self, one_spec):
         first = _collect(one_spec, mitigation=default_policy())
         second = _collect(one_spec, mitigation=default_policy())
-        one = canonical_bytes(
-            analyze_dataset(first, one_spec, train_recon=True, workers=1)
-        )
-        two = canonical_bytes(
-            analyze_dataset(second, one_spec, train_recon=True, workers=1)
-        )
+        one = canonical_bytes(analyze_dataset(first, one_spec, train_recon=True))
+        two = canonical_bytes(analyze_dataset(second, one_spec, train_recon=True))
         assert one == two
 
 

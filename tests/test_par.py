@@ -1,6 +1,7 @@
 """Tests for the execution engine (repro.par): equivalence and lifecycle."""
 
 import multiprocessing
+import os
 import re
 import threading
 
@@ -9,14 +10,7 @@ import pytest
 from repro.core import pipeline
 from repro.core.pipeline import analyze_dataset
 from repro.experiment.runner import ExperimentRunner
-from repro.par import (
-    EXECUTOR_NAMES,
-    Executor,
-    ExecutorError,
-    default_executor_name,
-    resolve_executor,
-    tasks,
-)
+from repro.par import Executor, ExecutorError, resolve_executor, tasks, usable_cpus
 from repro.qa.oracle import canonical_bytes
 from repro.qa.scenarios import generate_scenario
 from repro.services.world import build_world
@@ -37,7 +31,7 @@ def small_world():
 def reference_bytes(small_world):
     scenario, specs, dataset = small_world
     return canonical_bytes(
-        analyze_dataset(dataset, specs, train_recon=scenario.train_recon, workers=1)
+        analyze_dataset(dataset, specs, train_recon=scenario.train_recon)
     )
 
 
@@ -59,78 +53,74 @@ def _assert_nothing_leaked(before) -> None:
 
 
 class TestResolve:
+    """The worker count is the one fan-out setting: 1 runs in-process,
+    N > 1 runs N processes, 0 is every usable CPU."""
+
     def test_names_resolve_to_expected_types(self):
-        assert resolve_executor("serial").name == "serial"
-        assert resolve_executor("serial", workers=4).workers == 1
-        for name in ("thread", "process"):  # "thread" is an alias
-            engine = resolve_executor(name, workers=4)
-            assert (engine.name, engine.workers) == ("process", 4)
-        assert resolve_executor("process", workers=1).name == "serial"
+        engine = resolve_executor(1)
+        assert (engine.name, engine.workers) == ("serial", 1)
+        for count in (2, 4):
+            engine = resolve_executor(count)
+            assert (engine.name, engine.workers) == ("process", count)
+        assert resolve_executor("serial").workers == 1
 
     def test_instance_passes_through(self):
         engine = Executor(1)
         assert resolve_executor(engine) is engine
 
     def test_legacy_default_matches_workers(self):
-        assert resolve_executor(None, workers=1).name == "serial"
-        engine = resolve_executor(None, workers=4)
-        assert (engine.name, engine.workers) == ("process", 4)
+        """The library default is one in-process worker; the old CLI
+        default ``resolve_executor("auto", 1)`` is ``--workers 0``."""
+        assert resolve_executor().workers == 1
+        assert resolve_executor("auto", 1).workers == resolve_executor(0).workers
 
     def test_unknown_name_rejected(self):
-        with pytest.raises(ExecutorError):
-            resolve_executor("gpu")
+        for name in ("gpu", "thread", "process"):
+            with pytest.raises(ExecutorError):
+                resolve_executor(name)
+        with pytest.raises(ExecutorError, match="must be >= 0"):
+            Executor(-1)
 
     def test_default_name_is_known(self):
-        assert default_executor_name() in EXECUTOR_NAMES
+        assert resolve_executor().name == "serial"
+        assert Executor(0).name == ("serial" if usable_cpus() == 1 else "process")
 
     def test_auto_resolves(self):
-        engine = resolve_executor("auto", workers=2)
+        engine = resolve_executor("auto", 1)
         assert isinstance(engine, Executor)
 
     @pytest.mark.parametrize("usable", [1, 3])
     def test_auto_counts_usable_cpus(self, monkeypatch, usable):
-        """A process pinned to fewer CPUs than the host has sizes ``auto``
-        and ``--workers 0`` from its affinity, not ``os.cpu_count()``."""
-        import os
-
-        from repro.cli import _resolve_workers
-
+        """A process pinned to fewer CPUs than the host has sizes
+        ``--workers 0`` (and the old ``auto``) from its affinity, not
+        ``os.cpu_count()``."""
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
         monkeypatch.setattr(
             os, "sched_getaffinity", lambda pid: set(range(usable)), raising=False
         )
-        assert resolve_executor("auto", workers=1).workers == usable
-        assert default_executor_name() == ("serial" if usable == 1 else "process")
-        assert _resolve_workers(0) == usable
+        assert Executor(0).workers == usable
+        assert resolve_executor("auto", 1).workers == usable
+        assert Executor(0).name == ("serial" if usable == 1 else "process")
 
 
 class TestBackendEquivalence:
-    """Every executor must produce byte-identical studies.
+    """Every worker count must produce byte-identical studies.
 
     The QA oracle pins the same property over fuzzed scenarios; these
     are the fast deterministic anchors that run on every test pass.
     """
 
     @pytest.mark.parametrize(
-        "executor,workers",
-        [
-            ("serial", 1),
-            ("thread", 2),  # the legacy alias: a process pool
-            ("thread", 4),
-            ("process", 1),  # one worker: runs in-process
-            ("process", 2),  # real fork/spawn workers + codec transport
-        ],
+        "workers",
+        [1, 2, 4],  # in-process; real fork/spawn workers + codec transport
+        ids=["serial-1", "process-2", "process-4"],
     )
     def test_analyze_dataset_byte_identical(
-        self, small_world, reference_bytes, executor, workers
+        self, small_world, reference_bytes, workers
     ):
         scenario, specs, dataset = small_world
         study = analyze_dataset(
-            dataset,
-            specs,
-            train_recon=scenario.train_recon,
-            workers=workers,
-            executor=executor,
+            dataset, specs, train_recon=scenario.train_recon, executor=workers
         )
         assert canonical_bytes(study) == reference_bytes
 
@@ -186,7 +176,7 @@ class TestBackendEquivalence:
             ):
                 patch.setattr(owner, name, forbidden)
             study = analyze_dataset(
-                dataset, specs, train_recon=scenario.train_recon, executor="serial"
+                dataset, specs, train_recon=scenario.train_recon, executor=1
             )
         assert canonical_bytes(study) == reference_bytes
 
@@ -208,12 +198,13 @@ def campaign_world():
     return specs, context.config()
 
 
-def _campaign_chunks(name, specs, config, ranges):
+def _campaign_chunks(workers, specs, config, ranges):
     from repro.campaign import CampaignContext
 
-    engine = resolve_executor(name, workers=2)
     context = CampaignContext.from_config(specs, config)
-    return engine.imap(tasks.campaign_chunk, ranges, context=context, window=4)
+    return Executor(workers).imap(
+        tasks.campaign_chunk, ranges, context=context, window=4
+    )
 
 
 class TestMapSessionsLifecycle:
@@ -224,45 +215,44 @@ class TestMapSessionsLifecycle:
     failures must name the shard range that died.
     """
 
-    @pytest.mark.parametrize("name", ["thread", "process"])
-    def test_early_close_tears_down_pool(self, campaign_world, name):
+    @pytest.mark.parametrize("workers", [1, 2], ids=["serial", "process"])
+    def test_early_close_tears_down_pool(self, campaign_world, workers):
         specs, config = campaign_world
         before = _live()
-        stream = _campaign_chunks(name, specs, config, [(i, i + 1) for i in range(6)])
+        stream = _campaign_chunks(workers, specs, config, [(i, i + 1) for i in range(6)])
         _elapsed, first = next(stream)
         assert first.users == 1
         stream.close()
         _assert_nothing_leaked(before)
 
-    @pytest.mark.parametrize("name", EXECUTOR_NAMES)
-    def test_worker_exception_names_failing_shard(self, campaign_world, name):
+    @pytest.mark.parametrize("workers", [1, 2], ids=["serial", "process"])
+    def test_worker_exception_names_failing_shard(self, campaign_world, workers):
         specs, config = campaign_world
         # "zodiac" survives context construction but is rejected when the
         # shard folds its first persona, so the error surfaces mid-stream
         # from inside a live worker, not at submission time.
         bad = dict(config, dims=["zodiac"])
         with pytest.raises(ExecutorError, match=r"campaign shard \[0, 2\)"):
-            list(_campaign_chunks(name, specs, bad, [(0, 2), (2, 4)]))
+            list(_campaign_chunks(workers, specs, bad, [(0, 2), (2, 4)]))
 
-    @pytest.mark.parametrize("name", EXECUTOR_NAMES)
-    def test_worker_exception_leaves_no_orphans(self, campaign_world, name):
+    @pytest.mark.parametrize("workers", [1, 2], ids=["serial", "process"])
+    def test_worker_exception_leaves_no_orphans(self, campaign_world, workers):
         specs, config = campaign_world
         bad = dict(config, dims=["zodiac"])
         before = _live()
         with pytest.raises(ExecutorError):
-            list(_campaign_chunks(name, specs, bad, [(0, 2), (2, 4)]))
+            list(_campaign_chunks(workers, specs, bad, [(0, 2), (2, 4)]))
         _assert_nothing_leaked(before)
 
 
-@pytest.mark.parametrize("name", ["serial", "process"])
+@pytest.mark.parametrize("workers", [1, 2], ids=["serial", "process"])
 class TestImapLifecycle:
     """The primitive's contract for every task, in-process and pooled."""
 
-    def test_early_close_leaves_nothing_running(self, small_world, name):
+    def test_early_close_leaves_nothing_running(self, small_world, workers):
         _scenario, specs, dataset = small_world
         before = _live()
-        engine = resolve_executor(name, workers=2)
-        stream = engine.imap(tasks.label, list(dataset), window=2)
+        stream = Executor(workers).imap(tasks.label, list(dataset), window=2)
         next(stream)
         stream.close()
         _assert_nothing_leaked(before)
@@ -276,7 +266,7 @@ class TestImapLifecycle:
         ],
     )
     def test_failure_names_the_session(
-        self, small_world, monkeypatch, name, task_name, target
+        self, small_world, monkeypatch, workers, task_name, target
     ):
         _scenario, specs, dataset = small_world
         records = sorted(dataset, key=lambda record: record.key)
@@ -291,11 +281,10 @@ class TestImapLifecycle:
         # Tasks resolve the stage at call time; forked workers inherit the patch.
         monkeypatch.setattr(pipeline, target, fail_on_bad)
         before = _live()
-        engine = resolve_executor(name, workers=2)
         message = f"session {'/'.join(bad.key)} failed: RuntimeError: planted failure"
         with pytest.raises(ExecutorError, match=re.escape(message)):
             list(
-                engine.imap(
+                Executor(workers).imap(
                     getattr(tasks, task_name),
                     records,
                     context=tasks.AnalysisContext(specs),
@@ -304,7 +293,7 @@ class TestImapLifecycle:
             )
         _assert_nothing_leaked(before)
 
-    def test_lazy_input_pulled_at_most_window_ahead(self, small_world, name):
+    def test_lazy_input_pulled_at_most_window_ahead(self, small_world, workers):
         _scenario, specs, dataset = small_world
         records = sorted(dataset, key=lambda record: record.key)
         pulled = []
@@ -316,25 +305,25 @@ class TestImapLifecycle:
 
         window = 3
         results = []
-        with resolve_executor(name, workers=2).pool() as pool:
+        with Executor(workers).pool() as pool:
             for result in pool.imap(tasks.label, source(), window=window):
                 results.append(result)
                 assert len(pulled) - len(results) <= window
         assert len(results) == len(records)
         assert results == Executor(1).map(tasks.label, records)
 
-    def test_ingest_shutdown_reaps_pool(self, small_world, tmp_path, name):
+    def test_ingest_shutdown_reaps_pool(self, small_world, tmp_path, workers):
         from repro.ingest import IngestService
         from repro.net import codec
 
         _scenario, specs, dataset = small_world
         body = codec.frame(codec.KIND_BUNDLE, codec.encode_bundle(list(dataset)))
         before = _live()
-        service = IngestService(tmp_path, executor=name, workers=2, specs=specs)
+        service = IngestService(tmp_path, executor=workers, specs=specs)
         job = service.submit(body, tenant="t")
         assert service.run_pending() == 1
         assert service.job_status(job.job_id)["state"] == "done"
-        if name == "process":  # the pool outlives the job until shutdown
+        if workers > 1:  # the pool outlives the job until shutdown
             assert set(multiprocessing.active_children()) - before[1]
         service.shutdown()
         _assert_nothing_leaked(before)

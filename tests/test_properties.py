@@ -365,9 +365,7 @@ class TestIngestAdmissionProperty:
         body[index] = data.draw(st.integers(min_value=0, max_value=255))
         mutated = bytes(body)
 
-        service = IngestService(
-            tmp_path_factory.mktemp("ingest-prop"), executor="serial"
-        )
+        service = IngestService(tmp_path_factory.mktemp("ingest-prop"))
         try:
             job = service.submit(mutated, tenant="fuzz")
         except (CodecError, IngestError):

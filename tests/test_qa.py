@@ -84,9 +84,7 @@ def small_world(small_scenario):
     world = build_world(specs)
     runner = ExperimentRunner(world, seed=small_scenario.study_seed)
     dataset = runner.run_study(specs, duration=small_scenario.duration)
-    reference = analyze_dataset(
-        dataset, specs, train_recon=small_scenario.train_recon, workers=1
-    )
+    reference = analyze_dataset(dataset, specs, train_recon=small_scenario.train_recon)
     return specs, dataset, canonical_bytes(reference)
 
 

@@ -478,15 +478,15 @@ def test_session_analysis_roundtrip(batch_study):
 
 
 def test_resolve_workers_zero_means_all_cores():
-    from repro.cli import _resolve_workers
+    from repro.par import resolve_executor
 
-    assert _resolve_workers(3) == 3
+    assert resolve_executor(3).workers == 3
     usable = (
         len(os.sched_getaffinity(0))
         if hasattr(os, "sched_getaffinity")
         else (os.cpu_count() or 1)
     )
-    assert _resolve_workers(0) == usable
+    assert resolve_executor(0).workers == usable
 
 
 def test_cli_stream_replay(batch_study, tmp_path, capsys):
