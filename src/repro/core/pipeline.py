@@ -15,14 +15,14 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..experiment.dataset import APP, WEB, Dataset, SessionRecord
-from ..experiment.filtering import filter_background, is_background_flow
+from ..experiment.filtering import filter_background
 from ..experiment.runner import ExperimentRunner
 from ..pii.detector import PiiDetector
 from ..pii.matcher import matcher_for
 from ..pii.recon import ReconClassifier, train_from_traces
 from ..services.service import ServiceSpec
 from ..services.world import World, build_world
-from ..trackerdb.categorize import Categorizer, THIRD_PARTY_AA
+from ..trackerdb.categorize import Categorizer
 from .leaks import LeakPolicy, LeakRecord, leak_domains, leak_types
 
 
@@ -56,6 +56,19 @@ class SessionAnalysis:
     @property
     def aa_megabytes(self) -> float:
         return self.aa_bytes / 1_000_000.0
+
+    def count_flow(self, flow, categorizer: Categorizer) -> None:
+        """Fold one foreground flow's traffic accounting in: the flow
+        count, its third-party domain, and A&A domains, flows and bytes
+        (the batch and streaming paths share this one rule)."""
+        self.flows_total += 1
+        category = categorizer.categorize_flow(flow)
+        if category.is_third_party:
+            self.third_party_domains.add(category.domain)
+        if category.is_aa:
+            self.aa_domains.add(category.domain)
+            self.aa_flows += 1
+            self.aa_bytes += flow.total_bytes
 
     def merge(self, other: "SessionAnalysis") -> "SessionAnalysis":
         """Combine two partial analyses of the *same* cell.
@@ -208,18 +221,11 @@ def analyze_session(
         service=record.service,
         os_name=record.os_name,
         medium=record.medium,
-        flows_total=len(trace),
         leaks=leaks,
         recon_false_positives=report.recon_false_positives,
     )
     for flow in trace:
-        category = categorizer.categorize_flow(flow)
-        if category.is_third_party:
-            analysis.third_party_domains.add(category.domain)
-        if category.label == THIRD_PARTY_AA:
-            analysis.aa_domains.add(category.domain)
-            analysis.aa_flows += 1
-            analysis.aa_bytes += flow.total_bytes
+        analysis.count_flow(flow, categorizer)
     return analysis
 
 
@@ -242,33 +248,31 @@ def label_record(record: SessionRecord) -> list:
     return out
 
 
-def rescan_session(
-    record: SessionRecord,
-    spec: ServiceSpec,
-    recon: Optional[ReconClassifier],
-) -> tuple:
-    """Matching∪ReCon leak scan of one session's foreground traffic.
-
-    Returns ``(leaks, recon_false_positives)`` — the deferred pass the
-    streaming finalizer replays from the journal once the classifier
-    exists (see :meth:`repro.stream.analyzer.StreamAnalyzer.finalize`).
-    """
-    detector = PiiDetector(matcher_for(record.ground_truth), recon=recon)
-    policy = LeakPolicy(categorizer_for(spec))
-    observations: list = []
-    false_positives = 0
-    for flow in record.trace:
-        if is_background_flow(flow) or not flow.decrypted:
-            continue
-        for txn in flow.transactions:
-            found, fps = detector.scan_transaction(flow, txn)
-            observations.extend(found)
-            false_positives += fps
-    return policy.classify_all(observations), false_positives
-
-
 def _session_order(record: SessionRecord) -> tuple:
     return (record.service, record.os_name, record.medium)
+
+
+def assemble_study(
+    analyses, services: list, dataset: Optional[Dataset] = None, recon=None
+) -> StudyResult:
+    """Group per-cell analyses into a :class:`StudyResult`.
+
+    Cells keep the order of ``analyses`` within each service, and
+    services follow ``services`` (catalog spec order).  The batch
+    pipeline, the stream finalizer and ingest all assemble here, which
+    is the result-side half of their byte-identity contract.
+    """
+    by_slug = {spec.slug: spec for spec in services}
+    results: dict = {}
+    for analysis in analyses:
+        result = results.get(analysis.service)
+        if result is None:
+            result = results[analysis.service] = ServiceResult(
+                spec=by_slug[analysis.service]
+            )
+        result.sessions[(analysis.os_name, analysis.medium)] = analysis
+    ordered = [results[spec.slug] for spec in services if spec.slug in results]
+    return StudyResult(services=ordered, dataset=dataset, recon=recon)
 
 
 def training_records(dataset: Dataset, every_nth_service: int = 4) -> list:
@@ -344,26 +348,19 @@ def analyze_dataset(
     engine = resolve_executor(executor)
     if recon is None and train_recon:
         recon = train_recon_on_dataset(dataset, executor=engine, cache=cache)
-    by_slug = {spec.slug: spec for spec in services}
-    records = list(dataset)
-    ordered = sorted(records, key=_session_order)
+    ordered = sorted(dataset, key=_session_order)
     if cache is not None:
         results = cache.analyze_all(ordered, services, recon, engine)
     else:
         context = tasks.AnalysisContext(services, recon)
         results = engine.map(tasks.analyze, ordered, context=context)
     analyses = dict(zip([_session_order(r) for r in ordered], results))
-    results: dict = {}
-    for record in records:
-        result = results.get(record.service)
-        if result is None:
-            result = ServiceResult(spec=by_slug[record.service])
-            results[record.service] = result
-        result.sessions[(record.os_name, record.medium)] = analyses[
-            _session_order(record)
-        ]
-    ordered = [results[spec.slug] for spec in services if spec.slug in results]
-    return StudyResult(services=ordered, dataset=dataset, recon=recon)
+    return assemble_study(
+        (analyses[_session_order(record)] for record in dataset),
+        services,
+        dataset=dataset,
+        recon=recon,
+    )
 
 
 def run_study(

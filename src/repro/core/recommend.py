@@ -10,6 +10,7 @@ each medium per service and suggests the less invasive one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -182,9 +183,11 @@ class Recommendation:
 
 def score_session(analysis: SessionAnalysis, preferences: PrivacyPreferences) -> float:
     """Privacy-invasiveness score for one cell; higher is worse."""
-    score = 0.0
-    for pii_type in analysis.leak_types:
-        score += preferences.weight(pii_type)
+    # ``leak_types`` is a set, whose order follows the string-hash seed;
+    # fsum's exactly rounded total does not depend on that order.
+    score = math.fsum(
+        preferences.weight(pii_type) for pii_type in analysis.leak_types
+    )
     for record in analysis.leaks:
         if record.plaintext:
             score += preferences.plaintext_aversion * preferences.weight(record.pii_type)

@@ -25,7 +25,6 @@ from .service import (
     RateLimited,
     UploadTooLarge,
     WorkerCrash,
-    assemble_study,
     decode_upload,
     job_result_payload,
     partial_result_payload,
@@ -42,7 +41,6 @@ __all__ = [
     "TenantQueue",
     "UploadTooLarge",
     "WorkerCrash",
-    "assemble_study",
     "decode_upload",
     "job_result_payload",
     "partial_result_payload",

@@ -8,15 +8,20 @@ Layout under the ingest root::
     jobs/<id>/results.jsonl  one line per analyzed record index
     jobs/<id>/result.json    final response bytes (atomic replace)
 
-Durability follows the PR 5 discipline: every whole-file write goes
-through :func:`repro.ioutil.atomic_write_bytes` (temp sibling +
-``os.replace``), and both append-only files are read tolerantly — a
-torn or garbage tail (the crash left a partial line) is dropped, never
-propagated.  The journal is the recovery index: replaying it restores
-submission order so requeued jobs run in the sequence they were
-accepted; ``job.json`` is the authoritative per-job state because it is
-replaced atomically on every transition.  A job directory that never
-made it into the journal (crash between the two writes) is still
+Durability follows the repo-wide discipline: every whole-file write
+goes through :func:`repro.ioutil.atomic_write_bytes` (temp sibling +
+``os.replace``), and both append-only files are read through
+:func:`repro.ioutil.iter_jsonl` — a torn or garbage tail (the crash
+left a partial line) is dropped, never propagated.  Each file's one
+appender also cuts that tail off where it already reads the file, so
+its next line never merges into the torn one: :class:`JobStore` opens
+the job journal that way, and :meth:`JobStore.resume_results` is the
+worker's read of ``results.jsonl`` before it resumes a job.  Appends
+themselves never read.  The journal is the recovery index: replaying
+it restores submission order so requeued jobs run in the sequence they
+were accepted; ``job.json`` is the authoritative per-job state because
+it is replaced atomically on every transition.  A job directory that
+never made it into the journal (crash between the two writes) is still
 recovered, ordered by its sequence number.
 
 Re-running an interrupted job is safe by construction: analysis is a
@@ -34,7 +39,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
-from ..ioutil import atomic_write_bytes, atomic_write_json
+from ..ioutil import atomic_write_bytes, atomic_write_json, iter_jsonl
 
 JOB_STATES = ("queued", "running", "done", "failed")
 
@@ -82,32 +87,6 @@ class Job:
         )
 
 
-def _read_jsonl_tolerant(path: Path) -> List[dict]:
-    """Parse a JSONL file, dropping any torn or garbage tail.
-
-    Every writer appends whole ``\\n``-terminated lines, so a valid
-    prefix is always recoverable; parsing stops at the first line that
-    is unterminated or fails to parse (a crash or a torn-tail fault
-    left it behind).
-    """
-    try:
-        data = path.read_bytes()
-    except OSError:
-        return []
-    events = []
-    for line in data.split(b"\n"):
-        if not line.strip():
-            continue
-        try:
-            event = json.loads(line.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError):
-            break
-        if not isinstance(event, dict):
-            break
-        events.append(event)
-    return events
-
-
 class JobStore:
     """Directory-backed job persistence (thread-safe through atomicity).
 
@@ -122,7 +101,7 @@ class JobStore:
         self.jobs_dir.mkdir(parents=True, exist_ok=True)
         self.journal_path = self.root / "journal.jsonl"
         self._seq = 0
-        for event in _read_jsonl_tolerant(self.journal_path):
+        for event in iter_jsonl(self.journal_path, truncate=True):
             try:
                 self._seq = max(self._seq, int(event.get("seq", 0)))
             except (TypeError, ValueError):
@@ -204,13 +183,21 @@ class JobStore:
 
     def load_results(self, job_id: str) -> Dict[int, dict]:
         """Analyzed records so far, by index (torn tail dropped)."""
-        results: Dict[int, dict] = {}
-        for event in _read_jsonl_tolerant(self.job_dir(job_id) / "results.jsonl"):
-            try:
-                results[int(event["index"])] = event["analysis"]
-            except (KeyError, TypeError, ValueError):
-                break
-        return results
+        return self._results(job_id, truncate=False)
+
+    def resume_results(self, job_id: str) -> Dict[int, dict]:
+        """:meth:`load_results` for the worker that owns the job: a torn
+        tail is also cut off the file, so the appends that resume the
+        job start on a fresh line.  Status readers, which may race a
+        live append, use :meth:`load_results`."""
+        return self._results(job_id, truncate=True)
+
+    def _results(self, job_id: str, truncate: bool) -> Dict[int, dict]:
+        path = self.job_dir(job_id) / "results.jsonl"
+        return {
+            int(event["index"]): event["analysis"]
+            for event in iter_jsonl(path, truncate=truncate)
+        }
 
     # -- payloads ----------------------------------------------------------
 
@@ -284,7 +271,7 @@ class JobStore:
         """
         order: List[str] = []
         seen = set()
-        for event in _read_jsonl_tolerant(self.journal_path):
+        for event in iter_jsonl(self.journal_path):
             job_id = event.get("job")
             if isinstance(job_id, str) and job_id not in seen:
                 seen.add(job_id)

@@ -34,7 +34,7 @@ import threading
 import time
 from typing import Dict, List, Optional
 
-from ..core.pipeline import ServiceResult, SessionAnalysis, StudyResult
+from ..core.pipeline import SessionAnalysis, StudyResult, assemble_study
 from ..core.recommend import PrivacyPreferences
 from ..experiment.dataset import OSES, APP, WEB
 from ..net import codec
@@ -93,25 +93,6 @@ def decode_upload(body: bytes) -> list:
         f"<upload>: payload kind {kind} is not uploadable "
         f"(expected record {codec.KIND_RECORD} or bundle {codec.KIND_BUNDLE})"
     )
-
-
-def assemble_study(records: list, analyses: list, specs: list) -> StudyResult:
-    """Mirror of :func:`analyze_dataset`'s assembly tail.
-
-    Same grouping, same cell keys, same service ordering (catalog spec
-    order) — this is the half of the byte-identity contract that lives
-    on the result side.
-    """
-    by_slug = {spec.slug: spec for spec in specs}
-    results: dict = {}
-    for record, analysis in zip(records, analyses):
-        result = results.get(record.service)
-        if result is None:
-            result = ServiceResult(spec=by_slug[record.service])
-            results[record.service] = result
-        result.sessions[(record.os_name, record.medium)] = analysis
-    ordered = [results[spec.slug] for spec in specs if spec.slug in results]
-    return StudyResult(services=ordered, dataset=None, recon=None)
 
 
 def job_result_payload(job_id: str, etag: str, records: int, study: StudyResult) -> dict:
@@ -403,7 +384,7 @@ class IngestService:
             if records is None:  # recovered or parked job: decode from disk
                 records = decode_upload(self.store.upload_blob(job_id))
             specs = self._specs_for(records)
-            existing = self.store.load_results(job_id)
+            existing = self.store.resume_results(job_id)
             todo = [
                 (index, record)
                 for index, record in enumerate(records)
@@ -449,7 +430,7 @@ class IngestService:
         # and the two can never diverge.
         results = self.store.load_results(job.job_id)
         analyses = [SessionAnalysis.from_dict(results[i]) for i in range(len(records))]
-        study = assemble_study(records, analyses, specs)
+        study = assemble_study(analyses, specs)
         payload = job_result_payload(job.job_id, job.etag, len(records), study)
         self.store.write_result(job, canonical_json(payload) + b"\n")
         self.store.transition(job, "done")

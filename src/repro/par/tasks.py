@@ -1,10 +1,12 @@
 """The named tasks a :mod:`repro.par` pool runs.
 
 Each task is a module-level function ``task(context, item)`` over live
-objects: the per-session pipeline stages (analyze, ReCon labeling, the
-streaming re-scan), the columnar kernel, a timed campaign chunk, and
-the campaign tree merge.  A one-worker executor calls them in-process
-exactly as written.
+objects: the two per-session pipeline stages (analyze and ReCon
+labeling), the columnar kernel, a timed campaign chunk, and the
+campaign tree merge.  The streaming finalizer has no task of its own:
+with ReCon on it replays its journal through ``analyze_dataset``, so
+it runs ``label`` and ``analyze`` like the batch pipeline.  A
+one-worker executor calls them in-process exactly as written.
 
 A process pool can only ship module-level callables and plain data, so
 each task also carries a :class:`Wire` — how the coordinator encodes an
@@ -126,21 +128,6 @@ def _analysis_from_dict(payload: dict):
     return SessionAnalysis.from_dict(payload)
 
 
-def _rescan_to_dict(result) -> dict:
-    leaks, false_positives = result
-    return {
-        "leaks": [leak.to_dict() for leak in leaks],
-        "recon_false_positives": false_positives,
-    }
-
-
-def _rescan_from_dict(payload: dict) -> tuple:
-    from ..core.leaks import LeakRecord
-
-    leaks = [LeakRecord.from_dict(entry) for entry in payload["leaks"]]
-    return leaks, payload["recon_false_positives"]
-
-
 def _aggregate_from_dict(payload: dict):
     from ..analysis.columnar import StudyAggregate
 
@@ -182,16 +169,6 @@ def label(context, record) -> list:
     from ..core.pipeline import label_record
 
     return label_record(record)
-
-
-@_task(**_RECORDS, reply=_rescan_to_dict, accept=_rescan_from_dict)
-def rescan(context: AnalysisContext, record) -> tuple:
-    """Deferred matching∪ReCon re-scan (streaming finalize stage) ->
-    ``(leaks, recon_false_positives)``."""
-    from ..core.pipeline import rescan_session
-
-    spec = context.by_slug[record.service]
-    return rescan_session(record, spec, recon=context.recon)
 
 
 @_task(reply=_to_dict, accept=_aggregate_from_dict)

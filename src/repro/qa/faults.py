@@ -23,9 +23,10 @@ JSON, and drives five chaos checks:
 - **Ingest faults** (``ingest_check``): a truncated upload body must be
   rejected atomically (no job directory, no journal line, no queue
   slot), a torn ingest job-journal tail must not stop recovery from
-  requeuing parked jobs, and a worker crash mid-analysis must leave the
-  job resumable — in every recovered case the replayed result bytes
-  must equal the offline no-recon study's.
+  requeuing parked jobs, and a worker crash mid-analysis followed by a
+  torn ``results.jsonl`` tail must leave the job resumable — in every
+  recovered case the replayed result bytes must equal the offline
+  no-recon study's.
 """
 
 from __future__ import annotations
@@ -376,9 +377,10 @@ def check_ingest_faults(scenario, specs, dataset, plan, mutate):
     - a torn job-journal tail (crash mid-append) must not stop recovery
       from requeuing the job, and the replayed result must match the
       offline no-recon study byte for byte;
-    - a worker crash mid-analysis leaves the job resumable: a fresh
-      service picks it up, skips the records already on disk, and still
-      produces the identical result bytes.
+    - a worker crash mid-analysis, with the per-record results file
+      then torn the way the kill would tear it, leaves the job
+      resumable: a fresh service picks it up, skips the records intact
+      on disk, and still produces the identical result bytes.
     """
     from ..ingest import IngestService, WorkerCrash, job_result_payload
     from ..net import codec
@@ -463,6 +465,11 @@ def check_ingest_faults(scenario, specs, dataset, plan, mutate):
             )
         except WorkerCrash:
             pass
+        tear_journal(
+            service.store.job_dir(job.job_id) / "results.jsonl",
+            plan.torn_tail or "garbage",
+            plan.torn_bytes,
+        )
         resumed = IngestService(tmp, specs=specs)
         resumed.run_pending()
         actual = resumed.store.result_bytes(job.job_id) or b'"<missing>"'

@@ -15,8 +15,9 @@ Paths compared against the one-worker (in-process) batch reference:
 - the memoized PII matcher vs ``GroundTruthMatcher(slow=True)``, the
   same scan without memos, per decrypted transaction and per generated
   probe text;
-- the indexed EasyList engine vs ``FilterList.match_linear`` over the
-  scenario's URL probes (scenario filters and the bundled list);
+- the indexed EasyList engine vs the whole-list scan
+  :func:`repro.qa.reference.match_linear` over the scenario's URL
+  probes (scenario filters and the bundled list);
 - PSL invariants (idempotence, reflexivity) over generated hostnames;
 - every ReCon tree ``ReconClassifier.fit`` grows vs the row-wise
   reference grower of :mod:`repro.qa.reference`;
@@ -556,7 +557,9 @@ def run_oracle(scenario: Scenario, mutators=None) -> OracleReport:
     for list_name, filter_list in filter_lists:
         for url, page_host, resource_type in scenario.urls:
             indexed = filter_list.match(url, page_host, resource_type)
-            linear = mutate("filters", filter_list.match_linear(url, page_host, resource_type))
+            linear = mutate(
+                "filters", rows.match_linear(filter_list, url, page_host, resource_type)
+            )
             stats["filter_probes"] += 1
             indexed_raw = indexed.raw if indexed is not None else None
             linear_raw = linear.raw if linear is not None else None

@@ -13,8 +13,11 @@ Figure 1 at the diff level (production panels over
 :func:`reference_tree` is the row-wise ReCon grower that the bitset
 grower of :mod:`repro.pii.recon` replaced, and :func:`reference_recon`
 trains a whole classifier with it (``recon[reference-tree]``,
-``tests/test_recon.py``, ``make bench-recon``).  Only :mod:`repro.qa`,
-the tests and the benchmarks import this module.
+``tests/test_recon.py``, ``make bench-recon``).  :func:`match_linear`
+is the whole-list EasyList scan the indexed ``FilterList.match``
+replaced (the oracle's ``filters`` pin, ``tests/test_fastpath.py``,
+``tests/test_properties.py``).  Only :mod:`repro.qa`, the tests and
+the benchmarks import this module.
 """
 
 from __future__ import annotations
@@ -27,7 +30,9 @@ from ..analysis.figures import OSES, panel_series
 from ..core.compare import study_diffs
 from ..experiment.dataset import APP, WEB
 from ..pii.recon import DecisionTree, ReconClassifier, _entropy, _Node
+from ..trackerdb.abpfilter import _host_of
 from ..trackerdb.easylist import bundled_easylist
+from ..trackerdb.psl import domain_key, same_party
 
 
 def fold_rows(study: StudyAggregate, metas: list, cells: list) -> None:
@@ -385,3 +390,20 @@ def reference_recon(examples: list, **params) -> ReconClassifier:
                 domain_examples, domain_labels
             )
     return classifier
+
+
+def match_linear(
+    filter_list, url: str, page_host: str = "", resource_type: str = "other"
+):
+    """``filter_list.match`` by probing every rule in list order (the
+    seed engine): exceptions first, then the first blocking rule."""
+    request_host = _host_of(url)
+    third_party = not same_party(request_host, page_host) if page_host else True
+    page_domain = domain_key(page_host) if page_host else ""
+    for rule in filter_list.exceptions:
+        if rule.matches(url, third_party, resource_type, page_domain):
+            return None
+    for rule in filter_list.blocking:
+        if rule.matches(url, third_party, resource_type, page_domain):
+            return rule
+    return None

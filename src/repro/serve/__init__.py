@@ -35,7 +35,7 @@ from .loadgen import LoadReport, run_load, run_mixed_load
 from .metrics import Counter, Gauge, Histogram, Registry
 from .ratelimit import RateLimiter
 from .server import BackgroundServer, ServeServer
-from .store import ResultStore, StoreError, StoreSnapshot, dataset_from_journal
+from .store import ResultStore, StoreError, StoreSnapshot
 
 __all__ = [
     "BackgroundServer",
@@ -54,7 +54,6 @@ __all__ = [
     "StoreError",
     "StoreSnapshot",
     "canonical_json",
-    "dataset_from_journal",
     "recommend_payload",
     "run_load",
     "run_mixed_load",

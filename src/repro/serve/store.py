@@ -8,19 +8,23 @@ codebase persists a campaign:
 - a **dataset directory** written by ``Dataset.save`` (``repro collect``)
   — detected by its ``manifest.json``;
 - a **streaming checkpoint directory** written by ``repro stream
-  --checkpoint-dir`` — detected by its ``journal.jsonl``, whose events
-  are folded back into a dataset without touching the journal (a serving
-  process must never mutate a capture artifact).
+  --checkpoint-dir`` — detected by its ``journal.jsonl``, folded back
+  into a dataset by the stream's own read-only reader
+  (:func:`repro.stream.checkpoint.dataset_from_journal`), which never
+  touches the journal (a serving process must never mutate a capture
+  artifact).
 
 Every load produces an immutable :class:`StoreSnapshot` carrying the
 study plus a content-derived ETag; handlers read ``store.snapshot`` once
 per request, so a concurrent reload can never hand a request half of an
 old study and half of a new one.  Hot reload rides on the repo-wide
-atomic-write discipline: writers replace ``manifest.json`` /
-``journal.jsonl`` via :func:`repro.ioutil.atomic_write_text`, so a
+crash-safety discipline: ``manifest.json`` is replaced via
+:func:`repro.ioutil.atomic_write_text`, and ``journal.jsonl`` only
+grows by whole lines, which the reader takes up to any torn tail — so a
 changed :func:`repro.ioutil.file_fingerprint` always means a complete
-new artifact is on disk, and :meth:`ResultStore.maybe_reload` swaps the
-snapshot in one reference assignment.
+artifact (or complete journal prefix) is on disk, and
+:meth:`ResultStore.maybe_reload` swaps the snapshot in one reference
+assignment.
 """
 
 from __future__ import annotations
@@ -34,12 +38,10 @@ from pathlib import Path
 from typing import Optional, Union
 
 from ..core.pipeline import StudyResult, analyze_dataset
-from ..experiment.dataset import Dataset, SessionRecord
+from ..experiment.dataset import Dataset
 from ..ioutil import file_fingerprint
-from ..net.trace import SessionMeta, Trace
 from ..services.catalog import build_catalog
-from ..stream.bus import FLOW, SESSION_END, SESSION_START, event_from_dict
-from ..stream.checkpoint import JOURNAL_NAME
+from ..stream.checkpoint import JOURNAL_NAME, dataset_from_journal
 
 MANIFEST_NAME = "manifest.json"
 
@@ -66,67 +68,6 @@ class StoreSnapshot:
     @property
     def service_count(self) -> int:
         return len(self.study.services)
-
-
-def _read_journal_events(path: Path):
-    """Yield journaled events read-only (tolerating a torn final line).
-
-    Reads bytes: a concurrent writer can be torn mid-way through a
-    multi-byte UTF-8 character, which must end the iteration like any
-    other torn tail rather than raise ``UnicodeDecodeError``.
-    """
-    with path.open("rb") as handle:
-        for raw in handle:
-            if not raw.endswith(b"\n"):
-                break  # torn final write still in progress
-            raw = raw.strip()
-            if not raw:
-                continue
-            try:
-                data = json.loads(raw.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError):
-                break  # torn tail from a crash mid-append
-            yield event_from_dict(data)
-
-
-def dataset_from_journal(path: Union[str, Path]) -> Dataset:
-    """Fold a streaming flow journal back into a :class:`Dataset`.
-
-    The journal records the exact capture stream (session_start with
-    ground truth, flows in capture order, session_end), so the rebuilt
-    dataset analyzes identically to the one the stream was fed from.
-    Sessions missing their ``session_end`` (killed mid-capture) are
-    dropped — a checkpointed resume would re-stream them anyway.
-    """
-    path = Path(path)
-    dataset = Dataset()
-    key: Optional[tuple] = None
-    meta: Optional[SessionMeta] = None
-    ground_truth: dict = {}
-    flows: list = []
-    for event in _read_journal_events(path):
-        if event.kind == SESSION_START:
-            key = event.session
-            meta = event.meta
-            ground_truth = event.ground_truth or {}
-            flows = []
-        elif event.kind == SESSION_END and key is not None:
-            service, os_name, medium = key
-            trace_meta = meta or SessionMeta(service=service, os_name=os_name, medium=medium)
-            dataset.add(
-                SessionRecord(
-                    service=service,
-                    os_name=os_name,
-                    medium=medium,
-                    trace=Trace(meta=trace_meta, flows=flows),
-                    ground_truth=ground_truth,
-                    duration=trace_meta.duration,
-                )
-            )
-            key = None
-        elif event.kind == FLOW and key is not None:
-            flows.append(event.flow)
-    return dataset
 
 
 def _content_etag(path: Path) -> str:

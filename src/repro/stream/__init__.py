@@ -13,10 +13,15 @@ on-device aggregation):
 - :mod:`repro.stream.analyzer` — sharded stateful analyzers that
   consume flow events and keep :class:`~repro.core.pipeline.SessionAnalysis`
   aggregates up to date per flow, plus the coordinator that turns a
-  finished stream into a :class:`~repro.core.pipeline.StudyResult`.
-- :mod:`repro.stream.checkpoint` — the JSONL flow journal and periodic
-  atomic state snapshots that let a killed run resume without
-  re-analyzing what it already processed.
+  finished stream into a :class:`~repro.core.pipeline.StudyResult`:
+  without ReCon it assembles the shards' analyses with the batch
+  pipeline's :func:`~repro.core.pipeline.assemble_study`; with ReCon it
+  replays the journal through :func:`~repro.core.pipeline.analyze_dataset`.
+- :mod:`repro.stream.checkpoint` — the JSONL flow journal, its one
+  read-only, torn-tail-tolerant reader (:func:`dataset_from_journal`,
+  shared with the serving layer), and periodic atomic state snapshots
+  that let a killed run resume without re-analyzing what it already
+  processed.
 
 The contract throughout is strict equivalence: for any seed, shard
 count, and kill/resume point, the streaming study is byte-for-byte
@@ -44,7 +49,12 @@ from .analyzer import (
     merge_session_states,
     stream_dataset,
 )
-from .checkpoint import CheckpointError, CheckpointManager, FlowJournal
+from .checkpoint import (
+    CheckpointError,
+    CheckpointManager,
+    FlowJournal,
+    dataset_from_journal,
+)
 
 __all__ = [
     "FLOW",
@@ -59,6 +69,7 @@ __all__ = [
     "StreamAnalyzer",
     "StreamError",
     "StreamEvent",
+    "dataset_from_journal",
     "event_from_dict",
     "event_to_dict",
     "flow_event",

@@ -11,10 +11,14 @@ campaign (``train_recon_on_dataset``), so its predictions depend on
 traffic that hasn't happened yet.  The streaming pipeline therefore
 mirrors how ReCon-style systems deploy in practice — string matching
 and traffic accounting are fully online, while the ML pass is
-deferred: at end of stream the analyzer trains the classifier from the
-flow journal and replays each session's journaled transactions through
-the combined detector.  With ReCon disabled (``train_recon=False``)
-the stream is strictly single-pass.
+deferred: at end of stream the finalizer reads the flow journal back
+as a dataset and hands it to the batch
+:func:`~repro.core.pipeline.analyze_dataset`, which trains the
+classifier, analyzes each session with the combined detector and
+assembles the study.  With ReCon disabled (``train_recon=False``) the
+stream is strictly single-pass: the shards' online analyses are the
+result, assembled by the batch path's
+:func:`~repro.core.pipeline.assemble_study`.
 
 Equivalence, not similarity, is the bar: ``tests/test_stream.py`` pins
 that for any seed, shard count, and kill/resume point the resulting
@@ -32,16 +36,15 @@ from typing import Optional
 
 from ..core.leaks import LeakPolicy
 from ..core.pipeline import (
-    ServiceResult,
     SessionAnalysis,
     StudyResult,
+    analyze_dataset,
+    assemble_study,
     categorizer_for,
-    train_recon_on_dataset,
 )
-from ..experiment.dataset import Dataset, SessionRecord
+from ..experiment.dataset import Dataset
 from ..experiment.filtering import is_background_flow
-from ..net.trace import SessionMeta, Trace
-from ..par import resolve_executor, tasks
+from ..net.trace import SessionMeta
 from ..pii.detector import PiiDetector
 from ..pii.matcher import matcher_for
 from ..pii.recon import ReconClassifier
@@ -57,7 +60,7 @@ from .bus import (
     session_end_event,
     session_start_event,
 )
-from .checkpoint import CheckpointManager, FlowJournal
+from .checkpoint import CheckpointManager, FlowJournal, dataset_from_journal
 
 #: How many flow events a shard folds in between checkpoint snapshots.
 DEFAULT_CHECKPOINT_EVERY = 200
@@ -72,10 +75,10 @@ class SessionState:
 
     ``ingest_flow`` performs exactly the per-flow work of the batch
     :func:`~repro.core.pipeline.analyze_session` loop — background
-    filtering, categorization, A&A accounting, and matching-based
-    detection + leak policy via the *same* detector and policy classes
-    — so the running aggregates equal the batch result at every prefix
-    of the stream.
+    filtering, the shared :meth:`SessionAnalysis.count_flow` traffic
+    accounting, and matching-based detection + leak policy via the
+    *same* detector and policy classes — so the running aggregates
+    equal the batch result at every prefix of the stream.
     """
 
     def __init__(self, key: tuple, ground_truth: dict, spec) -> None:
@@ -89,27 +92,18 @@ class SessionState:
         self._wire_engines()
 
     def _wire_engines(self) -> None:
-        categorizer = categorizer_for(self.spec)
-        self._categorizer = categorizer
-        self._policy = LeakPolicy(categorizer)
+        self._categorizer = categorizer_for(self.spec)
+        self._policy = LeakPolicy(self._categorizer)
         self._detector = PiiDetector(matcher_for(self.ground_truth), recon=None)
 
     def ingest_flow(self, flow) -> None:
         if is_background_flow(flow):
             return
-        analysis = self.analysis
-        analysis.flows_total += 1
-        category = self._categorizer.categorize_flow(flow)
-        if category.is_third_party:
-            analysis.third_party_domains.add(category.domain)
-        if category.is_aa:
-            analysis.aa_domains.add(category.domain)
-            analysis.aa_flows += 1
-            analysis.aa_bytes += flow.total_bytes
+        self.analysis.count_flow(flow, self._categorizer)
         if flow.decrypted:
             for txn in flow.transactions:
                 observations, _ = self._detector.scan_transaction(flow, txn)
-                analysis.leaks.extend(self._policy.classify_all(observations))
+                self.analysis.leaks.extend(self._policy.classify_all(observations))
 
     def merge(self, other: "SessionState") -> "SessionState":
         """Combine two partial states of the *same* session key.
@@ -280,10 +274,10 @@ class StreamAnalyzer:
     ) -> None:
         self.services = list(services)
         self.specs_by_slug = {spec.slug: spec for spec in self.services}
-        self.executor = executor  # executor or worker count for the ReCon passes
+        self.executor = executor  # executor or worker count for the ReCon replay
         self._tempdir = None
         if checkpoint_dir is None:
-            # The journal backs the deferred ReCon passes even when the
+            # The journal backs the deferred ReCon replay even when the
             # caller doesn't want durable checkpoints.
             self._tempdir = tempfile.TemporaryDirectory(prefix="repro-stream-")
             journal_dir = self._tempdir.name
@@ -369,88 +363,40 @@ class StreamAnalyzer:
         train_recon: bool = True,
         recon: Optional[ReconClassifier] = None,
     ) -> StudyResult:
-        """End the stream and assemble the study (batch-equivalent)."""
+        """End the stream and assemble the study (batch-equivalent).
+
+        With ReCon on (``recon`` passed in, or ``train_recon``) the
+        journal's sessions, in session-key order, go through
+        :func:`~repro.core.pipeline.analyze_dataset`, which trains,
+        analyzes and assembles exactly as the batch path does; the
+        shards' matching-only state is only the live view.  Without
+        ReCon the shards' analyses are the result.
+        """
         self.finish()
         self.journal.close()
         try:
             states = self.session_states()
+            incomplete = sorted(key for key, state in states.items() if not state.ended)
+            if incomplete:
+                raise StreamError(f"stream ended mid-session: {incomplete}")
             if states and (recon is not None or train_recon):
-                engine = resolve_executor(self.executor)
-                journaled = self._journal_dataset(states)
-                if recon is None:
-                    recon = train_recon_on_dataset(journaled, executor=engine)
-                self._apply_recon(states, journaled, recon, engine)
-            return self._assemble(states, recon)
+                dataset = Dataset()
+                journaled = dataset_from_journal(self.journal.path)
+                for record in sorted(journaled, key=lambda record: record.key):
+                    dataset.add(record)
+                return analyze_dataset(
+                    dataset,
+                    self.services,
+                    recon=recon,
+                    train_recon=train_recon,
+                    executor=self.executor,
+                )
+            return assemble_study(
+                (states[key].analysis for key in sorted(states)), self.services
+            )
         finally:
             if self._tempdir is not None:
                 self._tempdir.cleanup()
-
-    def _journal_dataset(self, states: dict) -> Dataset:
-        """Bulk journal replay as a :class:`Dataset` of work items.
-
-        Each journaled session in ``states`` becomes a
-        :class:`SessionRecord` (ground truth in publish order, flows in
-        journal order) — the executor's unit of fan-out; a process pool
-        ships them to workers in codec form.  Records iterate sorted by
-        session key, the canonical processing order of every pipeline
-        path, and ReCon trains on the dataset exactly as the batch
-        pipeline does.
-        """
-        records = []
-        for key, ground_truth, flows in self.journal.sessions():
-            if key not in states:
-                continue
-            trace = Trace(
-                meta=SessionMeta(service=key[0], os_name=key[1], medium=key[2]),
-                flows=list(flows),
-            )
-            records.append(
-                SessionRecord(
-                    service=key[0],
-                    os_name=key[1],
-                    medium=key[2],
-                    trace=trace,
-                    ground_truth=ground_truth,
-                )
-            )
-        dataset = Dataset()
-        for record in sorted(records, key=lambda record: record.key):
-            dataset.add(record)
-        return dataset
-
-    def _apply_recon(
-        self, states: dict, dataset: Dataset, recon: ReconClassifier, engine
-    ) -> None:
-        """Replay journaled transactions through the combined detector.
-
-        Overwrites each session's leak list and false-positive count
-        with the matching∪ReCon result — exactly what
-        :func:`~repro.core.pipeline.analyze_session` computes (the
-        shared :func:`~repro.core.pipeline.rescan_session` stage).
-        """
-        context = tasks.AnalysisContext(self.services, recon)
-        results = engine.map(tasks.rescan, dataset, context=context)
-        for record, (leaks, false_positives) in zip(dataset, results):
-            state = states[record.key]
-            state.analysis.leaks = leaks
-            state.analysis.recon_false_positives = false_positives
-
-    def _assemble(self, states: dict, recon) -> StudyResult:
-        incomplete = sorted(key for key, state in states.items() if not state.ended)
-        if incomplete:
-            raise StreamError(f"stream ended mid-session: {incomplete}")
-        results: dict = {}
-        for key in sorted(states):
-            slug = key[0]
-            result = results.get(slug)
-            if result is None:
-                result = ServiceResult(spec=self.specs_by_slug[slug])
-                results[slug] = result
-            result.sessions[(key[1], key[2])] = states[key].analysis
-        ordered = [
-            results[spec.slug] for spec in self.services if spec.slug in results
-        ]
-        return StudyResult(services=ordered, dataset=None, recon=recon)
 
     # -- live stats ----------------------------------------------------------
 
@@ -529,7 +475,7 @@ def stream_dataset(
 
     The streaming twin of :func:`repro.core.pipeline.analyze_dataset`:
     same inputs, byte-for-byte equal output, for any ``shards`` value
-    and any ``executor`` worker count (the deferred ReCon passes fan
+    and any ``executor`` worker count (the deferred ReCon replay fans
     out through :mod:`repro.par`).  With ``checkpoint_dir`` set, a killed
     run re-invoked with ``resume=True`` picks up from the last snapshot
     without re-analyzing already-processed flows.

@@ -3,9 +3,11 @@
 Two artifacts live in a checkpoint directory:
 
 - ``journal.jsonl`` — every bus event, one JSON line each, appended at
-  publish time.  The journal is the stream's durable replica: the
-  deferred ReCon passes replay it, and a resumed run uses it to decide
-  which events were already persisted.
+  publish time.  The journal is the stream's durable replica:
+  :func:`dataset_from_journal` reads it back as a dataset (the
+  finalizer's ReCon replay and the serving layer's journal source),
+  and a resumed run uses it to decide which events were already
+  persisted.
 - ``shard-<i>.json`` — each shard's analyzer state (its sessions'
   aggregates and leak records plus a ``watermark``: the highest event
   sequence folded into that state).  Written atomically every
@@ -25,10 +27,19 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Iterator, Optional, Union
+from typing import Optional, Union
 
-from ..ioutil import atomic_write_json
-from .bus import SESSION_END, SESSION_START, StreamEvent, event_from_dict, event_to_dict
+from ..experiment.dataset import Dataset, SessionRecord
+from ..ioutil import atomic_write_json, iter_jsonl
+from ..net.trace import SessionMeta, Trace
+from .bus import (
+    FLOW,
+    SESSION_END,
+    SESSION_START,
+    StreamEvent,
+    event_from_dict,
+    event_to_dict,
+)
 
 CHECKPOINT_VERSION = 1
 JOURNAL_NAME = "journal.jsonl"
@@ -41,47 +52,23 @@ class CheckpointError(Exception):
 class FlowJournal:
     """Append-only JSONL log of stream events.
 
-    ``resume=True`` re-opens an existing journal: the tail is scanned
-    for the last complete line (a crash can truncate the final write),
-    anything after it is discarded, and subsequent appends skip events
+    ``resume=True`` re-opens an existing journal: a torn tail (a crash
+    can cut the final write anywhere, even inside a multi-byte UTF-8
+    character) is truncated once, and subsequent appends skip events
     already on disk — so re-publishing the stream from the start is
-    idempotent.
+    idempotent.  Reads go through :func:`dataset_from_journal`.
     """
 
     def __init__(self, path: Union[str, Path], resume: bool = False) -> None:
         self.path = Path(path)
         self.last_seq = -1
         if resume and self.path.exists():
-            self._recover()
+            for record in iter_jsonl(self.path, truncate=True):
+                self.last_seq = int(record["seq"])
             self._handle = self.path.open("a", encoding="utf-8")
         else:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             self._handle = self.path.open("w", encoding="utf-8")
-
-    def _recover(self) -> None:
-        """Find the last complete line; truncate any torn tail.
-
-        Scans bytes, not text: a write torn mid-way through a multi-byte
-        UTF-8 character must be dropped like any other torn tail, not
-        explode the reader with ``UnicodeDecodeError``.
-        """
-        data = self.path.read_bytes()
-        good_end = 0
-        pos = 0
-        while pos < len(data):
-            newline = data.find(b"\n", pos)
-            if newline < 0:
-                break  # torn final write
-            try:
-                decoded = json.loads(data[pos:newline].decode("utf-8"))
-                self.last_seq = int(decoded["seq"])
-            except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError, ValueError):
-                break
-            pos = newline + 1
-            good_end = pos
-        if good_end != len(data):
-            with self.path.open("r+b") as handle:
-                handle.truncate(good_end)
 
     def append(self, event: StreamEvent) -> None:
         """Write one event; silently skips already-journaled sequences."""
@@ -95,36 +82,39 @@ class FlowJournal:
         if not self._handle.closed:
             self._handle.close()
 
-    def events(self) -> Iterator[StreamEvent]:
-        """Replay every journaled event (independent read handle)."""
-        with self.path.open("r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                yield event_from_dict(json.loads(line))
 
-    def sessions(self) -> Iterator[tuple]:
-        """Yield ``(session_key, ground_truth, [flows])`` per session.
+def dataset_from_journal(path: Union[str, Path]) -> Dataset:
+    """Fold a flow journal back into a :class:`Dataset`, read-only.
 
-        Sessions are contiguous in the journal (captures are serialized
-        through one proxy), so this streams the file without holding
-        more than one session's flows at a time.
-        """
-        key = None
-        ground_truth: dict = {}
-        flows: list = []
-        for event in self.events():
-            if event.kind == SESSION_START:
-                key = event.session
-                ground_truth = event.ground_truth or {}
-                flows = []
-            elif event.kind == SESSION_END:
-                if key is not None:
-                    yield (key, ground_truth, flows)
-                key = None
-            elif key is not None:
-                flows.append(event.flow)
+    The journal records the exact capture stream (``session_start``
+    with ground truth, flows in capture order, ``session_end``), so the
+    rebuilt dataset, in journal order, analyzes identically to the one
+    the stream was fed from.  A torn tail ends the read and the file is
+    never written, so a serving process may read a journal that a live
+    stream is still appending to.  Sessions missing their
+    ``session_end`` (killed mid-capture) are dropped: a checkpointed
+    resume re-streams them.
+    """
+    dataset = Dataset()
+    record: Optional[SessionRecord] = None
+    for event in map(event_from_dict, iter_jsonl(path)):
+        if event.kind == SESSION_START:
+            service, os_name, medium = event.session
+            meta = event.meta or SessionMeta(service, os_name, medium)
+            record = SessionRecord(
+                service=service,
+                os_name=os_name,
+                medium=medium,
+                trace=Trace(meta=meta),
+                ground_truth=event.ground_truth or {},
+                duration=meta.duration,
+            )
+        elif record is not None and event.kind == FLOW:
+            record.trace.add(event.flow)
+        elif record is not None and event.kind == SESSION_END:
+            dataset.add(record)
+            record = None
+    return dataset
 
 
 class CheckpointManager:

@@ -230,8 +230,9 @@ class FilterList:
     ``match`` consults a candidate index (see
     :mod:`repro.trackerdb.index`) so a URL only probes the rules that
     could possibly fire, and memoizes per-host verdicts when the
-    candidate set is host-pure.  ``match_linear`` keeps the original
-    whole-list scan as the reference the index is verified against.
+    candidate set is host-pure.  The original whole-list scan lives in
+    :mod:`repro.qa.reference` as the reference the index is verified
+    against.
     """
 
     def __init__(self, filters: Iterable) -> None:
@@ -313,29 +314,6 @@ class FilterList:
                 self._verdicts.clear()
             self._verdicts[key] = verdict
         return verdict
-
-    def match_linear(
-        self,
-        url: str,
-        page_host: str = "",
-        resource_type: str = "other",
-    ) -> Optional[Filter]:
-        """Reference path: probe every rule in list order (seed engine)."""
-        request_host = _host_of(url)
-        if page_host:
-            third_party = not same_party(request_host, page_host)
-        else:
-            third_party = True
-        from .psl import domain_key
-
-        page_domain = domain_key(page_host) if page_host else ""
-        for rule in self.exceptions:
-            if rule.matches(url, third_party, resource_type, page_domain):
-                return None
-        for rule in self.blocking:
-            if rule.matches(url, third_party, resource_type, page_domain):
-                return rule
-        return None
 
     def matches(self, url: str, page_host: str = "", resource_type: str = "other") -> bool:
         return self.match(url, page_host, resource_type) is not None

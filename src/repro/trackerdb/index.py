@@ -20,8 +20,8 @@ The index exploits the structure :func:`repro.trackerdb.abpfilter
 
 Candidates preserve list order, so "first matching rule wins" semantics
 are unchanged; the equivalence tests assert the indexed engine agrees
-with the retained linear scan (``FilterList.match_linear``) on every
-bundled rule.
+with the retained linear scan (kept in :mod:`repro.qa.reference`) on
+every bundled rule.
 """
 
 from __future__ import annotations

@@ -1,6 +1,10 @@
 """Tests for the command-line interface."""
 
 import argparse
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -107,6 +111,23 @@ class TestCommands:
         assert "use the" in out
         assert "summary:" in out
 
+    def test_recommend_json_bytes_ignore_the_hash_seed(self):
+        """Scores sum preference weights over a set of leak types, whose
+        order follows the string-hash seed; the printed bytes must not."""
+        repo_root = Path(__file__).resolve().parent.parent
+        argv = [sys.executable, "-m", "repro", "recommend"]
+        argv += ["--services", "weather,grubhub,cnn", "--duration", "60"]
+        argv += ["--json", "--no-recon"]
+        outputs = []
+        for hash_seed in ("0", "3"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            env["PYTHONPATH"] = str(repo_root / "src")
+            result = subprocess.run(
+                argv, capture_output=True, env=env, cwd=repo_root, check=True
+            )
+            outputs.append(result.stdout)
+        assert outputs[0] == outputs[1]
+
     def test_unknown_service_filter(self):
         with pytest.raises(SystemExit):
             main(["table", "1", "--services", "not-a-service"])
@@ -152,8 +173,8 @@ def weather_dataset(tmp_path_factory):
 
 class TestWorkers:
     """``--workers N`` alone sizes every fan-out of a verb: ReCon
-    labeling, per-session analysis, the streaming re-scan and the
-    columnar aggregate."""
+    labeling, per-session analysis (the streaming finalizer's ReCon
+    replay included) and the columnar aggregate."""
 
     @pytest.fixture
     def two_cpus_no_pool(self, monkeypatch):
@@ -193,5 +214,5 @@ class TestWorkers:
         monkeypatch.setattr(executor, "usable_cpus", lambda: 4)
         monkeypatch.setattr(executor.Executor, "map", spy)
         assert main(["stream", "--dataset", weather_dataset, "--workers", "2"]) == 0
-        assert ("label", 2) in seen and ("rescan", 2) in seen
+        assert ("label", 2) in seen and ("analyze", 2) in seen
         assert all(workers == 2 for _task, workers in seen), seen

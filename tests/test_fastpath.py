@@ -4,7 +4,7 @@ Every fast path in the detection stack keeps a reference mode: the
 memoized ground-truth matcher against the same per-form scan without
 its text and request memos (``GroundTruthMatcher(slow=True)``), so these
 checks pin the memo keys, and the indexed EasyList engine against the
-whole-list probe (``FilterList.match_linear``).  These tests pin the
+whole-list probe (``repro.qa.reference.match_linear``).  These tests pin the
 equivalences — the optimizations must change *how fast* answers arrive,
 never *which* answers (§3.2 fidelity: same matches, faster search) —
 plus the matcher's build cost and the determinism of the ``workers``
@@ -28,6 +28,7 @@ from repro.net.flow import CapturedRequest
 from repro.pii.encodings import encode_value, variants
 from repro.pii.matcher import GroundTruthMatcher, matcher_for
 from repro.pii.types import PiiType
+from repro.qa.reference import match_linear
 from repro.services.catalog import build_catalog
 from repro.services.world import build_world
 from repro.trackerdb.easylist import bundled_easylist
@@ -179,7 +180,7 @@ class TestFilterIndexEquivalence:
             for url in _probe_urls_for(rule):
                 for page_host, rtype in contexts:
                     assert compiled.match(url, page_host, rtype) is (
-                        compiled.match_linear(url, page_host, rtype)
+                        match_linear(compiled, url, page_host, rtype)
                     ), (rule.raw, url, page_host, rtype)
                     probed += 1
         assert probed > len(compiled)  # every rule contributed probes
@@ -194,8 +195,8 @@ class TestFilterIndexEquivalence:
     def test_random_urls_agree_with_linear(self, host, path, page_host, rtype):
         compiled = bundled_easylist()
         url = f"https://{host}/{path.lstrip('/')}"
-        assert compiled.match(url, page_host, rtype) is compiled.match_linear(
-            url, page_host, rtype
+        assert compiled.match(url, page_host, rtype) is match_linear(
+            compiled, url, page_host, rtype
         )
 
     def test_verdict_memo_stable_across_repeats(self):

@@ -45,6 +45,7 @@ from repro.ingest import (
 from repro.net import codec
 from repro.net.codec import CodecError
 from repro.par import tasks
+from repro.qa.faults import TORN_MODES, tear_journal
 from repro.serve import (
     BackgroundServer,
     LruTtlCache,
@@ -376,9 +377,13 @@ class TestKillRestart:
         actual = resumed.store.result_bytes(job.job_id)
         assert actual == expected_bytes(job, records, offline_study)
 
-    @pytest.mark.parametrize("workers", (1, 2), ids=("serial", "process"))
+    @pytest.mark.parametrize(
+        "workers,torn",
+        [(1, ""), (2, "")] + [(1, mode) for mode in TORN_MODES],
+        ids=["serial", "process"] + [f"serial-torn-{mode}" for mode in TORN_MODES],
+    )
     def test_crash_mid_job_resumes_byte_identical(
-        self, tmp_path, upload_body, records, offline_study, workers
+        self, tmp_path, upload_body, records, offline_study, workers, torn
     ):
         root = tmp_path / str(workers)
         service = IngestService(root, executor=workers)
@@ -391,6 +396,10 @@ class TestKillRestart:
         assert crashed.state == "running"
         partial = service.store.load_results(job.job_id)
         assert len(partial) == 2
+        if torn:
+            # The kill also tore the results file mid-append: the resumed
+            # worker must cut the tail off before its first append.
+            tear_journal(service.store.job_dir(job.job_id) / "results.jsonl", torn)
         # Restart: recovery requeues; resume skips the journaled records
         # and the final bytes equal an uninterrupted offline run.
         resumed = IngestService(root, executor=workers)

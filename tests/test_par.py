@@ -262,7 +262,6 @@ class TestImapLifecycle:
         [
             ("analyze", "analyze_session"),
             ("label", "label_record"),
-            ("rescan", "rescan_session"),
         ],
     )
     def test_failure_names_the_session(

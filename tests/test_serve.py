@@ -28,12 +28,11 @@ from repro.serve import (
     ServeApp,
     StoreError,
     canonical_json,
-    dataset_from_journal,
     recommend_payload,
     run_load,
 )
 from repro.services.catalog import build_catalog
-from repro.stream import stream_dataset
+from repro.stream import dataset_from_journal, stream_dataset
 
 SLUGS = ("weather", "cnn")
 

@@ -15,7 +15,8 @@ import threading
 import pytest
 
 from repro.core.pipeline import analyze_dataset, run_study
-from repro.ioutil import atomic_write_json, atomic_write_text
+from repro.ingest import JobStore
+from repro.ioutil import atomic_write_json, atomic_write_text, iter_jsonl
 from repro.proxy.addons import StreamCapture
 from repro.services.catalog import build_catalog
 from repro.stream import (
@@ -28,6 +29,7 @@ from repro.stream import (
     FlowJournal,
     StreamAnalyzer,
     StreamError,
+    dataset_from_journal,
     event_from_dict,
     event_to_dict,
     flow_event,
@@ -167,7 +169,7 @@ def test_resume_skips_checkpointed_events(batch_study, stream_specs, tmp_path):
         state.ingest_flow = lambda flow, _orig=original: ingested.append(flow)
     # Replaying an already-folded event must be a no-op.
     replayed = 0
-    for event in FlowJournal(tmp_path / "journal.jsonl", resume=True).events():
+    for event in map(event_from_dict, iter_jsonl(tmp_path / "journal.jsonl")):
         if event.seq <= worker.watermark and event.kind == FLOW:
             worker.process(event)
             replayed += 1
@@ -199,6 +201,67 @@ def test_shard_count_change_rejected(batch_study, stream_specs, tmp_path):
         )
 
 
+def _assert_journal_recovers(path, stamped) -> list:
+    """Every reader of a torn flow journal keeps exactly an intact prefix.
+
+    The read-only dataset reader goes first and must leave the file as
+    it found it; a resuming :class:`FlowJournal` then cuts the torn tail
+    off once, leaving only complete, parseable lines.  Returns the
+    surviving sequence numbers.
+    """
+    torn = path.read_bytes()
+    survivors = [record["seq"] for record in iter_jsonl(path)]
+    assert survivors == [event.seq for event in stamped][: len(survivors)]
+    dataset = dataset_from_journal(path)
+    assert path.read_bytes() == torn
+    start, end = stamped[0], stamped[-1]
+    if survivors[-1:] == [end.seq]:
+        (record,) = dataset
+        assert record.key == start.session
+        assert record.ground_truth == start.ground_truth
+    else:
+        assert len(dataset) == 0  # a session without its end is dropped
+    recovered = FlowJournal(path, resume=True)
+    recovered.close()
+    assert recovered.last_seq == (survivors[-1] if survivors else -1)
+    assert [record["seq"] for record in iter_jsonl(path)] == survivors
+    for line in path.read_bytes().splitlines():
+        json.loads(line.decode("utf-8"))
+    return survivors
+
+
+def _assert_job_journal_recovers(root, tear) -> None:
+    """The ingest job journal is one more input to the same reader: a
+    :class:`JobStore` reopened over a torn journal cuts the tail once,
+    so its next append lands on a line of its own."""
+    first = JobStore(root)
+    first.create("t", b"a", 1)
+    first.create("t", b"b", 1)
+    tear(first.journal_path)
+    reopened = JobStore(root)
+    late = reopened.create("t", b"c", 1)
+    journaled = [event["job"] for event in iter_jsonl(reopened.journal_path)]
+    assert journaled[-1] == late.job_id
+    for line in reopened.journal_path.read_bytes().splitlines():
+        json.loads(line.decode("utf-8"))
+
+
+def _append(tail: bytes):
+    def tear(path):
+        with path.open("ab") as handle:
+            handle.write(tail)
+
+    return tear
+
+
+def _cut(count: int):
+    def tear(path):
+        data = path.read_bytes()
+        path.write_bytes(data[: len(data) - count])
+
+    return tear
+
+
 def test_journal_recovers_torn_tail(tmp_path):
     path = tmp_path / "journal.jsonl"
     journal = FlowJournal(path)
@@ -212,14 +275,11 @@ def test_journal_recovers_torn_tail(tmp_path):
         stamped.append(event)
     journal.close()
     # Simulate a crash mid-write: torn, newline-less final line.
-    with path.open("a", encoding="utf-8") as handle:
-        handle.write('{"seq": 99, "kind": "flow", "ses')
+    tail = b'{"seq": 99, "kind": "flow", "ses'
+    _append(tail)(path)
 
-    recovered = FlowJournal(path, resume=True)
-    assert recovered.last_seq == stamped[-1].seq
-    replayed = list(recovered.events())
-    assert [e.seq for e in replayed] == [e.seq for e in stamped]
-    recovered.close()
+    assert _assert_journal_recovers(path, stamped) == [e.seq for e in stamped]
+    _assert_job_journal_recovers(tmp_path / "ingest", _append(tail))
 
 
 def session_start_event_fixture():
@@ -266,14 +326,8 @@ def test_journal_recovers_tail_cut_at_arbitrary_byte(tmp_path, cut):
     stamped, data = _non_ascii_journal(path)
     path.write_bytes(data[: len(data) - cut])
 
-    recovered = FlowJournal(path, resume=True)
-    recovered.close()
-    survivors = list(recovered.events())
-    # Whatever survives must be an intact prefix of the original stream.
-    assert [e.seq for e in survivors] == [e.seq for e in stamped][: len(survivors)]
-    assert recovered.last_seq == (survivors[-1].seq if survivors else -1)
-    for line in path.read_bytes().splitlines():
-        json.loads(line.decode("utf-8"))
+    _assert_journal_recovers(path, stamped)
+    _assert_job_journal_recovers(tmp_path / "ingest", _cut(cut))
 
 
 def test_journal_recovers_tail_cut_mid_utf8_char(tmp_path):
@@ -284,44 +338,40 @@ def test_journal_recovers_tail_cut_mid_utf8_char(tmp_path):
     )
     path.write_bytes(data[: multibyte_start + 1])  # first byte of the char only
 
-    recovered = FlowJournal(path, resume=True)
-    recovered.close()
-    survivors = list(recovered.events())
-    assert [e.seq for e in survivors] == [e.seq for e in stamped][: len(survivors)]
+    assert _assert_journal_recovers(path, stamped) == [stamped[0].seq]
 
 
-@pytest.mark.parametrize(
-    "tail",
-    [
-        b'{"seq": 99, "kind": "flow", "ses',  # partial JSON, clean UTF-8
-        b'{"seq": 99, "kind": "flow"\xff\xfe\x00',  # binary garbage
-        '{"note": "caf'.encode("utf-8") + "é".encode("utf-8")[:1],  # mid-char
-        b"\xf0\x9f\x92",  # truncated 4-byte emoji, no JSON at all
-    ],
-)
+TORN_TAILS = [
+    b'{"seq": 99, "kind": "flow", "ses',  # partial JSON, clean UTF-8
+    b'{"seq": 99, "kind": "flow"\xff\xfe\x00',  # binary garbage
+    '{"note": "caf'.encode("utf-8") + "é".encode("utf-8")[:1],  # mid-char
+    b"\xf0\x9f\x92",  # truncated 4-byte emoji, no JSON at all
+]
+
+
+@pytest.mark.parametrize("tail", TORN_TAILS)
 def test_journal_recovers_torn_tail_variants(tmp_path, tail):
     path = tmp_path / "journal.jsonl"
     stamped, _ = _non_ascii_journal(path)
-    with path.open("ab") as handle:
-        handle.write(tail)
+    _append(tail)(path)
 
-    recovered = FlowJournal(path, resume=True)
-    assert recovered.last_seq == stamped[-1].seq
-    assert [e.seq for e in recovered.events()] == [e.seq for e in stamped]
-    recovered.close()
+    assert _assert_journal_recovers(path, stamped) == [e.seq for e in stamped]
+    _assert_job_journal_recovers(tmp_path / "ingest", _append(tail))
 
 
 def test_serve_journal_reader_tolerates_mid_utf8_tear(tmp_path):
-    """The serving read path must also treat a mid-char tear as torn."""
-    from repro.serve.store import _read_journal_events
-
+    """A *terminated* line torn mid-character ends the read too: the
+    one reader the finalizer and the serving layer share drops it and
+    leaves the file untouched."""
     path = tmp_path / "journal.jsonl"
     stamped, _ = _non_ascii_journal(path)
-    with path.open("ab") as handle:
-        handle.write('{"note": "caf'.encode("utf-8") + "é".encode("utf-8")[:1] + b"\n")
+    tear = _append(
+        '{"note": "caf'.encode("utf-8") + "é".encode("utf-8")[:1] + b"\n"
+    )
+    tear(path)
 
-    events = list(_read_journal_events(path))
-    assert [e.seq for e in events] == [e.seq for e in stamped]
+    assert _assert_journal_recovers(path, stamped) == [e.seq for e in stamped]
+    _assert_job_journal_recovers(tmp_path / "ingest", tear)
 
 
 # -- bus ---------------------------------------------------------------------
