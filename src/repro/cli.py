@@ -299,11 +299,21 @@ def cmd_serve(args) -> int:
     import logging
 
     from .par import usable_cpus
-    from .serve import LruTtlCache, RateLimiter, ResultStore, ServeApp, ServeServer
+    from .serve import (
+        LruTtlCache,
+        RateLimiter,
+        ResultStore,
+        ServeApp,
+        ServeServer,
+        StoreError,
+    )
     from .serve.server import MAX_BODY_BYTES
 
     logging.basicConfig(level=logging.INFO, format="%(message)s")
-    store = ResultStore(args.result, train_recon=not args.no_recon)
+    try:
+        store = ResultStore(args.result, train_recon=not args.no_recon)
+    except StoreError as exc:
+        raise SystemExit(f"repro serve: {exc}")
     limiter = None
     if args.rate > 0:
         limiter = RateLimiter(rate=args.rate, burst=args.burst or max(1, int(args.rate)))

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..experiment.dataset import APP, WEB, Dataset, SessionRecord
+from ..experiment.dataset import APP, WEB, Dataset, SavedSession, SessionRecord
 from ..experiment.filtering import filter_background
 from ..experiment.runner import ExperimentRunner
 from ..pii.detector import PiiDetector
@@ -275,18 +275,44 @@ def assemble_study(
     return StudyResult(services=ordered, dataset=dataset, recon=recon)
 
 
-def training_records(dataset: Dataset, every_nth_service: int = 4) -> list:
+def training_records(dataset, every_nth_service: int = 4) -> list:
     """The sessions ReCon trains on: every ``every_nth_service``-th
-    service's (ordered by slug), in ``(service, os, medium)`` order."""
-    chosen = set(dataset.services()[::every_nth_service])
+    service's (ordered by slug), in ``(service, os, medium)`` order.
+
+    ``dataset`` is a :class:`Dataset` or any iterable of sessions (see
+    :func:`analyze_dataset`); the chosen sessions come back as given.
+    """
+    sessions = list(dataset)
+    chosen = set(sorted({session.service for session in sessions})[::every_nth_service])
     return sorted(
-        (record for record in dataset if record.service in chosen),
+        (session for session in sessions if session.service in chosen),
         key=_session_order,
     )
 
 
+def _records(sessions):
+    """Each session as a :class:`SessionRecord`, a saved session's trace
+    decoded only when the iteration reaches it."""
+    for session in sessions:
+        yield session.load() if isinstance(session, SavedSession) else session
+
+
+def _fan_out(engine, task, sessions: list, context=None):
+    """``task`` over ``sessions`` in order, on ``engine``.
+
+    Sessions are decoded as the pool takes them, a bounded window ahead
+    of the consumer: in-process one at a time, so a pass over saved
+    sessions holds at most two traces; on N processes 2N, so a worker
+    that finishes early finds its next session queued (as ingest's
+    ``_analyze_stream`` does).
+    """
+    with engine.fitted(len(sessions)).pool(context) as pool:
+        window = 1 if pool.workers == 1 else 2 * pool.workers
+        yield from pool.imap(task, _records(sessions), window=window)
+
+
 def train_recon_on_dataset(
-    dataset: Dataset,
+    dataset,
     every_nth_service: int = 4,
     rng_seed: int = 7,
     executor=1,
@@ -309,11 +335,12 @@ def train_recon_on_dataset(
 
     records = training_records(dataset, every_nth_service)
     if cache is not None:
+        records = list(_records(records))  # the key hashes each trace
         cached = cache.load_recon(records, every_nth_service, rng_seed)
         if cached is not None:
             return cached
     examples = []
-    for batch in resolve_executor(executor).map(tasks.label, records):
+    for batch in _fan_out(resolve_executor(executor), tasks.label, records):
         examples.extend(batch)
     import random
 
@@ -325,7 +352,7 @@ def train_recon_on_dataset(
 
 
 def analyze_dataset(
-    dataset: Dataset,
+    dataset,
     services: list,
     recon: Optional[ReconClassifier] = None,
     train_recon: bool = True,
@@ -333,6 +360,13 @@ def analyze_dataset(
     cache=None,
 ) -> StudyResult:
     """Evaluate a collected dataset into a :class:`StudyResult`.
+
+    ``dataset`` is a :class:`Dataset`, or any iterable of sessions:
+    :class:`SessionRecord` objects, or the :class:`SavedSession`
+    handles :func:`~repro.experiment.dataset.read_manifest` returns,
+    whose traces are decoded one at a time as the training and analysis
+    passes reach them and dropped once analyzed.  Only a ``Dataset`` is
+    kept on the result (``study.dataset``).
 
     ``executor`` picks the fan-out: an :class:`repro.par.Executor` or a
     worker count (1 in-process, N > 1 processes, 0 every usable CPU;
@@ -345,20 +379,21 @@ def analyze_dataset(
     """
     from ..par import resolve_executor, tasks
 
+    sessions = list(dataset)
     engine = resolve_executor(executor)
     if recon is None and train_recon:
-        recon = train_recon_on_dataset(dataset, executor=engine, cache=cache)
-    ordered = sorted(dataset, key=_session_order)
+        recon = train_recon_on_dataset(sessions, executor=engine, cache=cache)
+    ordered = sorted(sessions, key=_session_order)
     if cache is not None:
-        results = cache.analyze_all(ordered, services, recon, engine)
+        results = cache.analyze_all(list(_records(ordered)), services, recon, engine)
     else:
         context = tasks.AnalysisContext(services, recon)
-        results = engine.map(tasks.analyze, ordered, context=context)
-    analyses = dict(zip([_session_order(r) for r in ordered], results))
+        results = _fan_out(engine, tasks.analyze, ordered, context)
+    analyses = dict(zip([_session_order(s) for s in ordered], results, strict=True))
     return assemble_study(
-        (analyses[_session_order(record)] for record in dataset),
+        (analyses[_session_order(session)] for session in sessions),
         services,
-        dataset=dataset,
+        dataset=dataset if isinstance(dataset, Dataset) else None,
         recon=recon,
     )
 

@@ -5,6 +5,12 @@ with the per-session ground truth needed for detection, and provides the
 indexing the analysis stage uses (by service, OS, and medium).  Datasets
 serialize to a directory of JSONL traces plus a manifest, so studies can
 be collected once and analyzed many times.
+
+:func:`read_manifest` is the one reader of that manifest: it returns a
+:class:`SavedSession` per listed session, each decoding its trace only
+when :meth:`SavedSession.load` is called.  :meth:`Dataset.load` loads
+them all; the analysis pipeline and the serving store load one at a
+time, so a saved study can be analyzed without holding every flow.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Optional, Union
+from typing import Iterator, List, Optional, Union
 
 from ..ioutil import atomic_write_json
 from ..net.trace import Trace
@@ -25,6 +31,12 @@ WEB = "web"
 
 OSES = (ANDROID, IOS)
 MEDIA = (APP, WEB)
+
+MANIFEST_NAME = "manifest.json"
+
+
+class DatasetError(ValueError):
+    """Raised when a saved dataset's manifest is malformed."""
 
 
 @dataclass
@@ -48,6 +60,72 @@ class SessionRecord:
     @staticmethod
     def ground_truth_from_json(data: dict) -> dict:
         return {PiiType(code): values for code, values in data.items()}
+
+
+@dataclass(frozen=True)
+class SavedSession:
+    """One session a saved dataset's manifest lists, trace not yet read."""
+
+    directory: Path
+    service: str
+    os_name: str
+    medium: str
+    trace_file: str
+    ground_truth: dict
+    duration: float = 240.0
+
+    @property
+    def key(self) -> tuple:
+        return (self.service, self.os_name, self.medium)
+
+    def load(self) -> SessionRecord:
+        """Decode the trace into a :class:`SessionRecord` (either format)."""
+        return SessionRecord(
+            service=self.service,
+            os_name=self.os_name,
+            medium=self.medium,
+            trace=Trace.load(self.directory / self.trace_file),
+            ground_truth=self.ground_truth,
+            duration=self.duration,
+        )
+
+
+def read_manifest(directory: Union[str, Path]) -> List[SavedSession]:
+    """The sessions a saved dataset lists, in manifest order.
+
+    Reads only ``manifest.json``; no trace is opened.  A manifest that
+    is not a ``{"sessions": [...]}`` object, an entry missing a field,
+    or a session listed twice raises :class:`DatasetError`.
+    """
+    directory = Path(directory)
+    path = directory / MANIFEST_NAME
+    with path.open("r", encoding="utf-8") as handle:
+        manifest = json.load(handle)
+    entries = manifest.get("sessions") if isinstance(manifest, dict) else None
+    if not isinstance(entries, list):
+        raise DatasetError(f"{path} has no 'sessions' list")
+    sessions: List[SavedSession] = []
+    seen: set = set()
+    for index, entry in enumerate(entries):
+        try:
+            session = SavedSession(
+                directory=directory,
+                service=entry["service"],
+                os_name=entry["os"],
+                medium=entry["medium"],
+                trace_file=entry["trace"],
+                ground_truth=SessionRecord.ground_truth_from_json(entry["ground_truth"]),
+                duration=entry.get("duration", 240.0),
+            )
+        except (KeyError, TypeError, AttributeError, ValueError) as exc:
+            raise DatasetError(
+                f"{path}: session {index} is malformed ({type(exc).__name__}: {exc})"
+            ) from None
+        if session.key in seen:
+            raise DatasetError(f"{path}: duplicate session {session.key}")
+        seen.add(session.key)
+        sessions.append(session)
+    return sessions
 
 
 class Dataset:
@@ -112,24 +190,12 @@ class Dataset:
                     "ground_truth": record.ground_truth_json(),
                 }
             )
-        atomic_write_json(directory / "manifest.json", {"sessions": manifest})
+        atomic_write_json(directory / MANIFEST_NAME, {"sessions": manifest})
 
     @classmethod
     def load(cls, directory: Union[str, Path]) -> "Dataset":
-        directory = Path(directory)
-        with (directory / "manifest.json").open("r", encoding="utf-8") as handle:
-            manifest = json.load(handle)
+        """Every session of a saved dataset, traces decoded."""
         dataset = cls()
-        for entry in manifest["sessions"]:
-            trace = Trace.load(directory / entry["trace"])
-            dataset.add(
-                SessionRecord(
-                    service=entry["service"],
-                    os_name=entry["os"],
-                    medium=entry["medium"],
-                    trace=trace,
-                    ground_truth=SessionRecord.ground_truth_from_json(entry["ground_truth"]),
-                    duration=entry.get("duration", 240.0),
-                )
-            )
+        for session in read_manifest(directory):
+            dataset.add(session.load())
         return dataset

@@ -165,11 +165,15 @@ class Executor:
         with self.pool(context) as pool:
             yield from pool.imap(task, items, window)
 
+    def fitted(self, count: int) -> "Executor":
+        """This executor, or a smaller one for fewer than ``workers``
+        items: a map never starts more processes than it has items."""
+        return self if count >= self.workers else Executor(max(1, count))
+
     def map(self, task, items, *, context=None) -> list:
         """All results as a list; never starts more processes than items."""
         items = list(items)
-        engine = self if len(items) >= self.workers else Executor(max(1, len(items)))
-        return list(engine.imap(task, items, context=context))
+        return list(self.fitted(len(items)).imap(task, items, context=context))
 
     def __repr__(self) -> str:
         return f"<Executor {self.name} workers={self.workers}>"

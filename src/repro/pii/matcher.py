@@ -14,9 +14,13 @@ the repeats — captured traffic repeats header and cookie values
 thousands of times.  Nothing is indexed per ground-truth set: every
 campaign session brings new ground truth, so a build is only the
 memoized :func:`~repro.pii.encodings.variants` lookups plus the scan
-plan.  ``slow=True`` skips both memos and is the reference the
-equivalence tests and the QA oracle compare against, so they pin the
-memo keys.
+plan.  Two exact prescreens skip most of a scan: one probe per distinct
+lowered form decides whether the per-form loop can hit at all (few
+texts hold any form), and the integer parts of each coordinate's
+tolerance window decide whether a text can hold an in-tolerance GPS
+token.  ``slow=True`` skips the memos and the prescreens and is the
+reference the equivalence tests and the QA oracle compare against, so
+they pin both.
 
 Case handling is explicit: every form is searched case-insensitively
 (hosts uppercase MACs, lowercase e-mails, etc.), *except* that the pure
@@ -32,6 +36,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import Optional
 
 from ..net.flow import CapturedRequest
 from . import encodings
@@ -41,6 +46,11 @@ from .types import PiiType
 # A coordinate token: optional sign, digits, a dot, 2+ decimals.
 _COORD_RE = re.compile(r"-?\d{1,3}\.\d{2,}")
 GPS_TOLERANCE = 0.02
+# Slack on the tolerance window's bounds for the GPS prescreen: the
+# token 4.99999999999999999 parses to 5.0, which is within tolerance of
+# 5.02, whose window starts at exactly 5.0 in floating point, so the
+# screen must still probe for "4.".
+_GPS_SLACK = 1e-9
 
 # Forms whose hit is decided case-insensitively vs. case-sensitively.
 _CI = "ci"
@@ -112,6 +122,29 @@ class GroundTruthMatcher:
             else:
                 mode = _CI
             self._plan.append((form, form.lower(), pii_type, value, encoding, mode))
+        # Prescreen of the per-form loop: a case-insensitive form hits
+        # iff its lowered form is in the lowered text, and an ASCII
+        # case-sensitive one only if so (lowering maps ASCII characters
+        # one to one).  A non-ASCII case-sensitive form ("Σ" lowers by
+        # context) turns the prescreen off.
+        self._lows: Optional[tuple] = None
+        if all(form.isascii() for form, *_rest, mode in self._plan if mode == _CS):
+            self._lows = tuple(dict.fromkeys(low for _form, low, *_rest in self._plan))
+        # Prescreen of the GPS pass: every token within GPS_TOLERANCE of
+        # a coordinate has, as its integer part before the dot, the
+        # integer part of one of the window's two bounds, possibly
+        # behind leading zeros: the window is narrower than 1, and one
+        # that crosses zero holds only tokens of integer part 0.
+        self._coord_probes = tuple(
+            dict.fromkeys(
+                f"{int(abs(bound))}."
+                for coord, _raw in self._coords
+                for bound in (
+                    coord - GPS_TOLERANCE - _GPS_SLACK,
+                    coord + GPS_TOLERANCE + _GPS_SLACK,
+                )
+            )
+        )
         self._memo: dict = {}
         self._request_memo: dict = {}
 
@@ -135,7 +168,14 @@ class GroundTruthMatcher:
         """One substring probe per encoded form, then the extras."""
         found: dict = {}
         lowered = text.lower()
-        for form, low, pii_type, value, encoding, mode in self._plan:
+        plan = self._plan
+        if (
+            not self._slow
+            and self._lows is not None
+            and not any(map(lowered.__contains__, self._lows))
+        ):
+            plan = ()  # no form can hit
+        for form, low, pii_type, value, encoding, mode in plan:
             # Case-insensitive search for every form, except the pure
             # case-variant encodings which must match exactly.
             if mode == _CS:
@@ -161,6 +201,12 @@ class GroundTruthMatcher:
         if not self._coords or "." not in text:
             # Every coordinate token contains a dot; skip the regex when
             # the text cannot possibly hold one.
+            return
+        if (
+            not self._slow
+            and text.isascii()  # ``\d`` and ``float`` also take non-ASCII digits
+            and not any(map(text.__contains__, self._coord_probes))
+        ):
             return
         tokens = _COORD_RE.findall(text)
         if not tokens:

@@ -20,6 +20,10 @@ JSON, and drives five chaos checks:
   streaming checkpoint, append torn half-written tails to the journal
   (including a mid-UTF-8 cut), force reloads, and require every served
   snapshot to stay byte-identical — serve never exposes a torn write.
+  Then truncate the last trace of a saved dataset: a reload onto it,
+  which fails after analyzing every other session, must keep serving
+  the intact snapshot, and a fresh store must refuse it with
+  ``StoreError``.
 - **Ingest faults** (``ingest_check``): a truncated upload body must be
   rejected atomically (no job directory, no journal line, no queue
   slot), a torn ingest job-journal tail must not stop recovery from
@@ -37,9 +41,11 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from ..core.pipeline import analyze_dataset
+from ..experiment.dataset import MANIFEST_NAME, read_manifest
 from ..experiment.runner import ExperimentRunner
 from ..http.transport import FAULT_KINDS, FaultInjectingTransport
-from ..serve.store import ResultStore
+from ..ioutil import atomic_write_json
+from ..serve.store import ResultStore, StoreError
 from ..services.world import build_world
 from ..stream.analyzer import DatasetStreamer, stream_dataset
 from ..stream.checkpoint import JOURNAL_NAME, FlowJournal
@@ -364,6 +370,39 @@ def check_serve_snapshot(scenario, specs, dataset, mutate):
         store.maybe_reload()
         if served() != expected:
             out.append(_divergence("serve[restore]", "snapshot", expected, served()))
+
+    with tempfile.TemporaryDirectory(prefix="repro-qa-serve-") as tmp:
+        dataset.save(tmp)
+        store = ResultStore(tmp, services=specs, train_recon=False, check_interval=0.0)
+        trace = Path(tmp) / read_manifest(tmp)[-1].trace_file
+        trace.write_bytes(trace.read_bytes()[: trace.stat().st_size // 2])
+        manifest = Path(tmp) / MANIFEST_NAME
+        # Same sessions, new bytes: the store sees a changed manifest.
+        atomic_write_json(manifest, json.loads(manifest.read_text()), indent=None)
+        try:
+            store.maybe_reload()
+        except Exception as exc:
+            out.append(
+                _divergence(
+                    "serve[truncated-trace:reload]", "maybe_reload", "no exception", repr(exc)
+                )
+            )
+        else:
+            if served() != expected:
+                out.append(
+                    _divergence("serve[truncated-trace:reload]", "snapshot", expected, served())
+                )
+        try:
+            ResultStore(tmp, services=specs, train_recon=False)
+            raised = "nothing"
+        except StoreError:
+            raised = None
+        except Exception as exc:
+            raised = repr(exc)
+        if raised is not None:
+            out.append(
+                _divergence("serve[truncated-trace:start]", "exception", "StoreError", raised)
+            )
     return out
 
 

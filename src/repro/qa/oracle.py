@@ -12,6 +12,9 @@ Paths compared against the one-worker (in-process) batch reference:
   whose workers re-serialize every session through the binary codec
   and own a fresh string-hash seed;
 - streaming via :func:`repro.stream.stream_dataset` at each shard count;
+- the serving store's build from the saved dataset
+  (:class:`repro.serve.store.ResultStore`), which decodes, analyzes and
+  drops one session's trace at a time;
 - the memoized PII matcher vs ``GroundTruthMatcher(slow=True)``, the
   same scan without memos, per decrypted transaction and per generated
   probe text;
@@ -36,11 +39,13 @@ the mutation canary tests use this to prove the oracle actually looks.
 from __future__ import annotations
 
 import json
+import tempfile
 from dataclasses import asdict, dataclass, field
 
 from ..core.pipeline import analyze_dataset
 from ..experiment.runner import ExperimentRunner
 from ..pii.matcher import GroundTruthMatcher
+from ..serve.store import ResultStore
 from ..services.world import build_world
 from ..stream.analyzer import stream_dataset
 from ..trackerdb.abpfilter import FilterList
@@ -196,6 +201,12 @@ def run_oracle(scenario: Scenario, mutators=None) -> OracleReport:
             dataset, specs, shards=shards, train_recon=scenario.train_recon
         )
         check_study(f"stream[shards={shards}]", streamed, "stream")
+
+    # -- the serving store's streamed build ---------------------------------
+    with tempfile.TemporaryDirectory(prefix="repro-qa-store-") as store_dir:
+        dataset.save(store_dir)
+        store = ResultStore(store_dir, services=specs, train_recon=scenario.train_recon)
+        check_study("serve[saved-dataset]", store.snapshot.study, "serve")
 
     # -- ReCon trees ---------------------------------------------------------
     # The bitset grower behind ReconClassifier.fit vs the row-wise
@@ -609,8 +620,6 @@ def run_oracle(scenario: Scenario, mutators=None) -> OracleReport:
     # through the same payload builder.  Ingest analyzes with matching
     # only (no ReCon training), so the reference here is the no-recon
     # study.
-    import tempfile
-
     from ..ingest import IngestService, job_result_payload
     from ..net import codec
     from ..serve.app import canonical_json

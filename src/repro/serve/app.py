@@ -10,7 +10,10 @@ Request path for the API routes: hot-reload check on the store (one
 the handler — which for ``POST /v1/recommend`` consults the
 preference-keyed response cache before scoring.  Every response is
 stamped with the store snapshot's content ETag; conditional GETs
-(``If-None-Match``) short-circuit to 304.
+(``If-None-Match``) short-circuit to 304.  ``GET /v1/services`` and
+``GET /v1/services/{name}`` depend on the snapshot alone, so their
+bodies are rendered once per snapshot (:class:`_SnapshotBodies`) and
+each request wraps the memoized bytes in a fresh :class:`Response`.
 
 Recommendation responses are built by :func:`recommend_payload` straight
 from :mod:`repro.core.recommend` dataclasses and serialized with one
@@ -143,6 +146,58 @@ def recommend_payload(
     }
 
 
+def _services_body(snapshot: StoreSnapshot) -> bytes:
+    """The ``GET /v1/services`` body for one snapshot."""
+    services = []
+    for result in snapshot.study.services:
+        spec = result.spec
+        services.append(
+            {
+                "service": spec.slug,
+                "name": spec.name,
+                "category": spec.category,
+                "rank": spec.rank,
+                "oses": sorted({os_name for os_name, _ in result.sessions}),
+                "leaks_via_app": result.leaked_via("app"),
+                "leaks_via_web": result.leaked_via("web"),
+            }
+        )
+    return canonical_json({"etag": snapshot.etag, "services": services}) + b"\n"
+
+
+def _detail_body(snapshot: StoreSnapshot, result) -> bytes:
+    """The ``GET /v1/services/{name}`` body for one service of a snapshot."""
+    cells = {
+        f"{os_name}/{medium}": _summarize_cell(analysis)
+        for (os_name, medium), analysis in sorted(result.sessions.items())
+    }
+    payload = {
+        "etag": snapshot.etag,
+        "service": result.spec.slug,
+        "name": result.spec.name,
+        "category": result.spec.category,
+        "rank": result.spec.rank,
+        "cells": cells,
+    }
+    return canonical_json(payload) + b"\n"
+
+
+class _SnapshotBodies:
+    """List and detail bodies of one snapshot, each rendered on first use.
+
+    Tied to the snapshot object itself: a request compares it by
+    identity with the snapshot it already holds, so a reload can never
+    hand out bytes rendered from another snapshot.
+    """
+
+    __slots__ = ("snapshot", "services", "details")
+
+    def __init__(self, snapshot: StoreSnapshot) -> None:
+        self.snapshot = snapshot
+        self.services: Optional[bytes] = None
+        self.details: dict = {}  # slug -> body; known slugs only
+
+
 class ServeApp:
     """Routes requests over one :class:`ResultStore`."""
 
@@ -166,6 +221,7 @@ class ServeApp:
         #: asyncio server awaits before dispatch — lets drain and
         #: timeout behavior be exercised deterministically.
         self.handler_delay = 0.0
+        self._bodies: Optional[_SnapshotBodies] = None
 
         reg = self.registry
         self.requests_total = reg.counter(
@@ -348,45 +404,31 @@ class ServeApp:
         self.cache_hits_total.inc(cache_stats["hits"] - current_hits)
         self.cache_misses_total.inc(cache_stats["misses"] - current_misses)
 
+    def _bodies_for(self, snapshot: StoreSnapshot) -> _SnapshotBodies:
+        bodies = self._bodies
+        if bodies is None or bodies.snapshot is not snapshot:
+            bodies = self._bodies = _SnapshotBodies(snapshot)
+        return bodies
+
     def _handle_services(self, request: Request, snapshot: StoreSnapshot) -> Response:
-        services = []
-        for result in snapshot.study.services:
-            spec = result.spec
-            services.append(
-                {
-                    "service": spec.slug,
-                    "name": spec.name,
-                    "category": spec.category,
-                    "rank": spec.rank,
-                    "oses": sorted({os_name for os_name, _ in result.sessions}),
-                    "leaks_via_app": result.leaked_via("app"),
-                    "leaks_via_web": result.leaked_via("web"),
-                }
-            )
-        payload = {"etag": snapshot.etag, "services": services}
-        return json_response(200, payload, "/v1/services")
+        bodies = self._bodies_for(snapshot)
+        if bodies.services is None:
+            bodies.services = _services_body(snapshot)
+        return Response(status=200, body=bodies.services, route="/v1/services")
 
     def _handle_service_detail(
         self, request: Request, snapshot: StoreSnapshot, slug: str
     ) -> Response:
         route = "/v1/services/{name}"
-        try:
-            result = snapshot.study.by_slug(slug)
-        except KeyError:
-            return error_response(404, f"unknown service {slug!r}", route)
-        cells = {
-            f"{os_name}/{medium}": _summarize_cell(analysis)
-            for (os_name, medium), analysis in sorted(result.sessions.items())
-        }
-        payload = {
-            "etag": snapshot.etag,
-            "service": result.spec.slug,
-            "name": result.spec.name,
-            "category": result.spec.category,
-            "rank": result.spec.rank,
-            "cells": cells,
-        }
-        return json_response(200, payload, route)
+        bodies = self._bodies_for(snapshot)
+        body = bodies.details.get(slug)
+        if body is None:
+            try:
+                result = snapshot.study.by_slug(slug)
+            except KeyError:
+                return error_response(404, f"unknown service {slug!r}", route)
+            body = bodies.details[slug] = _detail_body(snapshot, result)
+        return Response(status=200, body=body, route=route)
 
     def _handle_recommend(self, request: Request, snapshot: StoreSnapshot) -> Response:
         route = "/v1/recommend"

@@ -1,18 +1,28 @@
 """Versioned study store: the serving layer's source of truth.
 
-A :class:`ResultStore` owns one result directory and keeps the fully
+A :class:`ResultStore` owns one result directory and keeps the
 analyzed :class:`~repro.core.pipeline.StudyResult` built from it in
-memory.  Two on-disk formats are accepted, matching the two ways this
-codebase persists a campaign:
+memory: the per-session analyses only, never a flow (serving reads
+nothing else).  Two on-disk formats are accepted, matching the two ways
+this codebase persists a campaign:
 
 - a **dataset directory** written by ``Dataset.save`` (``repro collect``)
-  — detected by its ``manifest.json``;
+  — detected by its ``manifest.json``.  The build reads the manifest
+  first (:func:`repro.experiment.dataset.read_manifest`) and then
+  decodes, analyzes and drops one session's trace at a time, so it
+  never holds the dataset; with ReCon on, the training slice is read
+  the same way before the analysis pass;
 - a **streaming checkpoint directory** written by ``repro stream
   --checkpoint-dir`` — detected by its ``journal.jsonl``, folded back
   into a dataset by the stream's own read-only reader
   (:func:`repro.stream.checkpoint.dataset_from_journal`), which never
   touches the journal (a serving process must never mutate a capture
-  artifact).
+  artifact), then analyzed by the same build.
+
+A damaged directory — a malformed manifest, a session listed twice, a
+missing or truncated trace — raises :class:`StoreError`, wherever in
+the build it shows up.  An analysis that fails on an intact session is
+a bug, not damage: its ``ExecutorError`` is not wrapped.
 
 Every load produces an immutable :class:`StoreSnapshot` carrying the
 study plus a content-derived ETag; handlers read ``store.snapshot`` once
@@ -24,13 +34,15 @@ grows by whole lines, which the reader takes up to any torn tail — so a
 changed :func:`repro.ioutil.file_fingerprint` always means a complete
 artifact (or complete journal prefix) is on disk, and
 :meth:`ResultStore.maybe_reload` swaps the snapshot in one reference
-assignment.
+assignment.  A reload that fails at any point keeps the previous
+snapshot, logs why once, and is not tried again until the source
+artifact's fingerprint moves again.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
+import logging
 import threading
 import time
 from dataclasses import dataclass
@@ -38,12 +50,20 @@ from pathlib import Path
 from typing import Optional, Union
 
 from ..core.pipeline import StudyResult, analyze_dataset
-from ..experiment.dataset import Dataset
+from ..experiment.dataset import MANIFEST_NAME, read_manifest
 from ..ioutil import file_fingerprint
+from ..net.trace import TraceFormatError
 from ..services.catalog import build_catalog
 from ..stream.checkpoint import JOURNAL_NAME, dataset_from_journal
 
-MANIFEST_NAME = "manifest.json"
+log = logging.getLogger(__name__)
+
+#: What reading a damaged result directory raises: a missing or
+#: unreadable file (``OSError``), a malformed manifest or journal line
+#: (``ValueError``, ``KeyError``), a truncated trace
+#: (``TraceFormatError``).  :meth:`ResultStore._build` turns each into a
+#: :class:`StoreError`.
+_DAMAGED = (OSError, ValueError, KeyError, TraceFormatError)
 
 #: Store source kinds (what :attr:`StoreSnapshot.source` reports).
 SOURCE_DATASET = "dataset"
@@ -102,6 +122,7 @@ class ResultStore:
         self._reload_lock = threading.Lock()
         self._version = 0
         self._last_check = float("-inf")
+        self._tried = None  # fingerprint the latest build started from
         self.reloads = 0  # successful swaps after the initial load
         self._snapshot = self._build()
 
@@ -126,8 +147,8 @@ class ResultStore:
             f"nor a streaming checkpoint ({JOURNAL_NAME})"
         )
 
-    def _specs_for(self, dataset: Dataset) -> list:
-        slugs = set(dataset.services())
+    def _specs_for(self, sessions: list) -> list:
+        slugs = {session.service for session in sessions}
         pool = self._services if self._services is not None else build_catalog()
         specs = [spec for spec in pool if spec.slug in slugs]
         missing = sorted(slugs - {spec.slug for spec in specs})
@@ -139,23 +160,30 @@ class ResultStore:
 
     def _build(self) -> StoreSnapshot:
         source, path = self._source()
-        fingerprint = file_fingerprint(path)
-        if source == SOURCE_DATASET:
-            dataset = Dataset.load(self.directory)
-        else:
-            dataset = dataset_from_journal(path)
-        if len(dataset) == 0:
-            raise StoreError(f"{path} contains no complete sessions")
-        specs = self._specs_for(dataset)
-        # In-process: the store builds inside the serving process, at
-        # start-up and on every hot reload, which should not fork it.
-        study = analyze_dataset(
-            dataset, specs, train_recon=self._train_recon, executor=1
-        )
+        fingerprint = self._tried = file_fingerprint(path)
+        try:
+            etag = _content_etag(path)
+            if source == SOURCE_DATASET:
+                sessions = read_manifest(self.directory)
+            else:
+                sessions = list(dataset_from_journal(path))
+            if not sessions:
+                raise StoreError(f"{path} contains no complete sessions")
+            specs = self._specs_for(sessions)
+            # In-process: the store builds inside the serving process, at
+            # start-up and on every hot reload, which should not fork it.
+            # A list of sessions (not a Dataset) keeps no flows on the study.
+            study = analyze_dataset(
+                sessions, specs, train_recon=self._train_recon, executor=1
+            )
+        except _DAMAGED as exc:
+            raise StoreError(
+                f"cannot load {self.directory}: {type(exc).__name__}: {exc}"
+            ) from exc
         self._version += 1
         return StoreSnapshot(
             study=study,
-            etag=_content_etag(path),
+            etag=etag,
             version=self._version,
             source=source,
             fingerprint=fingerprint,
@@ -175,8 +203,9 @@ class ResultStore:
 
         Called on the request path: the common case is one ``os.stat``
         every ``check_interval`` seconds, nothing else.  A reload that
-        fails (e.g. the directory is mid-rewrite on a non-atomic writer)
-        keeps serving the previous snapshot.
+        fails (e.g. a damaged trace, wherever the build met it) keeps
+        serving the previous snapshot and logs why; the same artifact is
+        not built again, so only a change to it starts another build.
         """
         now = self._clock()
         if now - self._last_check < self.check_interval:
@@ -184,8 +213,12 @@ class ResultStore:
         self._last_check = now
         try:
             _, path = self._source()
-            if file_fingerprint(path) == self._snapshot.fingerprint:
-                return self._snapshot
+        except StoreError:  # mid-rewrite: look again next interval
+            return self._snapshot
+        if file_fingerprint(path) == self._tried:
+            return self._snapshot
+        try:
             return self.reload()
-        except (StoreError, OSError, json.JSONDecodeError, KeyError, ValueError):
+        except StoreError as exc:
+            log.warning("%s; still serving version %d", exc, self._snapshot.version)
             return self._snapshot

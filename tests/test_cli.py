@@ -205,14 +205,14 @@ class TestWorkers:
         from repro.par import executor
 
         seen = []
-        original = executor.Executor.map
+        original = executor.Pool.imap
 
-        def spy(self, task, items, **kwargs):
+        def spy(self, task, items, window=None):
             seen.append((task.__name__, self.workers))
-            return original(self, task, items, **kwargs)
+            return original(self, task, items, window)
 
         monkeypatch.setattr(executor, "usable_cpus", lambda: 4)
-        monkeypatch.setattr(executor.Executor, "map", spy)
+        monkeypatch.setattr(executor.Pool, "imap", spy)
         assert main(["stream", "--dataset", weather_dataset, "--workers", "2"]) == 0
         assert ("label", 2) in seen and ("analyze", 2) in seen
         assert all(workers == 2 for _task, workers in seen), seen

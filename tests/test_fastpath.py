@@ -17,7 +17,7 @@ import random
 import string
 import tracemalloc
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.core.pipeline import analyze_dataset, run_study
 from repro.device.persona import generate_persona
@@ -47,6 +47,19 @@ _GROUND_TRUTH = {
 
 def _match_keys(matches):
     return sorted((m.pii_type.value, m.value, m.encoding, m.source, m.key) for m in matches)
+
+
+@st.composite
+def _coordinate_cases(draw):
+    """(coordinate, token) with the token near the coordinate's
+    tolerance window: either sign, 2 to 20 decimals, leading zeros."""
+    coordinate = round(draw(st.floats(-180.0, 180.0)), draw(st.integers(1, 6)))
+    value = coordinate + draw(st.floats(-0.03, 0.03))
+    if draw(st.booleans()):
+        value = -value
+    token = f"{abs(value):.{draw(st.integers(2, 20))}f}"
+    token = "0" * draw(st.integers(0, 2)) + token
+    return str(coordinate), ("-" if value < 0 else "") + token
 
 
 pii_values = st.text(
@@ -124,6 +137,39 @@ class TestFastSlowMatcherEquivalence:
         assert _match_keys(fast.match_request(request)) == _match_keys(
             slow.match_request(request)
         )
+
+    def test_non_ascii_case_sensitive_form_disables_prescreen(self):
+        """Capital sigma lowers by context, so the identity form
+        ``ΟΔΥΣΣΕΑΣ`` occurs in ``ΟΔΥΣΣΕΑΣα`` although its lowered form does
+        not occur in the lowered text: the lowered-form prescreen must not
+        decide here."""
+        fast, slow = self._pair({PiiType.NAME: ["ΟΔΥΣΣΕΑΣ"]})
+        text = "name=ΟΔΥΣΣΕΑΣα&x=1"
+        assert _match_keys(slow.match_text(text))
+        assert _match_keys(fast.match_text(text)) == _match_keys(slow.match_text(text))
+
+    @settings(
+        max_examples=300,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(case=_coordinate_cases())
+    @example(case=("42.31", "042.31"))  # leading zero
+    @example(case=("-71.0589", "-71.06"))  # negative
+    @example(case=("42.995", "43.01"))  # window crosses an integer
+    @example(case=("43.005", "42.99"))
+    @example(case=("0.01", "-0.00"))  # window crosses zero
+    @example(case=("-0.005", "0.01"))
+    @example(case=("5.02", "4.99999999999999999999"))  # parses to 5.0
+    @example(case=("-10.02", "-9.99999999999999999999"))
+    @example(case=("42.31", "٤٢.٣١"))  # non-ASCII digits
+    def test_gps_prescreen_keeps_in_tolerance_tokens(self, case):
+        coordinate, token = case
+        fast, slow = self._pair({PiiType.LOCATION: [coordinate]})
+        for text in (f"lat={token}&lon=1", f"{token}", f"x{token}9"):
+            assert _match_keys(fast.match_text(text)) == _match_keys(
+                slow.match_text(text)
+            ), (coordinate, text)
 
 
 class TestMatcherBuild:

@@ -63,6 +63,7 @@ from repro.qa.scenarios import (
     scenario_ground_truth,
 )
 from repro.qa.shrink import shrink, write_reproducer
+from repro.serve.store import ResultStore
 from repro.services.world import build_world
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -424,6 +425,28 @@ class TestServeSnapshot:
         divergences = check_serve_snapshot(small_scenario, specs, dataset, corrupt)
         assert divergences
         assert "flows_total" in divergences[0].path
+
+    def test_catches_reload_that_raises(self, small_scenario, small_world, monkeypatch):
+        """A reload onto a truncated trace must keep the old snapshot;
+        one that raises instead is reported, not waved through."""
+        specs, dataset, _ = small_world
+        monkeypatch.setattr(ResultStore, "maybe_reload", ResultStore.reload)
+        divergences = check_serve_snapshot(
+            small_scenario, specs, dataset, _identity_mutate
+        )
+        assert [d.component for d in divergences] == ["serve[truncated-trace:reload]"]
+        assert "StoreError" in divergences[0].actual
+
+    def test_oracle_checks_the_streamed_store_build(self, small_scenario):
+        def bump(study):
+            study.analyses()[0].aa_bytes += 1
+            return study
+
+        report = run_oracle(small_scenario, mutators={"serve": bump})
+        assert not report.ok
+        components = {d.component for d in report.divergences}
+        assert "serve[saved-dataset]" in components
+        assert all(component.startswith("serve") for component in components)
 
 
 class TestTearJournal:

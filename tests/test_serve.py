@@ -4,19 +4,35 @@ Covers the acceptance surface of the serve PR: endpoint contracts
 against a seeded study, byte-identical recommendations vs the library,
 cache hit-after-miss and TTL expiry, 429 on burst, ETag/304
 revalidation, store hot-reload (dataset and journal sources), and
-graceful shutdown finishing in-flight requests.
+graceful shutdown finishing in-flight requests.  The store's streamed
+build is pinned byte-identical to ``analyze_dataset`` and bounded to two
+decoded traces at a time; a damaged result directory ends in
+``StoreError`` at start-up and keeps the previous snapshot on reload;
+list and detail bodies are rendered once per snapshot.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
+import logging
+import os
+import subprocess
+import sys
 import threading
 import time
+import weakref
+from pathlib import Path
 
 import pytest
 
+from repro.cli import main
 from repro.core.pipeline import analyze_dataset, run_study
+from repro.experiment.dataset import Dataset, read_manifest
+from repro.ioutil import atomic_write_json
+from repro.net.trace import Trace
+from repro.par import ExecutorError, tasks
+from repro.qa.oracle import canonical_bytes
 from repro.core.recommend import PrivacyPreferences, preferences_from_dict
 from repro.serve import (
     BackgroundServer,
@@ -132,6 +148,199 @@ class TestResultStore:
         first = store.snapshot
         clock.advance(1.0)
         assert store.maybe_reload() is first  # within check_interval: no stat
+
+
+class TestStreamedBuild:
+    """The store analyzes a saved dataset one decoded session at a time."""
+
+    @pytest.mark.parametrize("recon", (False, True), ids=("no-recon", "recon"))
+    def test_dataset_source_matches_batch_bytes(self, result_dir, recon):
+        store = ResultStore(result_dir, train_recon=recon)
+        batch = analyze_dataset(Dataset.load(result_dir), _specs(), train_recon=recon)
+        assert canonical_bytes(store.snapshot.study) == canonical_bytes(batch)
+        assert store.snapshot.study.dataset is None
+
+    @pytest.mark.parametrize("recon", (False, True), ids=("no-recon", "recon"))
+    def test_journal_source_matches_batch_bytes(self, seeded_study, tmp_path, recon):
+        stream_dataset(
+            seeded_study.dataset, _specs(), train_recon=False, checkpoint_dir=tmp_path
+        )
+        store = ResultStore(tmp_path, train_recon=recon)
+        rebuilt = dataset_from_journal(tmp_path / "journal.jsonl")
+        batch = analyze_dataset(rebuilt, _specs(), train_recon=recon)
+        assert store.snapshot.source == "journal"
+        assert canonical_bytes(store.snapshot.study) == canonical_bytes(batch)
+        assert store.snapshot.study.dataset is None
+
+    @pytest.mark.parametrize("recon", (False, True), ids=("no-recon", "recon"))
+    def test_build_holds_at_most_two_traces(self, result_dir, monkeypatch, recon):
+        alive: set = set()
+        decoded = []
+        peak = [0]
+        load = Trace.load.__func__
+
+        def spy(cls, path):
+            trace = load(cls, path)
+            token = len(decoded)
+            decoded.append(path)
+            alive.add(token)
+            peak[0] = max(peak[0], len(alive))
+            weakref.finalize(trace, alive.discard, token)
+            return trace
+
+        monkeypatch.setattr(Trace, "load", classmethod(spy))
+        store = ResultStore(result_dir, train_recon=recon)
+        sessions = read_manifest(result_dir)
+        training = 4 if recon else 0  # cnn's four sessions, read again to train
+        assert len(decoded) == len(sessions) + training
+        assert peak[0] <= 2, peak[0]
+        assert store.snapshot.study.dataset is None
+
+
+def _drop_sessions(directory: Path) -> None:
+    (directory / "manifest.json").write_text(json.dumps({"format": 1}))
+
+
+def _duplicate_session(directory: Path) -> None:
+    manifest = json.loads((directory / "manifest.json").read_text())
+    manifest["sessions"].append(manifest["sessions"][0])
+    atomic_write_json(directory / "manifest.json", manifest)
+
+
+def _last_trace(directory: Path) -> Path:
+    return directory / read_manifest(directory)[-1].trace_file
+
+
+def _missing_trace(directory: Path) -> None:
+    _last_trace(directory).unlink()
+
+
+def _truncated_trace(directory: Path) -> None:
+    trace = _last_trace(directory)
+    trace.write_bytes(trace.read_bytes()[: trace.stat().st_size // 2])
+
+
+DAMAGE = {
+    "no-sessions": _drop_sessions,
+    "duplicate-session": _duplicate_session,
+    "missing-trace": _missing_trace,
+    "truncated-trace": _truncated_trace,
+}
+
+
+def _touch_manifest(directory: Path) -> None:
+    """Rewrite the manifest with new bytes, so the store sees a change."""
+    path = directory / "manifest.json"
+    atomic_write_json(path, json.loads(path.read_text()), indent=None)
+
+
+class TestDamagedDirectory:
+    """A damaged result directory ends in ``StoreError``, never a
+    traceback or a 500.  The trace cases damage the last session in
+    analysis order, so the build fails after analyzing all the others."""
+
+    @pytest.fixture()
+    def saved(self, seeded_study, tmp_path):
+        directory = tmp_path / "study"
+        seeded_study.dataset.save(directory)
+        return directory
+
+    @pytest.mark.parametrize("damage", sorted(DAMAGE))
+    def test_start_up_raises_store_error(self, saved, damage):
+        DAMAGE[damage](saved)
+        with pytest.raises(StoreError):
+            ResultStore(saved, train_recon=False)
+
+    @pytest.mark.parametrize("damage", sorted(DAMAGE))
+    def test_serve_exits_with_one_line(self, saved, damage):
+        DAMAGE[damage](saved)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--result", str(saved), "--no-recon", "--port", "0"])
+        message = str(excinfo.value.code)
+        assert message.startswith("repro serve: cannot load ")
+        assert "\n" not in message
+
+    @pytest.mark.parametrize("damage", sorted(DAMAGE))
+    def test_reload_keeps_previous_snapshot(self, saved, damage, caplog):
+        store = ResultStore(saved, train_recon=False, check_interval=0.0)
+        app = ServeApp(store)
+        first = store.snapshot
+        before = app.handle(Request(method="GET", path="/v1/services"))
+        DAMAGE[damage](saved)
+        if damage not in ("no-sessions", "duplicate-session"):
+            _touch_manifest(saved)
+        with caplog.at_level(logging.WARNING, logger="repro.serve.store"):
+            for _ in range(3):  # the first request's reload fails; no retry
+                after = app.handle(Request(method="GET", path="/v1/services"))
+                assert after.status == 200
+                assert after.body == before.body
+        assert store.snapshot is first
+        assert store.reloads == 0
+        (record,) = caplog.records  # logged once, on one line
+        assert record.getMessage().startswith(f"cannot load {saved}: ")
+        assert record.getMessage().endswith("; still serving version 1")
+        assert "\n" not in record.getMessage()
+        with pytest.raises(StoreError):
+            store.reload()  # an explicit reload still builds and raises
+
+    def test_failed_reload_waits_for_the_source_to_change(
+        self, saved, seeded_study, monkeypatch
+    ):
+        store = ResultStore(saved, train_recon=False, check_interval=0.0)
+        first = store.snapshot
+        _truncated_trace(saved)
+        _touch_manifest(saved)
+        with pytest.raises(StoreError):
+            store.reload()
+        decoded = []
+        load = Trace.load.__func__
+
+        def spy(cls, path):
+            decoded.append(path)
+            return load(cls, path)
+
+        monkeypatch.setattr(Trace, "load", classmethod(spy))
+        for _ in range(3):
+            assert store.maybe_reload() is first
+        assert decoded == []  # the damaged files are not decoded again
+        seeded_study.dataset.save(saved)  # repaired: a new manifest
+        repaired = store.maybe_reload()
+        assert repaired is not first and store.reloads == 1
+        assert repaired.etag == first.etag  # the same bytes as at start-up
+        assert len(decoded) == len(read_manifest(saved))
+
+    def test_analysis_failure_is_not_damage(self, saved, monkeypatch):
+        """A bug in the analysis of an intact directory keeps its type
+        and traceback, at start-up and on reload (where the server logs
+        it as a 500), and a reload does not retry it."""
+        store = ResultStore(saved, train_recon=False, check_interval=0.0)
+        first = store.snapshot
+        calls = []
+
+        def broken(context, record):
+            calls.append(record.key)
+            raise TypeError("analysis bug")
+
+        monkeypatch.setattr(tasks, "analyze", broken)
+        with pytest.raises(ExecutorError, match="TypeError: analysis bug"):
+            ResultStore(saved, train_recon=False)
+        _touch_manifest(saved)
+        with pytest.raises(ExecutorError):
+            store.maybe_reload()
+        assert store.maybe_reload() is first
+        assert len(calls) == 2
+
+    def test_serve_process_prints_no_traceback(self, saved):
+        _truncated_trace(saved)
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "serve", "--result", str(saved),
+             "--no-recon", "--port", "0"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode != 0
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.strip().splitlines()) == 1, proc.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -359,6 +568,61 @@ class TestCachingAndEtag:
         assert second.headers["ETag"] != etag_1
         assert second.headers["X-Cache"] == "miss"
         assert len(json.loads(second.body)["recommendations"]) == 1
+
+
+class TestRenderOnce:
+    """List and detail bodies are rendered once per snapshot."""
+
+    PATHS = ("/v1/services", "/v1/services/weather")
+
+    @pytest.mark.parametrize("path", PATHS)
+    def test_memoized_bytes_equal_a_fresh_render(self, store, path):
+        app = ServeApp(store)
+        first = app.handle(Request(method="GET", path=path))
+        second = app.handle(Request(method="GET", path=path))
+        fresh = ServeApp(store).handle(Request(method="GET", path=path))
+        assert first.status == second.status == 200
+        assert second.body is first.body  # not rendered again
+        assert first.body == fresh.body
+        # Each request gets its own Response: _api stamps headers on it.
+        assert second is not first and second.headers is not first.headers
+        first.headers["X-Test"] = "1"
+        assert "X-Test" not in app.handle(Request(method="GET", path=path)).headers
+
+    @pytest.mark.parametrize("path", PATHS)
+    def test_revalidation_and_unknown_slug_after_memo(self, store, path):
+        app = ServeApp(store)
+        etag = app.handle(Request(method="GET", path=path)).headers["ETag"]
+        revalidation = app.handle(
+            Request(method="GET", path=path, headers={"if-none-match": etag})
+        )
+        assert revalidation.status == 304 and revalidation.body == b""
+        assert app.handle(Request(method="GET", path="/v1/services/nope")).status == 404
+        assert app.handle(Request(method="GET", path="/v1/services/nope")).status == 404
+
+    def test_reload_serves_the_new_snapshot(self, seeded_study, tmp_path):
+        directory = tmp_path / "study"
+        seeded_study.dataset.save(directory)
+        store = ResultStore(directory, train_recon=False, check_interval=0.0)
+        app = ServeApp(store)
+        old = {path: app.handle(Request(method="GET", path=path)) for path in self.PATHS}
+
+        smaller = run_study(
+            services=_specs(("weather",)), seed=2016, duration=40.0, train_recon=False
+        )
+        smaller.dataset.save(directory)
+        new = {path: app.handle(Request(method="GET", path=path)) for path in self.PATHS}
+        snapshot = store.snapshot
+        assert snapshot.version == 2
+        for path in self.PATHS:
+            fresh = ServeApp(store).handle(Request(method="GET", path=path))
+            assert new[path].body == fresh.body != old[path].body
+            assert new[path].headers["ETag"] == f'"{snapshot.etag}"'
+            assert json.loads(new[path].body)["etag"] == snapshot.etag
+        assert [s["service"] for s in json.loads(new["/v1/services"].body)["services"]] == [
+            "weather"
+        ]
+        assert app.handle(Request(method="GET", path="/v1/services/cnn")).status == 404
 
 
 class TestRateLimitedApp:
