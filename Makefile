@@ -38,11 +38,13 @@ bench-stream:
 
 # Serving throughput + latency: closed-loop load against the live HTTP
 # server (warm-cache >= 1,000 req/s acceptance bar, p50/p99 recorded),
-# checked against the recorded baseline (first run records it).
+# checked against the recorded baseline (first run records it).  Runs
+# without --benchmark-only so the load generator's own round-trip test
+# executes too.
 bench-serve:
 	@mkdir -p $(BENCH_DIR)
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest \
-		benchmarks/test_bench_serve.py --benchmark-only \
+		benchmarks/test_bench_serve.py \
 		--benchmark-json=$(BENCH_DIR)/BENCH_serve.json -q
 	$(PYTHON) benchmarks/check_regression.py $(BENCH_DIR)/BENCH_serve.json \
 		--baseline benchmarks/BENCH_serve.json

@@ -3,7 +3,7 @@
 Two measurements over the live asyncio server with an
 :class:`~repro.ingest.IngestService` wired in:
 
-- **Mixed read/ingest** — :func:`repro.serve.loadgen.run_mixed_load`
+- **Mixed read/ingest** — :func:`benchmarks.loadgen.run_mixed_load`
   drives a warm-cache ``/v1/recommend`` read class and a ``/v1/traces``
   upload class concurrently, each closed-loop on its own keep-alive
   connections, while a background worker thread drains the job queue.
@@ -29,9 +29,10 @@ import pytest
 from repro.core.pipeline import run_study
 from repro.ingest import IngestService
 from repro.net import codec
-from repro.serve import BackgroundServer, LruTtlCache, ResultStore, ServeApp, run_load
-from repro.serve.loadgen import WorkloadClass, run_mixed_load
+from repro.serve import BackgroundServer, LruTtlCache, ResultStore, ServeApp
 from repro.services.catalog import build_catalog
+
+from .loadgen import WorkloadClass, run_load, run_mixed_load
 
 READ_SUBSET = ("weather", "grubhub", "cnn")
 UPLOAD_SUBSET = ("weather",)

@@ -1,7 +1,7 @@
 """Serving-layer benchmarks: closed-loop load against a live server.
 
 Each benchmark boots the real asyncio server over a seeded 3-service
-study and drives it with :func:`repro.serve.loadgen.run_load`
+study and drives it with :func:`benchmarks.loadgen.run_load`
 (``concurrency`` keep-alive connections, next request only after the
 previous response — closed loop).  Two paths are measured:
 
@@ -24,8 +24,10 @@ import json
 import pytest
 
 from repro.core.pipeline import run_study
-from repro.serve import BackgroundServer, LruTtlCache, ResultStore, ServeApp, run_load
+from repro.serve import BackgroundServer, LruTtlCache, ResultStore, ServeApp
 from repro.services.catalog import build_catalog
+
+from .loadgen import LoadReport, _Connection, run_load
 
 SUBSET = ("weather", "grubhub", "cnn")
 
@@ -62,6 +64,23 @@ def _cold_bodies(count: int) -> list:
             json.dumps({"os": "android", "preferences": {"weights": {"email": weight}}}).encode()
         )
     return bodies
+
+
+def test_loadgen_round_trip(served):
+    """The load generator itself: every request answered and counted."""
+    background, _ = served
+    report = run_load(
+        background.host,
+        background.port,
+        body=b'{"os": "android"}',
+        concurrency=2,
+        requests=60,
+        warmup=5,
+    )
+    assert report.errors == 0
+    assert report.requests == 60
+    assert report.status_counts == {200: 60}
+    assert report.p50_ms <= report.p99_ms
 
 
 def test_bench_serve_recommend_warm(benchmark, served):
@@ -137,8 +156,6 @@ def run_load_multi(background, bodies):
     import threading
     import time
 
-    from repro.serve.loadgen import LoadReport, _Connection
-
     concurrency = 4
     chunks = [bodies[i::concurrency] for i in range(concurrency)]
     lock = threading.Lock()
@@ -156,7 +173,7 @@ def run_load_multi(background, bodies):
             for body in chunk:
                 started = time.perf_counter()
                 try:
-                    status, _ = conn.request("POST", "/v1/recommend", body, headers)
+                    status, _body, _retry = conn.request("POST", "/v1/recommend", body, headers)
                 except OSError:
                     failed += 1
                     conn.close()

@@ -165,13 +165,17 @@ def _recommend_json_payload(study, preferences) -> dict:
     ``recommendations`` section carries, so CI can diff the two
     byte-for-byte (see the ``ingest-smoke`` job).
     """
+    from .core.recommend import exposure_table
     from .serve.app import recommend_payload
 
     oses = sorted(
         {os_name for result in study.services for (os_name, _medium) in result.sessions}
     )
+    exposures = exposure_table(study)
     return {
-        os_name: recommend_payload(study, preferences, os_name, etag="")
+        os_name: recommend_payload(
+            study, preferences, os_name, etag="", exposures=exposures
+        )
         for os_name in oses
     }
 
@@ -296,6 +300,7 @@ def cmd_stream(args) -> int:
 
 def cmd_serve(args) -> int:
     """Serve the recommender + study-query API over saved results."""
+    import gc
     import logging
 
     from .par import usable_cpus
@@ -314,6 +319,10 @@ def cmd_serve(args) -> int:
         store = ResultStore(args.result, train_recon=not args.no_recon)
     except StoreError as exc:
         raise SystemExit(f"repro serve: {exc}")
+    # The snapshot lives as long as the server: move it out of the
+    # collector's generations so full collections while serving stop
+    # re-scanning it.  A reload still frees it, by reference counting.
+    gc.freeze()
     limiter = None
     if args.rate > 0:
         limiter = RateLimiter(rate=args.rate, burst=args.burst or max(1, int(args.rate)))
@@ -805,7 +814,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache-ttl", type=float, default=300.0, help="recommendation cache TTL (s)"
     )
     serve_parser.add_argument(
-        "--timeout", type=float, default=10.0, help="per-request timeout (s)"
+        "--timeout",
+        type=float,
+        default=10.0,
+        help="timeout (s) of an upload's admission; reads run to completion",
     )
     serve_parser.add_argument(
         "--drain-timeout",

@@ -5,7 +5,9 @@ right choice "depends on user preferences and priorities for controlling
 access to their PII", and the authors shipped an interactive recommender
 (https://recon.meddle.mobi/appvsweb/).  This module is that recommender:
 given a study result and a user's :class:`PrivacyPreferences`, it scores
-each medium per service and suggests the less invasive one.
+each medium per service and suggests the less invasive one.  Scores are
+computed from each cell's :class:`Exposure`, not from its leak records,
+so one table per study serves any number of preferences.
 """
 
 from __future__ import annotations
@@ -181,35 +183,85 @@ class Recommendation:
         }
 
 
+@dataclass(frozen=True)
+class Exposure:
+    """Everything scoring reads of one cell.
+
+    ``leak_types`` is the set of leaked identifier classes,
+    ``plaintext_type`` the class of the *first* plaintext leak in list
+    order (``None`` when nothing leaked unencrypted), and ``aa_domains``
+    the number of A&A domains contacted.  A study's table of these
+    (:func:`exposure_table`) is built once and scored under any number
+    of preferences.
+    """
+
+    leak_types: frozenset
+    plaintext_type: Optional[PiiType]
+    aa_domains: int
+
+    @classmethod
+    def of(cls, analysis: SessionAnalysis) -> "Exposure":
+        plaintext_type = next(
+            (record.pii_type for record in analysis.leaks if record.plaintext), None
+        )
+        return cls(
+            frozenset(analysis.leak_types), plaintext_type, len(analysis.aa_domains)
+        )
+
+    def score(self, preferences: PrivacyPreferences) -> float:
+        """Privacy-invasiveness score; higher is worse."""
+        # fsum's exactly rounded total does not depend on the set's
+        # iteration order, which follows the string-hash seed.
+        score = math.fsum(map(preferences.weight, self.leak_types))
+        if self.plaintext_type is not None:
+            # One plaintext penalty per type set, not per event.
+            score += preferences.plaintext_aversion * preferences.weight(
+                self.plaintext_type
+            )
+        score += preferences.tracker_aversion * self.aa_domains
+        return score
+
+
+def exposure_table(study: StudyResult) -> dict:
+    """``(slug, os, medium) -> Exposure`` for every cell of ``study``."""
+    return {
+        (result.spec.slug, os_name, medium): Exposure.of(analysis)
+        for result in study.services
+        for (os_name, medium), analysis in result.sessions.items()
+    }
+
+
 def score_session(analysis: SessionAnalysis, preferences: PrivacyPreferences) -> float:
     """Privacy-invasiveness score for one cell; higher is worse."""
-    # ``leak_types`` is a set, whose order follows the string-hash seed;
-    # fsum's exactly rounded total does not depend on that order.
-    score = math.fsum(
-        preferences.weight(pii_type) for pii_type in analysis.leak_types
-    )
-    for record in analysis.leaks:
-        if record.plaintext:
-            score += preferences.plaintext_aversion * preferences.weight(record.pii_type)
-            break  # one plaintext penalty per type set, not per event
-    score += preferences.tracker_aversion * len(analysis.aa_domains)
-    return score
+    return Exposure.of(analysis).score(preferences)
 
 
 class Recommender:
-    """Scores a study and answers "should you use the app for that?"."""
+    """Scores a study and answers "should you use the app for that?".
 
-    def __init__(self, study: StudyResult, preferences: Optional[PrivacyPreferences] = None) -> None:
+    ``exposures`` is the study's :func:`exposure_table`, built here
+    unless the caller already holds one (the serving store builds it
+    once per snapshot).
+    """
+
+    def __init__(
+        self,
+        study: StudyResult,
+        preferences: Optional[PrivacyPreferences] = None,
+        exposures: Optional[dict] = None,
+    ) -> None:
         self.study = study
         self.preferences = preferences if preferences is not None else PrivacyPreferences()
+        self.exposures = exposures if exposures is not None else exposure_table(study)
 
     def recommend_service(self, result: ServiceResult, os_name: str) -> Optional[Recommendation]:
-        app = result.cell(os_name, APP)
-        web = result.cell(os_name, WEB)
+        slug = result.spec.slug
+        app = self.exposures.get((slug, os_name, APP))
+        web = self.exposures.get((slug, os_name, WEB))
         if app is None or web is None:
             return None
-        app_score = score_session(app, self.preferences)
-        web_score = score_session(web, self.preferences)
+        app_score = app.score(self.preferences)
+        web_score = web.score(self.preferences)
         if abs(app_score - web_score) < 1e-9:
             choice = "either"
         elif app_score < web_score:
@@ -217,7 +269,7 @@ class Recommender:
         else:
             choice = WEB
         return Recommendation(
-            service=result.spec.slug,
+            service=slug,
             os_name=os_name,
             choice=choice,
             app_score=app_score,

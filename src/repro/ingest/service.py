@@ -35,7 +35,7 @@ import time
 from typing import Dict, List, Optional
 
 from ..core.pipeline import SessionAnalysis, StudyResult, assemble_study
-from ..core.recommend import PrivacyPreferences
+from ..core.recommend import PrivacyPreferences, exposure_table
 from ..experiment.dataset import OSES, APP, WEB
 from ..net import codec
 from ..net.codec import CodecError
@@ -111,8 +111,11 @@ def job_result_payload(job_id: str, etag: str, records: int, study: StudyResult)
     oses = sorted(
         {os_name for result in study.services for (os_name, _medium) in result.sessions}
     )
+    exposures = exposure_table(study)
     recommendations = {
-        os_name: recommend_payload(study, PrivacyPreferences(), os_name, etag="")
+        os_name: recommend_payload(
+            study, PrivacyPreferences(), os_name, etag="", exposures=exposures
+        )
         for os_name in oses
     }
     return {

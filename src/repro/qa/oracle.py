@@ -26,6 +26,9 @@ Paths compared against the one-worker (in-process) batch reference:
   reference grower of :mod:`repro.qa.reference`;
 - the columnar aggregate and the study consumers vs the row-wise
   walkers of :mod:`repro.qa.reference`;
+- every cell's recommender score from the exposure table vs the
+  reference walk over its leak records, bit for bit, under four
+  preference sets;
 - the mitigation data plane: an installed all-allow policy is
   byte-inert, mitigated traffic analyzes identically in serial /
   process-pool / streaming, re-collection under the same policy and
@@ -317,6 +320,35 @@ def run_oracle(scenario: Scenario, mutators=None) -> OracleReport:
         render_drift(rows.summarize_drift(reference, reference)),
         render_drift(summarize_drift(whole, whole)),
     )
+
+    # -- recommender scoring -------------------------------------------------
+    # Each cell's score from the exposure table (what serving scores
+    # from) vs the reference walk over its leak records, compared as
+    # float bits under default, uniform, single-type and high-aversion
+    # preferences.
+    from ..core.recommend import PrivacyPreferences, exposure_table
+    from ..pii.types import PiiType
+
+    stats["recommend_checks"] = 0
+    preference_sets = {
+        "default": PrivacyPreferences(),
+        "uniform": PrivacyPreferences.uniform(),
+        "only": PrivacyPreferences.only(PiiType.LOCATION, PiiType.UNIQUE_ID),
+        "averse": PrivacyPreferences(tracker_aversion=0.9, plaintext_aversion=3.0),
+    }
+    exposures = mutate("recommend", exposure_table(reference))
+    for result in reference.services:
+        for (os_name, medium), analysis in sorted(result.sessions.items()):
+            cell = f"{result.spec.slug}|{os_name}|{medium}"
+            exposure = exposures.get((result.spec.slug, os_name, medium))
+            for label, preferences in preference_sets.items():
+                stats["recommend_checks"] += 1
+                want = rows.reference_score(analysis, preferences).hex()
+                got = "<missing>" if exposure is None else exposure.score(preferences).hex()
+                if got != want:
+                    divergences.append(
+                        Divergence("recommend[exposure-table]", f"{cell}|{label}", want, got)
+                    )
 
     # -- campaign engine -----------------------------------------------------
     # A small population over the scenario's own specs, pinned three

@@ -16,12 +16,16 @@ trains a whole classifier with it (``recon[reference-tree]``,
 ``tests/test_recon.py``, ``make bench-recon``).  :func:`match_linear`
 is the whole-list EasyList scan the indexed ``FilterList.match``
 replaced (the oracle's ``filters`` pin, ``tests/test_fastpath.py``,
-``tests/test_properties.py``).  Only :mod:`repro.qa`, the tests and
-the benchmarks import this module.
+``tests/test_properties.py``).  :func:`reference_score` is the
+recommender's walk over every leak record that the per-cell
+:class:`~repro.core.recommend.Exposure` replaced
+(``recommend[exposure-table]``, ``tests/test_properties.py``).  Only
+:mod:`repro.qa`, the tests and the benchmarks import this module.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter, defaultdict
 
 from ..analysis import longitudinal, reach, tables
@@ -407,3 +411,16 @@ def match_linear(
         if rule.matches(url, third_party, resource_type, page_domain):
             return rule
     return None
+
+
+def reference_score(analysis, preferences) -> float:
+    """Privacy-invasiveness score of one cell, walking its leak records."""
+    score = math.fsum(
+        preferences.weight(pii_type) for pii_type in analysis.leak_types
+    )
+    for record in analysis.leaks:
+        if record.plaintext:
+            score += preferences.plaintext_aversion * preferences.weight(record.pii_type)
+            break  # one plaintext penalty per type set, not per event
+    score += preferences.tracker_aversion * len(analysis.aa_domains)
+    return score

@@ -25,13 +25,11 @@ Layering (see DESIGN §5d): :class:`ResultStore` (versioned, hot-
 reloading study snapshots) → :class:`LruTtlCache` (preference-keyed
 response bytes) → :class:`ServeApp` (routing/handlers, 429s via
 :class:`RateLimiter`) → :class:`ServeServer` (asyncio lifecycle,
-bounded concurrency, graceful drain).  :mod:`repro.serve.loadgen`
-closes the loop for ``make bench-serve``.
+bounded concurrency, graceful drain).
 """
 
 from .app import Request, Response, ServeApp, canonical_json, recommend_payload
 from .cache import LruTtlCache
-from .loadgen import LoadReport, run_load, run_mixed_load
 from .metrics import Counter, Gauge, Histogram, Registry
 from .ratelimit import RateLimiter
 from .server import BackgroundServer, ServeServer
@@ -42,7 +40,6 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "LoadReport",
     "LruTtlCache",
     "RateLimiter",
     "Registry",
@@ -55,6 +52,4 @@ __all__ = [
     "StoreSnapshot",
     "canonical_json",
     "recommend_payload",
-    "run_load",
-    "run_mixed_load",
 ]

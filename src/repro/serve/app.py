@@ -16,7 +16,8 @@ bodies are rendered once per snapshot (:class:`_SnapshotBodies`) and
 each request wraps the memoized bytes in a fresh :class:`Response`.
 
 Recommendation responses are built by :func:`recommend_payload` straight
-from :mod:`repro.core.recommend` dataclasses and serialized with one
+from :mod:`repro.core.recommend` dataclasses, scored from the snapshot's
+exposure table (built once per snapshot), and serialized with one
 canonical ``json.dumps`` configuration — which is what makes the served
 bytes reproducible against a direct library call (pinned in
 ``tests/test_serve.py``).
@@ -118,14 +119,17 @@ def recommend_payload(
     os_name: str,
     services: Optional[list] = None,
     etag: str = "",
+    exposures: Optional[dict] = None,
 ) -> dict:
     """Build the ``POST /v1/recommend`` response payload.
 
     Exposed at module level so a direct library caller produces the
     exact structure (and therefore, through :func:`canonical_json`, the
-    exact bytes) the service returns.
+    exact bytes) the service returns.  ``exposures`` is the study's
+    :func:`~repro.core.recommend.exposure_table` when the caller holds
+    one; otherwise it is built here.
     """
-    recommender = Recommender(study, preferences)
+    recommender = Recommender(study, preferences, exposures)
     if services:
         results = [study.by_slug(slug) for slug in services]
     else:
@@ -477,7 +481,12 @@ class ServeApp:
         if body is None:
             cache_state = "miss"
             payload = recommend_payload(
-                snapshot.study, preferences, os_name, services, etag=snapshot.etag
+                snapshot.study,
+                preferences,
+                os_name,
+                services,
+                etag=snapshot.etag,
+                exposures=snapshot.exposures,
             )
             body = canonical_json(payload) + b"\n"
             self.cache.put(cache_key, body)

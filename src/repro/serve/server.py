@@ -8,8 +8,11 @@ A deliberately small production shell around :class:`ServeApp`:
 - **Bounded concurrency** — an ``asyncio.Semaphore`` of ``--workers``
   permits; excess requests queue in the kernel accept backlog instead
   of stampeding the scorer.
-- **Request timeouts** — each dispatch runs under ``wait_for``; a stall
-  returns 503 rather than wedging the connection slot forever.
+- **Request timeouts** — an upload's hop to the executor thread (and
+  the ``handler_delay`` test hook) runs under ``wait_for``, so a stalled
+  upload returns 503 rather than wedging the connection slot forever.
+  Every other handler is synchronous and is called inline: it runs to
+  completion once started, which no timeout could interrupt.
 - **Structured access logs** — one JSON object per request on the
   ``repro.serve.access`` logger (route, status, latency, bytes, client).
 - **Graceful drain** — SIGTERM/SIGINT stop the listener, let in-flight
@@ -276,9 +279,17 @@ class ServeServer:
         async with self._semaphore:  # bounded concurrency
             started = time.perf_counter()
             try:
-                response = await asyncio.wait_for(
-                    self._call_handler(request), timeout=self.request_timeout
-                )
+                blocking = self.app.blocking(request)
+                if blocking or self.app.handler_delay > 0:
+                    response = await asyncio.wait_for(
+                        self._call_handler(request, blocking),
+                        timeout=self.request_timeout,
+                    )
+                else:
+                    # A synchronous handler runs to completion once
+                    # started, so no timeout could cut it short: call it
+                    # inline, without a Task and a loop iteration.
+                    response = self.app.handle(request)
             except asyncio.TimeoutError:
                 response = error_response(503, "request timed out", "other")
             except Exception as exc:  # a handler bug must not kill the connection task
@@ -289,14 +300,14 @@ class ServeServer:
         self._log_access(request, response, elapsed)
         return response
 
-    async def _call_handler(self, request: Request) -> Response:
+    async def _call_handler(self, request: Request, blocking: bool) -> Response:
+        """The awaited dispatch path, the only one a timeout can interrupt."""
         if self.app.handler_delay > 0:
             await asyncio.sleep(self.app.handler_delay)
         # Handlers the app marks as blocking (upload admission: decode,
         # validate, fsync) run on a thread so they stall only their own
         # request, not every connection multiplexed on the event loop.
-        blocking = getattr(self.app, "blocking", None)
-        if blocking is not None and blocking(request):
+        if blocking:
             assert self._loop is not None
             return await self._loop.run_in_executor(None, self.app.handle, request)
         return self.app.handle(request)

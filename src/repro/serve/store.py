@@ -25,9 +25,10 @@ the build it shows up.  An analysis that fails on an intact session is
 a bug, not damage: its ``ExecutorError`` is not wrapped.
 
 Every load produces an immutable :class:`StoreSnapshot` carrying the
-study plus a content-derived ETag; handlers read ``store.snapshot`` once
-per request, so a concurrent reload can never hand a request half of an
-old study and half of a new one.  Hot reload rides on the repo-wide
+study, its exposure table (what scoring reads) and a content-derived
+ETag; handlers read ``store.snapshot`` once per request, so a
+concurrent reload can never hand a request half of an old study and
+half of a new one.  Hot reload rides on the repo-wide
 crash-safety discipline: ``manifest.json`` is replaced via
 :func:`repro.ioutil.atomic_write_text`, and ``journal.jsonl`` only
 grows by whole lines, which the reader takes up to any torn tail — so a
@@ -50,6 +51,7 @@ from pathlib import Path
 from typing import Optional, Union
 
 from ..core.pipeline import StudyResult, analyze_dataset
+from ..core.recommend import exposure_table
 from ..experiment.dataset import MANIFEST_NAME, read_manifest
 from ..ioutil import file_fingerprint
 from ..net.trace import TraceFormatError
@@ -76,9 +78,15 @@ class StoreError(Exception):
 
 @dataclass(frozen=True)
 class StoreSnapshot:
-    """One immutable, fully analyzed view of the result directory."""
+    """One immutable, fully analyzed view of the result directory.
+
+    ``exposures`` is the study's :func:`~repro.core.recommend.exposure_table`:
+    an uncached recommend scores from it instead of walking every leak
+    record again.
+    """
 
     study: StudyResult
+    exposures: dict
     etag: str
     version: int  # monotonically increasing per reload
     source: str  # SOURCE_DATASET | SOURCE_JOURNAL
@@ -183,6 +191,7 @@ class ResultStore:
         self._version += 1
         return StoreSnapshot(
             study=study,
+            exposures=exposure_table(study),
             etag=etag,
             version=self._version,
             source=source,

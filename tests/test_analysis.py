@@ -200,6 +200,17 @@ class TestRecommender:
         tracking_summary = tracking.summary("android")
         assert tracking_summary["app"] >= uid_summary["app"]
 
+    def test_cell_missing_a_medium_is_skipped(self, mini_study):
+        from repro.core.pipeline import ServiceResult, StudyResult
+
+        weather = mini_study.by_slug("weather")
+        sessions = {key: cell for key, cell in weather.sessions.items() if key != ("android", WEB)}
+        study = StudyResult(services=[ServiceResult(weather.spec, sessions)])
+        recommender = Recommender(study)
+        assert recommender.recommend("weather", "android") is None
+        assert recommender.recommend_all("android") == []
+        assert recommender.recommend("weather", "ios") is not None
+
     def test_recommend_by_slug(self, mini_study):
         rec = Recommender(mini_study).recommend("weather", "android")
         assert rec is not None

@@ -1,11 +1,15 @@
 """Cross-cutting property-based tests on core invariants."""
 
+import math
 import random
 import string
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
+from repro.core.leaks import PLAINTEXT, THIRD_PARTY, LeakRecord
+from repro.core.pipeline import SessionAnalysis
+from repro.core.recommend import Exposure, PrivacyPreferences
 from repro.http.message import Request, Response
 from repro.http.session import ClientSession
 from repro.http.transport import DirectTransport, Network
@@ -21,13 +25,15 @@ from repro.net.clock import SimClock
 from repro.net.flow import CapturedRequest
 from repro.net.trace import SessionMeta, Trace
 from repro.pii.encodings import encode_value, variants
+from repro.pii.detector import PiiObservation
 from repro.pii.matcher import GroundTruthMatcher
 from repro.pii.types import PiiType
 from repro.proxy.meddle import InterceptionProxy
-from repro.qa.reference import match_linear
+from repro.qa.reference import match_linear, reference_score
 from repro.qa.scenarios import random_filter_line, random_hostname, random_url
 from repro.tls.certs import PROXY_CA, CaStore
 from repro.trackerdb.abpfilter import FilterList
+from repro.trackerdb.categorize import THIRD_PARTY_AA, FlowCategory
 from repro.trackerdb.easylist import bundled_easylist
 from repro.trackerdb.psl import DomainError, domain_key, registrable_domain, same_party
 
@@ -214,6 +220,89 @@ class TestFilterEquivalenceProperty:
             assert (indexed.raw if indexed else None) == (
                 linear.raw if linear else None
             )
+
+
+def _scored_cell(leaks, aa_domains=0) -> SessionAnalysis:
+    """A cell whose leak list is ``(PiiType, plaintext)`` pairs in order."""
+    records = [
+        LeakRecord(
+            observation=PiiObservation(
+                pii_type=pii_type,
+                hostname="t.tracker.example",
+                domain="tracker.example",
+                url="http://t.tracker.example/c",
+                timestamp=0.0,
+                flow_id=index,
+                plaintext=plaintext,
+            ),
+            category=FlowCategory(label=THIRD_PARTY_AA, domain="tracker.example"),
+            reason=PLAINTEXT if plaintext else THIRD_PARTY,
+        )
+        for index, (pii_type, plaintext) in enumerate(leaks)
+    ]
+    return SessionAnalysis(
+        service="svc",
+        os_name="android",
+        medium="app",
+        aa_domains={f"aa{i}.example" for i in range(aa_domains)},
+        leaks=records,
+    )
+
+
+# At least two plaintext records of different types, mixed in any order
+# with encrypted ones: "the first plaintext record in list order" then
+# differs from any, the minimum and the maximum whenever weights differ.
+scored_leak_lists = st.tuples(
+    st.lists(st.sampled_from(list(PiiType)), min_size=2, max_size=4, unique=True),
+    st.lists(st.sampled_from(list(PiiType)), max_size=8),
+).flatmap(
+    lambda parts: st.permutations(
+        [(t, True) for t in parts[0]] + [(t, False) for t in parts[1]]
+    )
+)
+
+
+class TestExposureScoreProperty:
+    """Scoring a cell from its :class:`Exposure` equals the reference
+    walk over its leak records, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        leaks=scored_leak_lists,
+        weights=st.dictionaries(
+            st.sampled_from(list(PiiType)), st.floats(min_value=0.0, max_value=1.0)
+        ),
+        tracker_aversion=st.floats(min_value=0.0, max_value=5.0),
+        plaintext_aversion=st.floats(min_value=0.0, max_value=5.0),
+        aa_domains=st.integers(min_value=0, max_value=30),
+    )
+    def test_exposure_score_equals_the_record_walk(
+        self, leaks, weights, tracker_aversion, plaintext_aversion, aa_domains
+    ):
+        cell = _scored_cell(leaks, aa_domains)
+        preferences = PrivacyPreferences(
+            weights=weights,
+            tracker_aversion=tracker_aversion,
+            plaintext_aversion=plaintext_aversion,
+        )
+        got = Exposure.of(cell).score(preferences)
+        assert got.hex() == reference_score(cell, preferences).hex()
+
+    def test_first_plaintext_record_sets_the_penalty(self):
+        preferences = PrivacyPreferences(
+            weights={PiiType.LOCATION: 0.9, PiiType.EMAIL: 0.2, PiiType.NAME: 0.5},
+            tracker_aversion=0.0,
+            plaintext_aversion=1.0,
+        )
+        base = math.fsum([0.9, 0.2, 0.5])
+        for leaks, penalty in (
+            ([(PiiType.NAME, False), (PiiType.EMAIL, True), (PiiType.LOCATION, True)], 0.2),
+            ([(PiiType.LOCATION, True), (PiiType.EMAIL, True), (PiiType.NAME, True)], 0.9),
+            ([(PiiType.NAME, True), (PiiType.LOCATION, True), (PiiType.EMAIL, True)], 0.5),
+        ):
+            exposure = Exposure.of(_scored_cell(leaks))
+            assert exposure.plaintext_type == leaks[[p for _t, p in leaks].index(True)][0]
+            assert exposure.score(preferences) == base + penalty
 
 
 class TestMitigationRewriteProperty:

@@ -237,6 +237,20 @@ class TestOracle:
         assert report.stats["recon_trees"] >= 1
         assert all(d.component == "recon[reference-tree]" for d in report.divergences)
 
+    def test_recommend_mutation_canary(self, small_scenario):
+        """One cell's exposure off by one A&A domain must be caught."""
+
+        def bump(exposures):
+            key = next(iter(exposures))
+            exposures[key] = replace(exposures[key], aa_domains=exposures[key].aa_domains + 1)
+            return exposures
+
+        report = run_oracle(small_scenario, mutators={"recommend": bump})
+        assert not report.ok
+        assert report.stats["recommend_checks"] == 4 * report.stats["sessions"]
+        assert {d.component for d in report.divergences} == {"recommend[exposure-table]"}
+        assert len(report.divergences) == 4  # the bumped cell, under every preference set
+
 
 class TestKillResume:
     @pytest.mark.parametrize("torn", ("",) + TORN_MODES)

@@ -8,11 +8,16 @@ graceful shutdown finishing in-flight requests.  The store's streamed
 build is pinned byte-identical to ``analyze_dataset`` and bounded to two
 decoded traces at a time; a damaged result directory ends in
 ``StoreError`` at start-up and keeps the previous snapshot on reload;
-list and detail bodies are rendered once per snapshot.
+list and detail bodies are rendered once per snapshot.  Uncached
+recommends score from the snapshot's exposure table without reading a
+leak record, and only awaited dispatches (uploads) run under the
+request timeout.
 """
 
 from __future__ import annotations
 
+import asyncio
+import gc
 import http.client
 import json
 import logging
@@ -27,13 +32,19 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
+from repro.core.leaks import LeakRecord
 from repro.core.pipeline import analyze_dataset, run_study
 from repro.experiment.dataset import Dataset, read_manifest
 from repro.ioutil import atomic_write_json
 from repro.net.trace import Trace
 from repro.par import ExecutorError, tasks
 from repro.qa.oracle import canonical_bytes
-from repro.core.recommend import PrivacyPreferences, preferences_from_dict
+from repro.core.recommend import (
+    Exposure,
+    PrivacyPreferences,
+    exposure_table,
+    preferences_from_dict,
+)
 from repro.serve import (
     BackgroundServer,
     LruTtlCache,
@@ -45,7 +56,6 @@ from repro.serve import (
     StoreError,
     canonical_json,
     recommend_payload,
-    run_load,
 )
 from repro.services.catalog import build_catalog
 from repro.stream import dataset_from_journal, stream_dataset
@@ -141,6 +151,19 @@ class TestResultStore:
         assert second.etag != first.etag
         assert store.reloads == 1
         assert {r.spec.slug for r in second.study.services} == {"weather"}
+
+    def test_reload_frees_a_frozen_snapshot(self, result_dir):
+        """``repro serve`` freezes the start-up heap (``gc.freeze``); the
+        snapshot a reload replaces must still be freed, which for frozen
+        objects takes reference counting alone."""
+        store = ResultStore(result_dir, train_recon=False, check_interval=0.0)
+        gc.freeze()
+        try:
+            old = weakref.ref(store.snapshot.study)
+            store.reload()
+            assert old() is None
+        finally:
+            gc.unfreeze()
 
     def test_reload_check_is_rate_limited(self, result_dir):
         clock = FakeClock()
@@ -498,6 +521,36 @@ class TestEndpoints:
             assert served[rec.service]["web_score"] == rec.web_score
             assert served[rec.service]["choice"] == rec.choice
 
+    def test_snapshot_carries_the_exposure_table(self, store):
+        snapshot = store.snapshot
+        assert snapshot.exposures == exposure_table(snapshot.study)
+        assert len(snapshot.exposures) == len(snapshot.study.analyses())
+
+    def test_uncached_recommends_read_no_leak_record(self, app, monkeypatch):
+        """Scoring reads the snapshot's exposure table, never a leak."""
+        reads = []
+        for name in ("pii_type", "plaintext"):
+            getter = getattr(LeakRecord, name).fget
+
+            def spy(record, _getter=getter, _name=name):
+                reads.append(_name)
+                return _getter(record)
+
+            monkeypatch.setattr(LeakRecord, name, property(spy))
+        for weight in (0.1, 0.2, 0.3):
+            for os_name in ("android", "ios"):
+                response = post_recommend(
+                    app,
+                    {"os": os_name, "preferences": {"weights": {"email": weight}}},
+                )
+                assert response.status == 200
+                assert response.headers["X-Cache"] == "miss"
+        assert reads == []
+        # The spy does see a walk over the leak records.
+        cell = next(a for a in app.store.snapshot.study.analyses() if a.leaks)
+        Exposure.of(cell)
+        assert reads
+
     def test_recommend_service_filter(self, app):
         response = post_recommend(app, {"services": ["weather"]})
         payload = json.loads(response.body)
@@ -715,21 +768,6 @@ class TestServer:
             sock.sendall(b"NONSENSE\r\n\r\n")
             assert b"400" in sock.recv(1024)
 
-    def test_loadgen_round_trip(self, live):
-        background, _ = live
-        report = run_load(
-            background.host,
-            background.port,
-            body=b'{"os": "android"}',
-            concurrency=2,
-            requests=60,
-            warmup=5,
-        )
-        assert report.errors == 0
-        assert report.requests == 60
-        assert report.status_counts == {200: 60}
-        assert report.p50_ms <= report.p99_ms
-
     def test_graceful_drain_finishes_inflight(self, app):
         """SIGTERM-equivalent shutdown must not drop an in-flight response."""
         app.handler_delay = 0.3
@@ -760,17 +798,83 @@ class TestServer:
                 background.host, background.port, timeout=1
             ).request("GET", "/healthz")
 
+    def test_awaited_dispatch_still_times_out(self, app):
+        """A request whose awaited part outlasts ``request_timeout`` gets 503."""
+        app.handler_delay = 0.5
+        with BackgroundServer(app, request_timeout=0.05) as background:
+            conn = _http(background)
+            try:
+                conn.request("POST", "/v1/recommend", body=b"{}")
+                response = conn.getresponse()
+                assert response.status == 503
+                assert json.loads(response.read()) == {"error": "request timed out"}
+            finally:
+                conn.close()
+
+    def test_only_awaited_dispatches_run_under_wait_for(
+        self, result_dir, tmp_path, seeded_study, monkeypatch
+    ):
+        """Synchronous handlers run inline; an upload's executor hop is
+        the one dispatch a timeout can interrupt."""
+        from repro.ingest import IngestService
+        from repro.net import codec
+
+        calls = []
+        wait_for = asyncio.wait_for
+
+        def spy(awaitable, timeout):
+            calls.append(timeout)
+            return wait_for(awaitable, timeout)
+
+        monkeypatch.setattr(asyncio, "wait_for", spy)
+        store = ResultStore(result_dir, train_recon=False, check_interval=0.0)
+        ingest = IngestService(tmp_path / "ingest")  # no job threads: jobs queue
+        app = ServeApp(store, ingest=ingest)
+        upload = codec.frame(
+            codec.KIND_BUNDLE, codec.encode_bundle(list(seeded_study.dataset)[:1])
+        )
+        with BackgroundServer(
+            app, max_body_bytes=ingest.max_upload_bytes + 64 * 1024
+        ) as background:
+            conn = _http(background)
+            try:
+                reads = [
+                    ("POST", "/v1/recommend", b'{"os": "ios"}'),
+                    ("POST", "/v1/recommend", b'{"os": "ios"}'),
+                    ("GET", "/v1/services/weather", None),
+                    ("GET", "/v1/services", None),
+                ]
+                for method, path, body in reads:
+                    conn.request(method, path, body=body)
+                    response = conn.getresponse()
+                    response.read()
+                    assert response.status == 200
+                assert calls == []
+                for expected in (1, 2):
+                    conn.request("POST", "/v1/traces", body=upload)
+                    response = conn.getresponse()
+                    response.read()
+                    assert response.status == 202
+                    assert len(calls) == expected
+            finally:
+                conn.close()
+        ingest.shutdown(timeout=5.0)
+
     def test_rate_limited_over_http(self, store):
         app = ServeApp(store, limiter=RateLimiter(rate=0.5, burst=5))
+        statuses = []
         with BackgroundServer(app) as background:
-            report = run_load(
-                background.host,
-                background.port,
-                body=b"{}",
-                headers={"X-Client-Id": "hammer"},
-                concurrency=1,
-                requests=10,
-                warmup=0,
-            )
-        assert report.status_counts.get(200, 0) == 5
-        assert report.status_counts.get(429, 0) == 5
+            conn = _http(background)
+            try:
+                for _ in range(10):
+                    conn.request(
+                        "POST", "/v1/recommend", body=b"{}",
+                        headers={"X-Client-Id": "hammer"},
+                    )
+                    response = conn.getresponse()
+                    response.read()
+                    statuses.append(response.status)
+            finally:
+                conn.close()
+        assert statuses.count(200) == 5
+        assert statuses.count(429) == 5
