@@ -29,7 +29,7 @@ bench:
 		benchmarks/test_bench_pipeline.py --benchmark-only \
 		--benchmark-json=$(BENCH_DIR)/BENCH_pipeline.json -q
 
-# Streaming throughput (flows/sec through the bus + sharded analyzers).
+# The live study with and without its capture journal, ReCon on and off.
 bench-stream:
 	@mkdir -p $(BENCH_DIR)
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest \

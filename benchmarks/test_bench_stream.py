@@ -1,18 +1,23 @@
-"""Streaming-analysis benchmarks.
+"""Streaming-capture benchmarks.
 
-Measures the online path against the batch reference: end-to-end
-replay throughput (flows/sec through the bus + sharded analyzers) and
-the cost of crash-safe operation (journal + periodic snapshots).
+A live ``run_study`` on the 3-service subset, with and without a
+checkpoint directory (the capture journaled as it runs), each with
+ReCon on and off.  The journal changes nothing in the study, so every
+journaled run must print the plain run's bytes, and its journal must
+read back to those same bytes.
 """
+
+import itertools
 
 import pytest
 
 from repro.core.pipeline import analyze_dataset, run_study
+from repro.qa.oracle import canonical_bytes
 from repro.services.catalog import build_catalog
-from repro.services.world import build_world
-from repro.stream import DatasetStreamer, stream_dataset
+from repro.stream import JOURNAL_NAME, dataset_from_journal
 
 SUBSET = ("weather", "grubhub", "cnn")
+RECON = pytest.mark.parametrize("recon", [False, True], ids=["no-recon", "recon"])
 
 
 def _specs(slugs=SUBSET):
@@ -21,53 +26,35 @@ def _specs(slugs=SUBSET):
 
 
 @pytest.fixture(scope="module")
-def replay_dataset():
-    specs = _specs()
-    study = run_study(services=specs, world=build_world(specs), train_recon=False)
-    return study.dataset, specs
+def reference():
+    """The plain run's canonical bytes, with ReCon off and on."""
+    return {
+        recon: canonical_bytes(run_study(_specs(), train_recon=recon))
+        for recon in (False, True)
+    }
 
 
-def test_bench_stream_throughput(benchmark, replay_dataset):
-    """Flows/sec through the full streaming path (2 shards, no recon)."""
-    dataset, specs = replay_dataset
-    flows = dataset.total_flows()
-
-    def run():
-        streamer = DatasetStreamer(dataset, specs, shards=2)
-        streamer.run()
-        return streamer.finalize(train_recon=False), streamer.analyzer
-
-    (study, analyzer) = benchmark.pedantic(run, rounds=3, iterations=1)
-    assert len(study.services) == len(specs)
-    assert analyzer.bus.stats.flows == flows
-    print(
-        f"\n  streamed {flows} flows at {analyzer.flows_per_second:,.0f} flows/s "
-        f"({analyzer.bus.stats.sessions} sessions, 2 shards)"
+@RECON
+def test_bench_stream_batch(benchmark, reference, recon):
+    """The live study without a journal."""
+    study = benchmark.pedantic(
+        lambda: run_study(_specs(), train_recon=recon), rounds=3, iterations=1
     )
+    assert canonical_bytes(study) == reference[recon]
 
 
-def test_bench_stream_checkpoint_overhead(benchmark, replay_dataset, tmp_path):
-    """Same replay with durable checkpoints every 100 flows."""
-    dataset, specs = replay_dataset
-
-    counter = {"n": 0}
+@RECON
+def test_bench_stream_journaled(benchmark, reference, tmp_path, recon):
+    """The same live study journaled into a checkpoint directory."""
+    counter = itertools.count()
 
     def run():
-        counter["n"] += 1
-        directory = tmp_path / f"ckpt-{counter['n']}"
-        study = stream_dataset(
-            dataset,
-            specs,
-            shards=2,
-            train_recon=False,
-            checkpoint_dir=directory,
-            checkpoint_every=100,
-        )
-        assert (directory / "journal.jsonl").exists()
-        return study
+        directory = tmp_path / f"ckpt-{next(counter)}"
+        return run_study(_specs(), train_recon=recon, checkpoint_dir=directory), directory
 
-    study = benchmark.pedantic(run, rounds=3, iterations=1)
-    batch = analyze_dataset(dataset, specs, train_recon=False)
-    streamed = {(a.service, a.os_name, a.medium): a for a in study.analyses()}
-    for analysis in batch.analyses():
-        assert streamed[(analysis.service, analysis.os_name, analysis.medium)] == analysis
+    study, directory = benchmark.pedantic(run, rounds=3, iterations=1)
+    assert canonical_bytes(study) == reference[recon]
+    journaled = dataset_from_journal(directory / JOURNAL_NAME)
+    assert len(journaled) == len(study.dataset)
+    replayed = analyze_dataset(journaled, _specs(), train_recon=recon)
+    assert canonical_bytes(replayed) == reference[recon]

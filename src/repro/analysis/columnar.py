@@ -43,8 +43,7 @@ from __future__ import annotations
 import json
 import struct
 from collections import Counter
-from pathlib import Path
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional
 
 from ..net import codec
 from ..net.codec import CodecError
@@ -301,8 +300,8 @@ def merge_aggregates(partials: Iterable) -> StudyAggregate:
 # Columnar batch encoding (codec wire conventions)
 # ---------------------------------------------------------------------------
 #
-# Payload layout (bare blob; files get the RPRB + version + KIND_ABATCH
-# frame).  All integers little-endian; every array is written as one
+# Payload layout (a bare in-memory blob, never framed or written to
+# disk).  All integers little-endian; every array is written as one
 # struct-packed run so the decoder does one unpack_from per column.
 #
 #   u32 n_strings, then n x (u32 len + UTF-8)      -- interned strings
@@ -711,30 +710,3 @@ def aggregate_diffs(agg: StudyAggregate, os_name: Optional[str] = None) -> list:
                 )
             )
     return out
-
-
-# ---------------------------------------------------------------------------
-# Framed files
-# ---------------------------------------------------------------------------
-
-
-def write_batch(path: Union[str, Path], study, shards: int = 1) -> None:
-    """Atomically write a study's columnar batch as a framed binary file
-    (one blob; ``shards`` only affects in-memory fan-out, not files)."""
-    from ..ioutil import atomic_write_bytes
-
-    metas, cells = _study_cells(study)
-    atomic_write_bytes(
-        path, codec.frame(codec.KIND_ABATCH, encode_cells(metas, cells))
-    )
-
-
-def read_batch(path: Union[str, Path]) -> ColumnarBatch:
-    """Read a framed columnar batch written by :func:`write_batch`."""
-    path = Path(path)
-    return decode_batch(codec.unframe(path.read_bytes(), codec.KIND_ABATCH, path))
-
-
-def read_aggregate(path: Union[str, Path]) -> StudyAggregate:
-    """Read a framed batch file straight into a merged aggregate."""
-    return aggregate_batch(read_batch(path))

@@ -47,7 +47,8 @@ def _build_study(args):
         duration=args.duration,
         train_recon=not args.no_recon,
         executor=args.workers,
-        cache_dir=args.cache_dir,
+        cache_dir=getattr(args, "cache_dir", None),
+        checkpoint_dir=getattr(args, "checkpoint_dir", None),
     )
 
 
@@ -57,6 +58,14 @@ def _aggregate(study, args):
     from .analysis import columnar
 
     return columnar.study_aggregate(study, executor=args.workers)
+
+
+def _print_tables_1_3(study, args) -> None:
+    """The ``analyze`` report: Tables 1 and 3."""
+    agg = _aggregate(study, args)
+    print(render_table1(table1(agg)))
+    print()
+    print(render_table3(table3(agg)))
 
 
 def _worker_count(text: str) -> int:
@@ -241,60 +250,13 @@ def cmd_analyze(args) -> int:
         executor=args.workers,
         cache=cache,
     )
-    agg = _aggregate(study, args)
-    print(render_table1(table1(agg)))
-    print()
-    print(render_table3(table3(agg)))
+    _print_tables_1_3(study, args)
     return 0
 
 
 def cmd_stream(args) -> int:
-    """Streaming analysis: live capture export or dataset replay."""
-    from .stream.analyzer import DatasetStreamer
-
-    if args.dataset:
-        from .experiment.dataset import Dataset
-
-        dataset = Dataset.load(args.dataset)
-        slugs = set(dataset.services())
-        services = [s for s in build_catalog() if s.slug in slugs]
-        streamer = DatasetStreamer(
-            dataset,
-            services,
-            shards=args.shards,
-            checkpoint_dir=args.checkpoint_dir,
-            checkpoint_every=args.checkpoint_every,
-            resume=args.resume,
-            executor=args.workers,
-        )
-        streamer.run()
-        study = streamer.finalize(train_recon=not args.no_recon)
-        stats = streamer.analyzer.bus.stats
-        throughput = streamer.analyzer.flows_per_second
-    else:
-        if args.resume:
-            raise SystemExit("--resume requires --dataset (live runs start fresh)")
-        study = run_study(
-            services=_selected_services(args),
-            seed=args.seed,
-            duration=args.duration,
-            train_recon=not args.no_recon,
-            streaming=True,
-            shards=args.shards,
-            checkpoint_dir=args.checkpoint_dir,
-            executor=args.workers,
-        )
-        stats = throughput = None
-    agg = _aggregate(study, args)
-    print(render_table1(table1(agg)))
-    print()
-    print(render_table3(table3(agg)))
-    if stats is not None:
-        print()
-        print(
-            f"streamed {stats.flows} flows / {stats.sessions} sessions across "
-            f"{args.shards} shard(s) at {throughput:,.0f} flows/s"
-        )
+    """Live capture journaled into ``--checkpoint-dir``, then the report."""
+    _print_tables_1_3(_build_study(args), args)
     return 0
 
 
@@ -788,7 +750,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--result",
         required=True,
         help="result directory: a saved dataset ('repro collect --out') or a "
-        "streaming checkpoint ('repro stream --checkpoint-dir')",
+        "capture's flow journal ('repro stream --checkpoint-dir'; a journal "
+        "still being written serves its complete sessions)",
     )
     serve_parser.add_argument("--host", default="127.0.0.1")
     serve_parser.add_argument("--port", type=int, default=8080)
@@ -927,28 +890,15 @@ def build_parser() -> argparse.ArgumentParser:
     analyze_parser.set_defaults(func=cmd_analyze)
 
     stream_parser = sub.add_parser(
-        "stream", help="streaming capture + online analysis (live or replay)"
+        "stream",
+        help="live capture journaled to --checkpoint-dir, then the analyze report",
     )
     _add_common(stream_parser, cache=False)
     stream_parser.add_argument(
-        "--dataset", help="replay a saved dataset instead of capturing live"
-    )
-    stream_parser.add_argument(
-        "--shards", type=int, default=1, help="parallel analyzer shards"
-    )
-    stream_parser.add_argument(
-        "--checkpoint-dir", help="directory for crash-safe snapshots + flow journal"
-    )
-    stream_parser.add_argument(
-        "--checkpoint-every",
-        type=int,
-        default=200,
-        help="flows between shard snapshots",
-    )
-    stream_parser.add_argument(
-        "--resume",
-        action="store_true",
-        help="resume an interrupted run from --checkpoint-dir",
+        "--checkpoint-dir",
+        required=True,
+        help="directory for the capture's flow journal (journal.jsonl), "
+        "servable with 'repro serve --result' even mid-capture",
     )
     stream_parser.set_defaults(func=cmd_stream)
 

@@ -57,54 +57,9 @@ class SessionAnalysis:
     def aa_megabytes(self) -> float:
         return self.aa_bytes / 1_000_000.0
 
-    def count_flow(self, flow, categorizer: Categorizer) -> None:
-        """Fold one foreground flow's traffic accounting in: the flow
-        count, its third-party domain, and A&A domains, flows and bytes
-        (the batch and streaming paths share this one rule)."""
-        self.flows_total += 1
-        category = categorizer.categorize_flow(flow)
-        if category.is_third_party:
-            self.third_party_domains.add(category.domain)
-        if category.is_aa:
-            self.aa_domains.add(category.domain)
-            self.aa_flows += 1
-            self.aa_bytes += flow.total_bytes
-
-    def merge(self, other: "SessionAnalysis") -> "SessionAnalysis":
-        """Combine two partial analyses of the *same* cell.
-
-        Counters add, domain sets union, and leak lists concatenate in
-        operand order — every field combine is associative, so folding
-        shard partials in any grouping yields the same result (pinned
-        in ``tests/test_stream_merge.py``).  Neither operand is
-        mutated.
-        """
-        if (self.service, self.os_name, self.medium) != (
-            other.service,
-            other.os_name,
-            other.medium,
-        ):
-            raise ValueError(
-                f"cannot merge cell ({other.service}, {other.os_name}, "
-                f"{other.medium}) into ({self.service}, {self.os_name}, "
-                f"{self.medium})"
-            )
-        return SessionAnalysis(
-            service=self.service,
-            os_name=self.os_name,
-            medium=self.medium,
-            flows_total=self.flows_total + other.flows_total,
-            aa_domains=self.aa_domains | other.aa_domains,
-            aa_flows=self.aa_flows + other.aa_flows,
-            aa_bytes=self.aa_bytes + other.aa_bytes,
-            third_party_domains=self.third_party_domains | other.third_party_domains,
-            leaks=self.leaks + other.leaks,
-            recon_false_positives=self.recon_false_positives
-            + other.recon_false_positives,
-        )
-
     def to_dict(self) -> dict:
-        """JSON-safe form (used by streaming checkpoints and exports)."""
+        """JSON-safe form: a pool worker's result wire form, ingest's
+        per-record results and the QA oracle's canonical bytes."""
         return {
             "service": self.service,
             "os": self.os_name,
@@ -225,7 +180,14 @@ def analyze_session(
         recon_false_positives=report.recon_false_positives,
     )
     for flow in trace:
-        analysis.count_flow(flow, categorizer)
+        analysis.flows_total += 1
+        category = categorizer.categorize_flow(flow)
+        if category.is_third_party:
+            analysis.third_party_domains.add(category.domain)
+        if category.is_aa:
+            analysis.aa_domains.add(category.domain)
+            analysis.aa_flows += 1
+            analysis.aa_bytes += flow.total_bytes
     return analysis
 
 
@@ -259,8 +221,8 @@ def assemble_study(
 
     Cells keep the order of ``analyses`` within each service, and
     services follow ``services`` (catalog spec order).  The batch
-    pipeline, the stream finalizer and ingest all assemble here, which
-    is the result-side half of their byte-identity contract.
+    pipeline and ingest both assemble here, which is the result-side
+    half of their byte-identity contract.
     """
     by_slug = {spec.slug: spec for spec in services}
     results: dict = {}
@@ -404,8 +366,6 @@ def run_study(
     duration: float = 240.0,
     train_recon: bool = True,
     world: Optional[World] = None,
-    streaming: bool = False,
-    shards: int = 1,
     checkpoint_dir=None,
     executor=1,
     cache_dir=None,
@@ -423,12 +383,13 @@ def run_study(
     content-addressed, so an unchanged re-run skips straight to
     aggregation and any config change invalidates cleanly.
 
-    ``streaming=True`` analyzes the capture *live* instead of post-hoc:
-    a :class:`~repro.proxy.addons.StreamCapture` addon feeds each
-    finalized flow into ``shards`` online analyzers while the campaign
-    is still running (see :mod:`repro.stream`).  The result is
-    byte-for-byte identical to the batch path; ``checkpoint_dir``
-    additionally makes the run crash-resumable.
+    ``checkpoint_dir`` journals the capture as it runs: a
+    :class:`~repro.proxy.addons.StreamCapture` addon publishes every
+    finalized event to ``checkpoint_dir/journal.jsonl``
+    (:class:`~repro.stream.checkpoint.FlowJournal`), which ``repro
+    serve`` can read while the capture is still going.  The study is the
+    same batch analysis of the collected dataset; a journaled run always
+    captures, so the campaign fast path of the cache is skipped.
 
     ``mitigation`` runs the whole collection through the inline
     mitigation data plane (:mod:`repro.mitigate`): pass a
@@ -446,54 +407,56 @@ def run_study(
         from .cache import AnalysisCache
 
         cache = AnalysisCache(cache_dir)
-    if not streaming:
-        if cache is not None and world is None and services is not None and mitigation is None:
-            # The campaign is a pure function of (specs, seed, duration):
-            # with a cache we can skip the whole simulated collection.
-            campaign_key = cache.campaign_key(services, seed, duration)
-            dataset = cache.load_campaign(campaign_key)
-            if dataset is not None:
-                return analyze_dataset(
-                    dataset,
-                    services,
-                    train_recon=train_recon,
-                    executor=executor,
-                    cache=cache,
-                )
+    if (
+        cache is not None
+        and world is None
+        and services is not None
+        and mitigation is None
+        and checkpoint_dir is None
+    ):
+        # The campaign is a pure function of (specs, seed, duration):
+        # with a cache we can skip the whole simulated collection.
+        campaign_key = cache.campaign_key(services, seed, duration)
+        dataset = cache.load_campaign(campaign_key)
+        if dataset is not None:
+            return analyze_dataset(
+                dataset,
+                services,
+                train_recon=train_recon,
+                executor=executor,
+                cache=cache,
+            )
     if world is None:
         world = build_world(services)
     specs = services if services is not None else world.services
     runner = ExperimentRunner(world, seed=seed)
-    if not streaming:
+    if checkpoint_dir is None:
         dataset = runner.run_study(specs, duration=duration, mitigation=mitigation)
-        if cache is not None and campaign_key is not None:
-            cache.store_campaign(campaign_key, dataset)
-        return analyze_dataset(
-            dataset,
-            specs,
-            train_recon=train_recon,
-            executor=executor,
-            cache=cache,
-        )
+    else:
+        from pathlib import Path
 
-    from ..proxy.addons import StreamCapture
-    from ..stream.analyzer import StreamAnalyzer
+        from ..proxy.addons import StreamCapture
+        from ..stream.checkpoint import JOURNAL_NAME, FlowJournal
 
-    analyzer = StreamAnalyzer(
-        specs, shards=shards, checkpoint_dir=checkpoint_dir, executor=executor
+        journal = FlowJournal(Path(checkpoint_dir) / JOURNAL_NAME)
+        capture = StreamCapture(journal.publish)
+        world.proxy.add_addon(capture)
+        try:
+            dataset = runner.run_study(
+                specs,
+                duration=duration,
+                phone_setup=capture.stage_phone,
+                mitigation=mitigation,
+            )
+        finally:
+            world.proxy.remove_addon(capture)
+            journal.close()
+    if campaign_key is not None:
+        cache.store_campaign(campaign_key, dataset)
+    return analyze_dataset(
+        dataset,
+        specs,
+        train_recon=train_recon,
+        executor=executor,
+        cache=cache,
     )
-    capture = StreamCapture(analyzer.publish)
-    world.proxy.add_addon(capture)
-    try:
-        analyzer.start()
-        dataset = runner.run_study(
-            specs,
-            duration=duration,
-            phone_setup=capture.stage_phone,
-            mitigation=mitigation,
-        )
-        study = analyzer.finalize(train_recon=train_recon)
-    finally:
-        world.proxy.remove_addon(capture)
-    study.dataset = dataset
-    return study

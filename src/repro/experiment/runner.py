@@ -188,9 +188,9 @@ class ExperimentRunner:
     ) -> Dataset:
         """Run the full measurement campaign and return the dataset.
 
-        ``phone_setup`` is forwarded to every :meth:`run_session` — the
-        streaming pipeline uses it to stage each device's ground truth
-        into the live capture addon.
+        ``phone_setup`` is forwarded to every :meth:`run_session` — a
+        journaled run uses it to stage each device's ground truth into
+        the live capture addon.
 
         ``mitigation`` turns the capture proxy into an inline mitigating
         proxy for the whole campaign: pass a

@@ -101,7 +101,7 @@ class JobStore:
         self.jobs_dir.mkdir(parents=True, exist_ok=True)
         self.journal_path = self.root / "journal.jsonl"
         self._seq = 0
-        for event in iter_jsonl(self.journal_path, truncate=True):
+        for _line, event in iter_jsonl(self.journal_path, truncate=True):
             try:
                 self._seq = max(self._seq, int(event.get("seq", 0)))
             except (TypeError, ValueError):
@@ -196,7 +196,7 @@ class JobStore:
         path = self.job_dir(job_id) / "results.jsonl"
         return {
             int(event["index"]): event["analysis"]
-            for event in iter_jsonl(path, truncate=truncate)
+            for _line, event in iter_jsonl(path, truncate=truncate)
         }
 
     # -- payloads ----------------------------------------------------------
@@ -271,7 +271,7 @@ class JobStore:
         """
         order: List[str] = []
         seen = set()
-        for event in iter_jsonl(self.journal_path):
+        for _line, event in iter_jsonl(self.journal_path):
             job_id = event.get("job")
             if isinstance(job_id, str) and job_id not in seen:
                 seen.add(job_id)

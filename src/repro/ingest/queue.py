@@ -1,14 +1,12 @@
 """Bounded per-tenant admission queues with reject-not-block backpressure.
 
-The streaming bus (:mod:`repro.stream.bus`) bounds its per-shard queues
-and makes the *publisher* block when a shard falls behind — correct for
-an in-process pipeline that owns both ends.  An open upload endpoint
-cannot block: a slow analysis backlog would wedge every connection slot
-behind one tenant.  :class:`TenantQueue` keeps the same bounded-FIFO
-discipline but converts "full" into an immediate, typed rejection
-(:class:`QueueFull`) that the HTTP layer maps to 429 (this tenant's
-queue is full) or 503 (the whole service is saturated) with a
-Retry-After estimate.
+An open upload endpoint cannot block its caller when analysis falls
+behind, as an in-process pipeline that owns both ends may: a slow
+analysis backlog would wedge every connection slot behind one tenant.
+:class:`TenantQueue` bounds each tenant's FIFO and converts "full"
+into an immediate, typed rejection (:class:`QueueFull`) that the HTTP
+layer maps to 429 (this tenant's queue is full) or 503 (the whole
+service is saturated) with a Retry-After estimate.
 
 Admission is two-phase so a job is never queued before it is durable:
 :meth:`TenantQueue.reserve` claims capacity under the lock *before* the

@@ -2,7 +2,7 @@
 
 A killed collection, checkpoint, or dataset save must never leave a
 half-written file behind: every writer in the persistence layer
-(`Trace.dump`, `Dataset.save`, the streaming checkpoints) funnels
+(`Trace.dump`, `Dataset.save`, the campaign checkpoints) funnels
 through :func:`atomic_write_text` / :func:`atomic_write_json`, which
 write to a temporary sibling and :func:`os.replace` it over the target.
 On POSIX the replace is atomic, so readers observe either the old
@@ -54,8 +54,9 @@ def atomic_write_json(path: Union[str, Path], payload, indent: int = 1) -> None:
     atomic_write_text(path, json.dumps(payload, indent=indent) + "\n")
 
 
-def iter_jsonl(path: Union[str, Path], truncate: bool = False) -> Iterator[dict]:
-    """Yield the JSON object on each complete line of an append-only file.
+def iter_jsonl(path: Union[str, Path], truncate: bool = False) -> Iterator[tuple]:
+    """Yield ``(line number, object)`` for the JSON object on each
+    complete line of an append-only file (numbers start at 1).
 
     Appenders write whole ``\\n``-terminated lines, so only the tail can
     be torn: iteration stops at the first line that is unterminated, not
@@ -72,7 +73,7 @@ def iter_jsonl(path: Union[str, Path], truncate: bool = False) -> Iterator[dict]
         return
     with handle:
         good_end = 0
-        for line in handle:
+        for number, line in enumerate(handle, 1):
             if not line.endswith(b"\n"):
                 break
             if line.strip():
@@ -82,7 +83,7 @@ def iter_jsonl(path: Union[str, Path], truncate: bool = False) -> Iterator[dict]
                     break
                 if not isinstance(record, dict):
                     break
-                yield record
+                yield number, record
             good_end += len(line)
         if truncate and good_end < os.fstat(handle.fileno()).st_size:
             handle.truncate(good_end)

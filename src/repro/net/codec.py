@@ -52,7 +52,7 @@ VERSION = 1
 
 KIND_TRACE = 1
 KIND_RECORD = 2
-KIND_ABATCH = 3  # columnar analysis batch (repro.analysis.columnar)
+# Kind 3 (KIND_ABATCH, columnar batch files) is retired: never reuse it.
 KIND_BUNDLE = 4  # upload bundle: u32 record count + records back-to-back
 KIND_CAGG = 5  # campaign aggregate partial (repro.campaign.engine)
 

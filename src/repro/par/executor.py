@@ -1,9 +1,9 @@
 """One execution primitive: ``Executor(workers)``.
 
-Every fan-out in the repo — per-session analysis, ReCon labeling, the
-streaming finalizer's re-scan, columnar kernels, campaign chunks and
-the campaign tree merge, the ingest worker loop — maps one named task
-from :mod:`repro.par.tasks` over an ordered stream of items.  An
+Every fan-out in the repo — per-session analysis, ReCon labeling,
+columnar kernels, campaign chunks and the campaign tree merge, the
+ingest worker loop — maps one named task from :mod:`repro.par.tasks`
+over an ordered stream of items.  An
 :class:`Executor` owns *how* that map runs:
 
 - ``workers == 1`` calls each task in-process on live objects (no codec

@@ -3,10 +3,8 @@
 Each task is a module-level function ``task(context, item)`` over live
 objects: the two per-session pipeline stages (analyze and ReCon
 labeling), the columnar kernel, a timed campaign chunk, and the
-campaign tree merge.  The streaming finalizer has no task of its own:
-with ReCon on it replays its journal through ``analyze_dataset``, so
-it runs ``label`` and ``analyze`` like the batch pipeline.  A
-one-worker executor calls them in-process exactly as written.
+campaign tree merge.  A one-worker executor calls them in-process
+exactly as written.
 
 A process pool can only ship module-level callables and plain data, so
 each task also carries a :class:`Wire` — how the coordinator encodes an
@@ -15,8 +13,8 @@ item, how a worker decodes it, and how the result crosses back:
 - session records travel in the compact binary form from
   :mod:`repro.net.codec` (one ``bytes`` object, far cheaper to pickle
   than the object graph);
-- results return as the JSON-safe dict forms the streaming checkpoints
-  already pin round-trip-faithful, or as exact KIND_CAGG blobs for
+- results return as their round-trip-faithful JSON-safe dict forms
+  (``SessionAnalysis.to_dict``), or as exact KIND_CAGG blobs for
   campaign partials, so merging shipped partials in the parent stays
   bit-identical to an in-process reduction;
 - the *context* a task needs (service specs and the trained ReCon

@@ -1,7 +1,8 @@
 """Bundled proxy addons.
 
 Small mitmproxy-style addons used by the experiment harness: traffic
-tagging, host blocking, and a live counter useful in tests and examples.
+tagging, a live counter useful in tests and examples, and the live
+export of the capture into a flow journal.
 """
 
 from __future__ import annotations
@@ -70,13 +71,14 @@ class RequestLogger:
 
 
 class StreamCapture:
-    """Export captured flows live into the streaming analysis bus.
+    """Publish the capture live, one finalized event at a time.
 
-    Bridges the proxy's capture lifecycle to stream events (see
-    :mod:`repro.stream.bus`): ``capture_start`` becomes a
+    Bridges the proxy's capture lifecycle to the flow journal's events
+    (see :mod:`repro.stream.checkpoint`): ``capture_start`` becomes a
     ``session_start`` event carrying the device's ground-truth PII,
     each flow is published once it is *final*, and ``capture_stop``
-    becomes ``session_end``.
+    becomes ``session_end``.  ``run_study(checkpoint_dir=...)`` wires
+    ``publish`` to :meth:`~repro.stream.checkpoint.FlowJournal.publish`.
 
     A flow keeps accumulating transactions until its connection closes,
     so flows are held pending and flushed as the longest closed prefix
@@ -88,12 +90,12 @@ class StreamCapture:
     ``phone_setup`` hook runs at exactly the right moment — after
     provisioning and sign-in, before capture):
 
-    >>> capture = StreamCapture(analyzer.publish)
+    >>> capture = StreamCapture(journal.publish)
     >>> runner.run_session(spec, os, medium, phone_setup=capture.stage_phone)
     """
 
     def __init__(self, publish: Callable) -> None:
-        from ..stream.bus import flow_event, session_end_event, session_start_event
+        from ..stream.checkpoint import flow_event, session_end_event, session_start_event
 
         self._publish = publish
         self._flow_event = flow_event

@@ -19,7 +19,7 @@ Semantics mirror the real setup:
 - mitmproxy-style addons get ``request``/``response``/``tcp_connect``/
   ``tcp_close`` callbacks plus ``capture_start``/``capture_stop``
   lifecycle hooks, and may tag flows (used for background-traffic
-  labeling and for live export into the streaming analysis bus).
+  labeling and for live export into the flow journal).
 - A ``rewrite_request`` stage runs between the client and the network
   on decryptable flows: an addon may return a replacement
   :class:`~repro.http.message.Request` (forwarded and recorded in place

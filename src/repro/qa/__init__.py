@@ -1,8 +1,8 @@
 """Differential fuzzing & fault-injection harness.
 
 The paper's headline numbers are produced by three execution paths
-(batch :func:`~repro.core.pipeline.analyze_dataset`, the sharded
-streaming pipeline, and the serving read path) plus fast/slow twins of
+(batch :func:`~repro.core.pipeline.analyze_dataset`, a live capture's
+flow journal read back, and the serving read path) plus fast/slow twins of
 the PII matcher and the EasyList engine.  This package generates
 randomized worlds from a single seed (:mod:`repro.qa.scenarios`), runs
 every path over them and asserts byte-level equality
@@ -17,7 +17,7 @@ JSON reproducers (:mod:`repro.qa.shrink`).
 Entry point: ``repro fuzz --seed N --rounds K --faults``.
 """
 
-from .faults import ExplodingAddon, FaultPlan, tear_journal
+from .faults import ExplodingAddon, FaultPlan, tear_journal, write_journal
 from .oracle import Divergence, OracleReport, canonical_bytes, first_divergent_field, run_oracle
 from .scenarios import (
     Scenario,
@@ -45,5 +45,6 @@ __all__ = [
     "scenario_ground_truth",
     "shrink",
     "tear_journal",
+    "write_journal",
     "write_reproducer",
 ]

@@ -3,21 +3,25 @@
 A :class:`FaultPlan` is derived from the scenario seed, serializes to
 JSON, and drives five chaos checks:
 
-- **Kill + resume** (``kill_events``): abort the sharded streamer after
-  N published events (no final snapshot), optionally tear the journal
-  tail (clean cut, binary garbage, or mid-UTF-8), resume, and require
-  the finalized study to equal the batch reference byte for byte.
+- **Kill + re-run** (``kill_events``): a capture killed after N
+  journaled events leaves the journal's first N lines, the last one
+  optionally torn (``torn_tail``: clean cut, binary garbage, or
+  mid-UTF-8).  It must read back exactly the sessions whose
+  ``session_end`` line survived, each analyzing to the batch
+  reference's bytes, and the re-run's whole journal must read back to
+  the whole reference.
 - **Transport chaos** (``transport``): wrap every phone transport in a
   :class:`~repro.http.transport.FaultInjectingTransport` refusing,
   truncating, or stalling chosen connection ordinals.  The collected
-  chaos dataset must analyze identically in batch and streaming — the
-  oracle's equivalence must hold on degraded traffic too.
+  chaos dataset, journaled and read back, must analyze identically to
+  its batch analysis — the oracle's equivalence must hold on degraded
+  traffic too.
 - **Addon chaos** (``addon_chaos``): register an addon whose callbacks
   raise.  The capture must complete, produce the *same* dataset as a
   fault-free run of the same seed, and the proxy must have recorded the
   addon failures in ``addon_errors`` instead of propagating them.
 - **Serve snapshot** (``serve_check``): point a ``ResultStore`` at a
-  streaming checkpoint, append torn half-written tails to the journal
+  flow journal, append torn half-written tails to it
   (including a mid-UTF-8 cut), force reloads, and require every served
   snapshot to stay byte-identical — serve never exposes a torn write.
   Then truncate the last trace of a saved dataset: a reload onto it,
@@ -35,20 +39,28 @@ JSON, and drives five chaos checks:
 
 from __future__ import annotations
 
+import itertools
 import json
 import tempfile
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from ..core.pipeline import analyze_dataset
+from ..core.pipeline import analyze_dataset, train_recon_on_dataset
 from ..experiment.dataset import MANIFEST_NAME, read_manifest
 from ..experiment.runner import ExperimentRunner
 from ..http.transport import FAULT_KINDS, FaultInjectingTransport
 from ..ioutil import atomic_write_json
 from ..serve.store import ResultStore, StoreError
 from ..services.world import build_world
-from ..stream.analyzer import DatasetStreamer, stream_dataset
-from ..stream.checkpoint import JOURNAL_NAME, FlowJournal
+from ..stream.checkpoint import (
+    JOURNAL_NAME,
+    SESSION_END,
+    FlowJournal,
+    dataset_from_journal,
+    flow_event,
+    session_end_event,
+    session_start_event,
+)
 
 TORN_MODES = ("cut", "garbage", "utf8")
 
@@ -130,6 +142,31 @@ def tear_journal(path, mode: str, amount: int = 7) -> None:
         raise ValueError(f"unknown torn-tail mode {mode!r}")
 
 
+def journal_events(dataset):
+    """A dataset's capture events in the order a live capture journals
+    them: per session, in dataset order, its start (trace metadata and
+    ground truth), its flows in trace order, then its end."""
+    for record in dataset:
+        yield session_start_event(record.trace.meta, record.ground_truth)
+        for flow in record.trace:
+            yield flow_event(record.key, flow)
+        yield session_end_event(record.key)
+
+
+def write_journal(dataset, path, limit=None) -> None:
+    """Journal a collected dataset as its live capture would have.
+
+    ``limit`` keeps only the first ``limit`` events: the journal a
+    capture killed at that point leaves behind.
+    """
+    journal = FlowJournal(path)
+    try:
+        for event in itertools.islice(journal_events(dataset), limit):
+            journal.publish(event)
+    finally:
+        journal.close()
+
+
 class ExplodingAddon:
     """A proxy addon whose callbacks raise every ``every``-th invocation."""
 
@@ -171,58 +208,51 @@ def _divergence(component, path, expected, actual):
     return Divergence(component, path, str(expected), str(actual))
 
 
+def _read_back(path, specs, recon):
+    """Analyze what a journal reads back, with a fixed classifier."""
+    journaled = dataset_from_journal(path)
+    return analyze_dataset(journaled, specs, recon=recon, train_recon=False)
+
+
 def check_kill_resume(scenario, specs, dataset, expected, plan, mutate):
-    """Abort mid-stream (optionally tearing the journal), resume, compare."""
+    """Kill a journaled capture (optionally tearing its tail), re-run it.
+
+    Analyses use the reference's classifier (retrained on the whole
+    dataset when the scenario trains ReCon), so every session read back
+    from a killed journal must carry exactly its reference bytes.
+    """
     from .oracle import canonical_bytes
 
+    reference = json.loads(expected)
+    recon = train_recon_on_dataset(dataset) if scenario.train_recon else None
+    events = list(journal_events(dataset))
     out = []
-    for kill in plan.kill_events:
-        with tempfile.TemporaryDirectory(prefix="repro-qa-ckpt-") as tmp:
-            first = DatasetStreamer(
-                dataset, specs, shards=2, checkpoint_dir=tmp, checkpoint_every=16
-            )
-            first.run(limit=kill)
-            first.analyzer.abort()
-            journal_path = Path(tmp) / JOURNAL_NAME
+    with tempfile.TemporaryDirectory(prefix="repro-qa-journal-") as tmp:
+        path = Path(tmp) / JOURNAL_NAME
+        write_journal(dataset, path)
+        actual = canonical_bytes(mutate("stream", _read_back(path, specs, recon)))
+        if actual != expected:
+            out.append(_divergence("kill-resume[rerun]", "study", expected, actual))
+        for kill in plan.kill_events:
+            label = f"kill[{kill}:{plan.torn_tail or 'clean'}]"
+            write_journal(dataset, path, limit=kill)
+            killed = path.read_bytes()
             if plan.torn_tail:
-                tear_journal(journal_path, plan.torn_tail, plan.torn_bytes)
-                # Recovery must drop the torn tail, leaving only
-                # complete, parseable lines behind.
-                probe = FlowJournal(journal_path, resume=True)
-                probe.close()
-                for line in journal_path.read_bytes().splitlines():
-                    try:
-                        json.loads(line.decode("utf-8"))
-                    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-                        out.append(
-                            _divergence(
-                                f"kill-resume[{kill}:{plan.torn_tail}]",
-                                "journal line after recovery",
-                                "parseable JSON",
-                                repr(exc),
-                            )
-                        )
-                        break
-            resumed = DatasetStreamer(
-                dataset,
-                specs,
-                shards=2,
-                checkpoint_dir=tmp,
-                checkpoint_every=16,
-                resume=True,
-            )
-            resumed.run()
-            study = mutate("stream", resumed.finalize(train_recon=scenario.train_recon))
-            actual = canonical_bytes(study)
-            if actual != expected:
-                out.append(
-                    _divergence(
-                        f"kill-resume[{kill}:{plan.torn_tail or 'clean'}]",
-                        "study",
-                        expected,
-                        actual,
-                    )
-                )
+                tear_journal(path, plan.torn_tail, plan.torn_bytes)
+            # Whole lines a reader can still see, and the sessions they end.
+            intact = path.read_bytes()[: len(killed)].count(b"\n")
+            ended = {
+                "|".join(event.session)
+                for event in events[:intact]
+                if event.kind == SESSION_END
+            }
+            want = json.dumps(
+                {key: value for key, value in reference.items() if key in ended},
+                sort_keys=True,
+            ).encode("utf-8")
+            got = canonical_bytes(mutate("stream", _read_back(path, specs, recon)))
+            if got != want:
+                out.append(_divergence(label, "sessions read back", want, got))
     return out
 
 
@@ -252,10 +282,10 @@ def check_transport_chaos(scenario, specs, plan, mutate):
     )
     batch = analyze_dataset(chaos_dataset, specs, train_recon=False)
     expected = canonical_bytes(batch)
-    streamed = mutate(
-        "stream", stream_dataset(chaos_dataset, specs, shards=2, train_recon=False)
-    )
-    actual = canonical_bytes(streamed)
+    with tempfile.TemporaryDirectory(prefix="repro-qa-journal-") as tmp:
+        path = Path(tmp) / JOURNAL_NAME
+        write_journal(chaos_dataset, path)
+        actual = canonical_bytes(mutate("stream", _read_back(path, specs, None)))
     out = []
     if actual != expected:
         out.append(_divergence("transport-chaos[stream]", "study", expected, actual))
@@ -344,9 +374,7 @@ def check_serve_snapshot(scenario, specs, dataset, mutate):
     expected = canonical_bytes(reference)
     out = []
     with tempfile.TemporaryDirectory(prefix="repro-qa-serve-") as tmp:
-        streamer = DatasetStreamer(dataset, specs, shards=1, checkpoint_dir=tmp)
-        streamer.run()
-        streamer.finalize(train_recon=False)
+        write_journal(dataset, Path(tmp) / JOURNAL_NAME)
         store = ResultStore(tmp, services=specs, train_recon=False, check_interval=0.0)
 
         def served() -> bytes:
@@ -584,11 +612,6 @@ def run_fault_checks(scenario, specs, dataset, expected, mutators=None):
     divergences = []
     stats = {"fault_checks": 0}
 
-    divergences.extend(
-        check_kill_resume(scenario, specs, dataset, expected, plan, mutate)
-    )
-    stats["fault_checks"] += len(plan.kill_events)
-
     if plan.transport:
         found, chaos_stats = check_transport_chaos(scenario, specs, plan, mutate)
         divergences.extend(found)
@@ -605,6 +628,11 @@ def run_fault_checks(scenario, specs, dataset, expected, mutators=None):
         divergences.extend(found)
         stats.update(rewrite_stats)
         stats["fault_checks"] += 1
+
+    divergences.extend(
+        check_kill_resume(scenario, specs, dataset, expected, plan, mutate)
+    )
+    stats["fault_checks"] += len(plan.kill_events)
 
     if plan.serve_check:
         divergences.extend(check_serve_snapshot(scenario, specs, dataset, mutate))

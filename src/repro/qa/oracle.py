@@ -11,7 +11,9 @@ Paths compared against the one-worker (in-process) batch reference:
 - batch through a four-worker :mod:`repro.par` process pool,
   whose workers re-serialize every session through the binary codec
   and own a fresh string-hash seed;
-- streaming via :func:`repro.stream.stream_dataset` at each shard count;
+- the stream: a live capture of the scenario journaled through
+  ``run_study(checkpoint_dir=...)``, its journal read back with
+  :func:`repro.stream.dataset_from_journal` and analyzed;
 - the serving store's build from the saved dataset
   (:class:`repro.serve.store.ResultStore`), which decodes, analyzes and
   drops one session's trace at a time;
@@ -30,8 +32,8 @@ Paths compared against the one-worker (in-process) batch reference:
   reference walk over its leak records, bit for bit, under four
   preference sets;
 - the mitigation data plane: an installed all-allow policy is
-  byte-inert, mitigated traffic analyzes identically in serial /
-  process-pool / streaming, re-collection under the same policy and
+  byte-inert, mitigated traffic analyzes identically in-process and on
+  the process pool, re-collection under the same policy and
   seed reproduces the mitigated study, and every residual leak is of a
   (type, party) cell the policy explicitly allows.
 
@@ -44,13 +46,14 @@ from __future__ import annotations
 import json
 import tempfile
 from dataclasses import asdict, dataclass, field
+from pathlib import Path
 
-from ..core.pipeline import analyze_dataset
+from ..core.pipeline import analyze_dataset, run_study
 from ..experiment.runner import ExperimentRunner
 from ..pii.matcher import GroundTruthMatcher
 from ..serve.store import ResultStore
 from ..services.world import build_world
-from ..stream.analyzer import stream_dataset
+from ..stream.checkpoint import JOURNAL_NAME, dataset_from_journal
 from ..trackerdb.abpfilter import FilterList
 from ..trackerdb.easylist import bundled_easylist
 from ..trackerdb.psl import DomainError, domain_key, registrable_domain, same_party
@@ -61,7 +64,7 @@ from .scenarios import Scenario, scenario_ground_truth
 class Divergence:
     """One observed disagreement between two supposedly equal paths."""
 
-    component: str  # which comparison failed, e.g. "stream[shards=2]"
+    component: str  # which comparison failed, e.g. "serve[saved-dataset]"
     path: str  # dotted path of the first divergent field
     expected: str
     actual: str
@@ -198,12 +201,24 @@ def run_oracle(scenario: Scenario, mutators=None) -> OracleReport:
     )
     check_study("batch[process,workers=4]", pooled, "process")
 
-    # -- streaming, every shard count ---------------------------------------
-    for shards in scenario.shard_counts:
-        streamed = stream_dataset(
-            dataset, specs, shards=shards, train_recon=scenario.train_recon
+    # -- the stream: a live capture's journal, read back --------------------
+    # Only the journal is compared: the run's own study is the batch path
+    # over a second, identical capture.
+    with tempfile.TemporaryDirectory(prefix="repro-qa-stream-") as stream_dir:
+        run_study(
+            specs,
+            seed=scenario.study_seed,
+            duration=scenario.duration,
+            train_recon=False,
+            world=build_world(specs),
+            checkpoint_dir=stream_dir,
         )
-        check_study(f"stream[shards={shards}]", streamed, "stream")
+        journaled = dataset_from_journal(Path(stream_dir) / JOURNAL_NAME)
+    check_study(
+        "stream",
+        analyze_dataset(journaled, specs, train_recon=scenario.train_recon),
+        "stream",
+    )
 
     # -- the serving store's streamed build ---------------------------------
     with tempfile.TemporaryDirectory(prefix="repro-qa-store-") as store_dir:
@@ -454,8 +469,8 @@ def run_oracle(scenario: Scenario, mutators=None) -> OracleReport:
     # -- mitigation data plane ----------------------------------------------
     # Four pins per seed: (a) an installed-but-inert (all-allow) policy
     # leaves the study byte-identical to the reference; (b) the
-    # mitigated dataset analyzes identically in serial, process-pool
-    # and streaming; (c) re-collecting under the same policy and seed
+    # mitigated dataset analyzes identically in-process and on the
+    # process pool; (c) re-collecting under the same policy and seed
     # reproduces the mitigated study byte for byte; (d) the residual
     # invariant — every leak surviving mitigation is of a (type, party)
     # cell the policy explicitly allows.
@@ -510,13 +525,6 @@ def run_oracle(scenario: Scenario, mutators=None) -> OracleReport:
         "mitigate[process,workers=2]",
         analyze_dataset(
             mitigated_dataset, specs, train_recon=scenario.train_recon, executor=2
-        ),
-        mitigated_expected,
-    )
-    check_mitigated(
-        "mitigate[stream,shards=2]",
-        stream_dataset(
-            mitigated_dataset, specs, shards=2, train_recon=scenario.train_recon
         ),
         mitigated_expected,
     )

@@ -363,7 +363,6 @@ class Scenario:
     study_seed: int
     duration: float
     train_recon: bool
-    shard_counts: tuple
     services: tuple  # CatalogRow kwargs dicts
     texts: tuple
     urls: tuple  # (url, page_host, resource_type)
@@ -385,7 +384,6 @@ class Scenario:
             study_seed=int(data["study_seed"]),
             duration=float(data["duration"]),
             train_recon=bool(data["train_recon"]),
-            shard_counts=tuple(int(n) for n in data["shard_counts"]),
             services=tuple(dict(row) for row in data["services"]),
             texts=tuple(data["texts"]),
             urls=tuple(tuple(probe) for probe in data["urls"]),
@@ -435,7 +433,6 @@ def generate_scenario(seed: int, faults: bool = False, max_services: int = 4) ->
         study_seed=rng.randrange(1, 1_000_000),
         duration=rng.choice((20.0, 30.0, 45.0)),
         train_recon=rng.random() < 0.25,
-        shard_counts=(1, 2, 4),
         services=services,
         texts=_random_texts(seed),
         urls=urls,

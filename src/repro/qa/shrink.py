@@ -3,9 +3,9 @@
 Given a failing scenario and a predicate ("does this still fail?"),
 repeatedly try structure-preserving reductions — drop a service, halve
 the probe vocabularies, drop fault classes, disable ReCon training,
-shrink the shard matrix, shorten the session — keeping each reduction
-only if the failure survives.  The result is written as a JSON
-reproducer replayable with ``repro fuzz --replay FILE``.
+shorten the session — keeping each reduction only if the failure
+survives.  The result is written as a JSON reproducer replayable with
+``repro fuzz --replay FILE``.
 
 Everything here is deterministic: reductions are tried in a fixed
 order, so the same failing seed always shrinks to the same reproducer.
@@ -43,8 +43,6 @@ def _reductions(scenario: Scenario):
     if len(scenario.hostnames) > 1:
         yield replace(scenario, hostnames=_halve(scenario.hostnames))
     # Shrink the execution matrix.
-    if len(scenario.shard_counts) > 1:
-        yield replace(scenario, shard_counts=(scenario.shard_counts[0],))
     if scenario.train_recon:
         yield replace(scenario, train_recon=False)
     if scenario.duration > 10.0:

@@ -3,8 +3,8 @@
 The deliverable end users actually touched was the interactive
 app-vs-web recommender (https://recon.meddle.mobi/appvsweb/); this
 package is that deployment surface for the reproduction.  It serves
-precomputed study results — a saved dataset or a streaming checkpoint —
-over a dependency-free asyncio HTTP API:
+precomputed study results — a saved dataset or a capture's flow
+journal — over a dependency-free asyncio HTTP API:
 
 ========================  ====================================================
 ``GET /healthz``          liveness + store version/ETag

@@ -12,16 +12,18 @@ this codebase persists a campaign:
   decodes, analyzes and drops one session's trace at a time, so it
   never holds the dataset; with ReCon on, the training slice is read
   the same way before the analysis pass;
-- a **streaming checkpoint directory** written by ``repro stream
-  --checkpoint-dir`` — detected by its ``journal.jsonl``, folded back
-  into a dataset by the stream's own read-only reader
+- a **checkpoint directory** written by a live ``repro stream
+  --checkpoint-dir`` capture — detected by its ``journal.jsonl``,
+  folded back into a dataset by the journal's read-only reader
   (:func:`repro.stream.checkpoint.dataset_from_journal`), which never
   touches the journal (a serving process must never mutate a capture
-  artifact), then analyzed by the same build.
+  artifact), then analyzed by the same build.  A capture still running,
+  or killed, serves the sessions it completed.
 
 A damaged directory — a malformed manifest, a session listed twice, a
-missing or truncated trace — raises :class:`StoreError`, wherever in
-the build it shows up.  An analysis that fails on an intact session is
+missing or truncated trace, a journal line that is not a valid event
+(:class:`~repro.stream.checkpoint.CheckpointError`) — raises
+:class:`StoreError`, wherever in the build it shows up.  An analysis that fails on an intact session is
 a bug, not damage: its ``ExecutorError`` is not wrapped.
 
 Every load produces an immutable :class:`StoreSnapshot` carrying the
@@ -61,9 +63,9 @@ from ..stream.checkpoint import JOURNAL_NAME, dataset_from_journal
 log = logging.getLogger(__name__)
 
 #: What reading a damaged result directory raises: a missing or
-#: unreadable file (``OSError``), a malformed manifest or journal line
-#: (``ValueError``, ``KeyError``), a truncated trace
-#: (``TraceFormatError``).  :meth:`ResultStore._build` turns each into a
+#: unreadable file (``OSError``), a malformed manifest (``ValueError``,
+#: ``KeyError``) or journal line (``CheckpointError``, a ``ValueError``),
+#: a truncated trace (``TraceFormatError``).  :meth:`ResultStore._build` turns each into a
 #: :class:`StoreError`.
 _DAMAGED = (OSError, ValueError, KeyError, TraceFormatError)
 
@@ -152,7 +154,7 @@ class ResultStore:
             return SOURCE_JOURNAL, journal
         raise StoreError(
             f"{self.directory} holds neither a dataset ({MANIFEST_NAME}) "
-            f"nor a streaming checkpoint ({JOURNAL_NAME})"
+            f"nor a flow journal ({JOURNAL_NAME})"
         )
 
     def _specs_for(self, sessions: list) -> list:

@@ -1,86 +1,199 @@
-"""Flow journal + analyzer checkpoints (crash-safe streaming state).
+"""The capture-time flow journal: its event model, writer and reader.
 
-Two artifacts live in a checkpoint directory:
+A checkpoint directory holds one file, ``journal.jsonl``: every event
+of one live capture, one JSON line each, appended as the capture runs.
+Three event kinds mirror the capture lifecycle of one experiment cell:
 
-- ``journal.jsonl`` — every bus event, one JSON line each, appended at
-  publish time.  The journal is the stream's durable replica:
-  :func:`dataset_from_journal` reads it back as a dataset (the
-  finalizer's ReCon replay and the serving layer's journal source),
-  and a resumed run uses it to decide which events were already
-  persisted.
-- ``shard-<i>.json`` — each shard's analyzer state (its sessions'
-  aggregates and leak records plus a ``watermark``: the highest event
-  sequence folded into that state).  Written atomically every
-  ``checkpoint_every`` flows, so a kill loses at most the work since
-  the last snapshot — never the file's integrity.
+- ``session_start`` — session metadata plus the device's ground-truth
+  PII (known at capture start: identifiers are burned in at
+  provisioning, persona values at sign-in);
+- ``flow`` — one *finalized* flow.  The capture addon emits a flow once
+  it can no longer change (its connection closed, or the capture
+  stopped), and always in ``flow_id`` order within the session;
+- ``session_end`` — the cell finished.
 
-Resume protocol: reload shard states, re-publish the deterministic
-event stream from the start, and let each shard skip events at or below
-its watermark.  Skipped events are *not* re-analyzed (no matching, no
-categorization, no leak policy); the journal appends only events beyond
-its last recorded sequence.  Because the event stream is a pure
-function of the dataset/seed, sequence numbers line up exactly across
-runs.
+:class:`FlowJournal` stamps each event with the next sequence number
+and appends its line; :func:`dataset_from_journal` folds a journal back
+into a :class:`~repro.experiment.dataset.Dataset`, read-only.  The
+event stream is a pure function of the capture, so the same services,
+seed and duration always write the same journal bytes: a killed capture
+is simply run again, and the journal it left behind can still be
+served up to its last complete session.
 """
 
 from __future__ import annotations
 
 import json
+import struct
+import threading
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Union
 
 from ..experiment.dataset import Dataset, SessionRecord
-from ..ioutil import atomic_write_json, iter_jsonl
+from ..ioutil import iter_jsonl
+from ..net import codec
+from ..net.flow import Flow
 from ..net.trace import SessionMeta, Trace
-from .bus import (
-    FLOW,
-    SESSION_END,
-    SESSION_START,
-    StreamEvent,
-    event_from_dict,
-    event_to_dict,
-)
+from ..pii.types import PiiType
 
-CHECKPOINT_VERSION = 1
+SESSION_START = "session_start"
+FLOW = "flow"
+SESSION_END = "session_end"
+
 JOURNAL_NAME = "journal.jsonl"
 
+# What decoding a malformed meta, ground truth or flow raises.
+_UNDECODABLE = (
+    AttributeError, KeyError, TypeError, ValueError, struct.error, codec.CodecError
+)
 
-class CheckpointError(Exception):
-    """Raised on malformed or incompatible checkpoint state."""
+
+class CheckpointError(ValueError):
+    """A complete journal line that is not a valid event."""
+
+
+@dataclass(frozen=True)
+class StreamEvent:
+    """One captured lifecycle event, as journaled."""
+
+    kind: str  # SESSION_START | FLOW | SESSION_END
+    session: tuple  # (service, os_name, medium)
+    seq: int = -1  # stamped by FlowJournal.publish
+    meta: Optional[SessionMeta] = None  # session_start only
+    ground_truth: Optional[dict] = None  # session_start only
+    flow: Optional[Flow] = None  # flow only
+
+
+def session_start_event(meta: SessionMeta, ground_truth: dict) -> StreamEvent:
+    return StreamEvent(
+        kind=SESSION_START,
+        session=(meta.service, meta.os_name, meta.medium),
+        meta=meta,
+        ground_truth=ground_truth,
+    )
+
+
+def flow_event(session: tuple, flow: Flow) -> StreamEvent:
+    return StreamEvent(kind=FLOW, session=tuple(session), flow=flow)
+
+
+def session_end_event(session: tuple) -> StreamEvent:
+    return StreamEvent(kind=SESSION_END, session=tuple(session))
+
+
+def event_to_dict(event: StreamEvent) -> dict:
+    """JSON-safe form of an event (the journal's line format)."""
+    data = {"seq": event.seq, "kind": event.kind, "session": list(event.session)}
+    if event.kind == SESSION_START:
+        data["meta"] = event.meta.to_dict() if event.meta is not None else None
+        data["ground_truth"] = {
+            pii.value: list(values) for pii, values in (event.ground_truth or {}).items()
+        }
+    elif event.kind == FLOW:
+        data["flow"] = event.flow.to_dict()
+    return data
+
+
+def event_from_dict(data: dict) -> StreamEvent:
+    kind = data["kind"]
+    meta = ground_truth = flow = None
+    if kind == SESSION_START:
+        if data.get("meta"):
+            meta = SessionMeta.from_dict(data["meta"])
+        ground_truth = {
+            PiiType(code): list(values)
+            for code, values in data.get("ground_truth", {}).items()
+        }
+    elif kind == FLOW:
+        flow = Flow.from_dict(data["flow"])
+    return StreamEvent(
+        kind=kind,
+        session=tuple(data["session"]),
+        seq=data.get("seq", -1),
+        meta=meta,
+        ground_truth=ground_truth,
+        flow=flow,
+    )
 
 
 class FlowJournal:
-    """Append-only JSONL log of stream events.
+    """Append-only JSONL log of one capture's events.
 
-    ``resume=True`` re-opens an existing journal: a torn tail (a crash
-    can cut the final write anywhere, even inside a multi-byte UTF-8
-    character) is truncated once, and subsequent appends skip events
-    already on disk — so re-publishing the stream from the start is
-    idempotent.  Reads go through :func:`dataset_from_journal`.
+    Opening truncates: a capture always writes a fresh journal.
+    :meth:`publish` stamps the next sequence number and appends the
+    event's line under one lock, flushed per line, so a reader (the
+    serving layer) may follow the file while the capture runs.  Reads go
+    through :func:`dataset_from_journal`.
     """
 
-    def __init__(self, path: Union[str, Path], resume: bool = False) -> None:
+    def __init__(self, path: Union[str, Path]) -> None:
         self.path = Path(path)
-        self.last_seq = -1
-        if resume and self.path.exists():
-            for record in iter_jsonl(self.path, truncate=True):
-                self.last_seq = int(record["seq"])
-            self._handle = self.path.open("a", encoding="utf-8")
-        else:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._handle = self.path.open("w", encoding="utf-8")
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        self._handle = self.path.open("w", encoding="utf-8")
+        self._lock = threading.Lock()
+        self._seq = 0
 
-    def append(self, event: StreamEvent) -> None:
-        """Write one event; silently skips already-journaled sequences."""
-        if event.seq <= self.last_seq:
-            return
-        self._handle.write(json.dumps(event_to_dict(event), ensure_ascii=False) + "\n")
-        self._handle.flush()
-        self.last_seq = event.seq
+    def publish(self, event: StreamEvent) -> StreamEvent:
+        """Stamp and append one event; returns the stamped event."""
+        with self._lock:
+            stamped = replace(event, seq=self._seq)
+            line = json.dumps(event_to_dict(stamped), ensure_ascii=False)
+            self._handle.write(line + "\n")
+            self._handle.flush()
+            self._seq += 1
+        return stamped
 
     def close(self) -> None:
         if not self._handle.closed:
             self._handle.close()
+
+
+def _is_session(value) -> bool:
+    return (
+        isinstance(value, list)
+        and len(value) == 3
+        and all(isinstance(part, str) for part in value)
+    )
+
+
+def _decode(where: str, data: dict):
+    """One journal line as an event plus, for a ``session_start``, the
+    empty record it opens; :class:`CheckpointError` when it is neither.
+
+    A meta, ground truth or flow decodes when its ``from_dict`` succeeds
+    and the binary codec (the typed form every worker ships records in)
+    can carry the result.
+    """
+    kind = data.get("kind")
+    if type(data.get("seq")) is not int:
+        problem = "seq is not an integer"
+    elif kind not in (SESSION_START, FLOW, SESSION_END):
+        problem = f"unknown kind {kind!r}"
+    elif not _is_session(data.get("session")):
+        problem = "session is not [service, os, medium]"
+    else:
+        try:
+            event = event_from_dict(data)
+            record = None
+            if kind == SESSION_START:
+                service, os_name, medium = event.session
+                meta = event.meta or SessionMeta(service, os_name, medium)
+                record = SessionRecord(
+                    service=service,
+                    os_name=os_name,
+                    medium=medium,
+                    trace=Trace(meta=meta),
+                    ground_truth=event.ground_truth,
+                    duration=meta.duration,
+                )
+                codec.encode_record(record)
+            elif kind == FLOW:
+                codec.encode_flow(event.flow)
+            return event, record
+        except _UNDECODABLE as exc:
+            problem = f"{kind} does not decode: {type(exc).__name__}: {exc}"
+    raise CheckpointError(f"{where}: {problem}")
 
 
 def dataset_from_journal(path: Union[str, Path]) -> Dataset:
@@ -89,80 +202,40 @@ def dataset_from_journal(path: Union[str, Path]) -> Dataset:
     The journal records the exact capture stream (``session_start``
     with ground truth, flows in capture order, ``session_end``), so the
     rebuilt dataset, in journal order, analyzes identically to the one
-    the stream was fed from.  A torn tail ends the read and the file is
+    the capture collected.  A torn tail ends the read and the file is
     never written, so a serving process may read a journal that a live
-    stream is still appending to.  Sessions missing their
-    ``session_end`` (killed mid-capture) are dropped: a checkpointed
-    resume re-streams them.
+    capture is still appending to.  A session missing its
+    ``session_end`` (the capture was killed mid-session) is dropped.
+
+    Any complete line that is not a valid event — a missing or wrongly
+    typed ``seq``, ``kind`` or ``session``, an unknown ``kind``, a meta,
+    ground truth or flow that does not decode, or an event out of the
+    one-session-at-a-time order a capture writes — raises
+    :class:`CheckpointError` naming ``path:line``.
     """
     dataset = Dataset()
     record: Optional[SessionRecord] = None
-    for event in map(event_from_dict, iter_jsonl(path)):
-        if event.kind == SESSION_START:
-            service, os_name, medium = event.session
-            meta = event.meta or SessionMeta(service, os_name, medium)
-            record = SessionRecord(
-                service=service,
-                os_name=os_name,
-                medium=medium,
-                trace=Trace(meta=meta),
-                ground_truth=event.ground_truth or {},
-                duration=meta.duration,
+    for number, data in iter_jsonl(path):
+        where = f"{path}:{number}"
+        event, opened = _decode(where, data)
+        if opened is not None:
+            if record is not None:
+                raise CheckpointError(
+                    f"{where}: session_start while {list(record.key)} is open"
+                )
+            if dataset.get(*opened.key) is not None:
+                raise CheckpointError(
+                    f"{where}: session {list(opened.key)} was already journaled"
+                )
+            record = opened
+        elif record is None or event.session != record.key:
+            raise CheckpointError(
+                f"{where}: {event.kind} for {list(event.session)}, "
+                "which is not the open session"
             )
-        elif record is not None and event.kind == FLOW:
+        elif event.kind == FLOW:
             record.trace.add(event.flow)
-        elif record is not None and event.kind == SESSION_END:
+        else:
             dataset.add(record)
             record = None
     return dataset
-
-
-class CheckpointManager:
-    """Owns one checkpoint directory: the journal plus shard snapshots."""
-
-    def __init__(self, directory: Union[str, Path], shards: int) -> None:
-        self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        self.shards = shards
-
-    @property
-    def journal_path(self) -> Path:
-        return self.directory / JOURNAL_NAME
-
-    def shard_path(self, index: int) -> Path:
-        return self.directory / f"shard-{index}.json"
-
-    def has_state(self) -> bool:
-        return self.journal_path.exists() or any(
-            self.shard_path(i).exists() for i in range(self.shards)
-        )
-
-    def save_shard(self, index: int, watermark: int, sessions: list) -> None:
-        """Atomically snapshot one shard's analyzer state."""
-        atomic_write_json(
-            self.shard_path(index),
-            {
-                "version": CHECKPOINT_VERSION,
-                "shards": self.shards,
-                "shard": index,
-                "watermark": watermark,
-                "sessions": sessions,
-            },
-        )
-
-    def load_shard(self, index: int) -> Optional[dict]:
-        """Load one shard snapshot; ``None`` when never checkpointed."""
-        path = self.shard_path(index)
-        if not path.exists():
-            return None
-        data = json.loads(path.read_text(encoding="utf-8"))
-        if data.get("version") != CHECKPOINT_VERSION:
-            raise CheckpointError(
-                f"unsupported checkpoint version {data.get('version')!r} in {path}"
-            )
-        if data.get("shards") != self.shards:
-            raise CheckpointError(
-                f"checkpoint {path} was written with shards={data.get('shards')}, "
-                f"cannot resume with shards={self.shards}"
-            )
-        return data

@@ -55,6 +55,33 @@ class TestParser:
             build_parser().parse_args(argv)
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["stream"],
+            ["stream", "--checkpoint-dir", "c", "--dataset", "ds"],
+            ["stream", "--checkpoint-dir", "c", "--shards", "2"],
+            ["stream", "--checkpoint-dir", "c", "--checkpoint-every", "50"],
+            ["stream", "--checkpoint-dir", "c", "--resume"],
+        ],
+        ids=["no-checkpoint-dir", "dataset", "shards", "checkpoint-every", "resume"],
+    )
+    def test_stream_is_a_live_capture_into_a_checkpoint_dir(self, argv, capsys):
+        """``repro stream`` only captures live into ``--checkpoint-dir``:
+        replaying a dataset, shards, snapshots and resume are gone."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "--checkpoint-dir" in err or "unrecognized arguments" in err
+
+    def test_campaign_keeps_its_own_checkpoint_options(self):
+        args = build_parser().parse_args(
+            ["campaign", "--population", "4", "--shards", "2",
+             "--checkpoint-every", "8", "--resume", "--checkpoint-dir", "c"]
+        )
+        assert (args.shards, args.checkpoint_every, args.resume) == (2, 8, True)
+
     def test_help_shows_no_second_fan_out_option(self):
         parser = build_parser()
         verbs = next(
@@ -72,7 +99,7 @@ class TestParser:
         for argv in (
             ["run"],
             ["analyze", "ds"],
-            ["stream"],
+            ["stream", "--checkpoint-dir", "ckpt"],
             ["mitigate"],
             ["campaign", "--population", "1"],
         ):
@@ -173,8 +200,8 @@ def weather_dataset(tmp_path_factory):
 
 class TestWorkers:
     """``--workers N`` alone sizes every fan-out of a verb: ReCon
-    labeling, per-session analysis (the streaming finalizer's ReCon
-    replay included) and the columnar aggregate."""
+    labeling, per-session analysis (a journaled ``stream`` capture's
+    included) and the columnar aggregate."""
 
     @pytest.fixture
     def two_cpus_no_pool(self, monkeypatch):
@@ -188,19 +215,24 @@ class TestWorkers:
 
     @pytest.mark.parametrize(
         "verb",
-        [["analyze", "{}"], ["stream", "--dataset", "{}"]],
+        [
+            ["analyze", "{dataset}"],
+            ["stream", "--services", "weather", "--duration", "40",
+             "--checkpoint-dir", "{tmp}"],
+        ],
         ids=["analyze", "stream"],
     )
     def test_one_worker_runs_in_process(
-        self, weather_dataset, two_cpus_no_pool, capsys, verb
+        self, weather_dataset, two_cpus_no_pool, capsys, tmp_path, verb
     ):
-        argv = [arg.format(weather_dataset) for arg in verb] + ["--workers", "1"]
+        argv = [arg.format(dataset=weather_dataset, tmp=tmp_path) for arg in verb]
+        argv += ["--workers", "1"]
         assert main(argv) == 0
         out = capsys.readouterr().out
         assert "%Leak" in out and "SvcA" in out  # Tables 1 and 3 printed
 
     def test_stream_recon_passes_use_the_worker_count(
-        self, weather_dataset, monkeypatch, capsys
+        self, monkeypatch, capsys, tmp_path
     ):
         from repro.par import executor
 
@@ -213,6 +245,9 @@ class TestWorkers:
 
         monkeypatch.setattr(executor, "usable_cpus", lambda: 4)
         monkeypatch.setattr(executor.Pool, "imap", spy)
-        assert main(["stream", "--dataset", weather_dataset, "--workers", "2"]) == 0
+        argv = ["stream", "--services", "weather", "--duration", "40",
+                "--checkpoint-dir", str(tmp_path), "--workers", "2"]
+        assert main(argv) == 0
+        assert (tmp_path / "journal.jsonl").exists()
         assert ("label", 2) in seen and ("analyze", 2) in seen
         assert all(workers == 2 for _task, workers in seen), seen

@@ -25,12 +25,9 @@ from repro.analysis.columnar import (
     decode_batch,
     encode_cells,
     merge_aggregates,
-    read_aggregate,
-    read_batch,
     shard_aggregates,
     shard_blobs,
     study_aggregate,
-    write_batch,
 )
 from repro.analysis.figures import ALL_FIGURES, render_series
 from repro.analysis.longitudinal import diff_studies, render_drift, summarize_drift
@@ -45,7 +42,7 @@ from repro.analysis.tables import (
     table3,
 )
 from repro.core.compare import study_diffs
-from repro.net.codec import KIND_ABATCH, KIND_RECORD, CodecError, frame
+from repro.net.codec import CodecError
 from repro.par import Executor
 from repro.qa import reference
 
@@ -255,25 +252,6 @@ class TestCodec:
         agg = aggregate_blob(encode_cells([], []))
         assert agg.cells == {} and agg.services == {}
         assert agg.canonical_bytes() == StudyAggregate().canonical_bytes()
-
-    def test_framed_file_round_trip(self, mini_study, mini_aggregate, tmp_path):
-        path = tmp_path / "study.abatch"
-        write_batch(path, mini_study)
-        batch = read_batch(path)
-        assert aggregate_batch(batch).canonical_bytes() == (
-            mini_aggregate.canonical_bytes()
-        )
-        assert read_aggregate(path).canonical_bytes() == (
-            mini_aggregate.canonical_bytes()
-        )
-
-    def test_framed_file_wrong_kind_rejected(self, mini_study, tmp_path):
-        path = tmp_path / "wrong.bin"
-        (blob,) = shard_blobs(mini_study, shards=1)
-        path.write_bytes(frame(KIND_RECORD, blob))
-        with pytest.raises(CodecError):
-            read_batch(path)
-        assert KIND_ABATCH != KIND_RECORD
 
     def test_dict_round_trip_exact(self, mini_aggregate):
         restored = StudyAggregate.from_dict(mini_aggregate.to_dict())

@@ -33,8 +33,9 @@ class TestExamples:
 
     def test_streaming_analysis(self):
         out = run_example("streaming_analysis.py")
-        assert "8/8 sessions identical to the streaming result" in out
-        assert "8/8 sessions identical to batch" in out
+        assert "8/8 sessions identical to the batch study" in out
+        assert "journal read back: identical bytes" in out
+        assert "4 sessions read back (4 had finished), 4 with identical flows" in out
 
     def test_recommender_service(self):
         out = run_example("recommender_service.py")

@@ -11,10 +11,11 @@ from repro.core import pipeline
 from repro.core.pipeline import analyze_dataset
 from repro.experiment.runner import ExperimentRunner
 from repro.par import Executor, ExecutorError, resolve_executor, tasks, usable_cpus
+from repro.qa.faults import write_journal
 from repro.qa.oracle import canonical_bytes
 from repro.qa.scenarios import generate_scenario
 from repro.services.world import build_world
-from repro.stream.analyzer import stream_dataset
+from repro.stream import dataset_from_journal
 
 
 @pytest.fixture(scope="module")
@@ -125,13 +126,14 @@ class TestBackendEquivalence:
         assert canonical_bytes(study) == reference_bytes
 
     def test_streaming_process_backend_byte_identical(
-        self, small_world, reference_bytes
+        self, small_world, reference_bytes, tmp_path
     ):
+        """A journal read back analyzes identically on the process pool."""
         scenario, specs, dataset = small_world
-        study = stream_dataset(
-            dataset,
+        write_journal(dataset, tmp_path / "journal.jsonl")
+        study = analyze_dataset(
+            dataset_from_journal(tmp_path / "journal.jsonl"),
             specs,
-            shards=2,
             train_recon=scenario.train_recon,
             executor=Executor(workers=2),
         )

@@ -492,3 +492,116 @@ class TestIngestAdmissionProperty:
         assume(not junk.startswith(codec.MAGIC))
         with pytest.raises(CodecError):
             decode_upload(junk)
+
+
+
+def _journal_lines() -> list:
+    """Two complete sessions of one decrypted flow each, as the lines of
+    a flow journal."""
+    from dataclasses import replace
+
+    from tests.test_flow import make_flow, make_txn
+
+    from repro.stream import (
+        event_to_dict,
+        flow_event,
+        session_end_event,
+        session_start_event,
+    )
+
+    events = []
+    for os_name, medium in (("android", "app"), ("ios", "web")):
+        meta = SessionMeta(service="weather", os_name=os_name, medium=medium)
+        flow = make_flow(flow_id=1, hostname="api.weather.example", scheme="http")
+        flow.add_transaction(make_txn())
+        events += [
+            session_start_event(meta, {PiiType.EMAIL: ["fuzz@qa.example"]}),
+            flow_event(("weather", os_name, medium), flow),
+            session_end_event(("weather", os_name, medium)),
+        ]
+    return [
+        event_to_dict(replace(event, seq=seq)) for seq, event in enumerate(events)
+    ]
+
+
+def _with_one_field_changed(valid: dict, values=json_values):
+    """``valid``, or ``valid`` with one field dropped or set to a drawn value."""
+    def change(edit):
+        key, value = edit
+        changed = dict(valid)
+        if value is None:
+            changed.pop(key)
+        else:
+            changed[key] = value
+        return changed
+
+    return st.just(valid) | st.tuples(
+        st.sampled_from(sorted(valid)), st.none() | values
+    ).map(change)
+
+
+def _mutated_event(line: dict):
+    """A valid journal line changed in one place: a top-level field (to
+    any JSON, another kind or another session), one field of its meta or
+    flow, or the whole line (to any JSON object)."""
+    top = json_values | st.sampled_from(
+        ["session_start", "flow", "session_end", ["weather", "ios", "web"], ["x", "ios", "web"]]
+    )
+    return st.one_of(
+        json_values.filter(lambda value: isinstance(value, dict)),
+        _with_one_field_changed(line, top),
+        *(
+            _with_one_field_changed(line[key]).map(lambda value, key=key: {**line, key: value})
+            for key in ("meta", "flow")
+            if isinstance(line.get(key), dict)
+        ),
+    )
+
+
+_JOURNAL_LINES = _journal_lines()
+
+journal_objects = st.sampled_from(_JOURNAL_LINES).flatmap(_mutated_event)
+
+
+class TestJournalLineProperty:
+    """Any JSON object spliced into a flow journal as a complete line
+    either reads, or ends in one typed error: ``CheckpointError`` naming
+    a line at or after it from the reader, ``StoreError`` from a
+    ``ResultStore``, and a one-line exit from ``repro serve``.  A store
+    over a journal that reads builds or raises ``StoreError``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(spliced=journal_objects, data=st.data())
+    def test_spliced_line_reads_or_checkpoint_error(self, tmp_path_factory, spliced, data):
+        import json
+        import re
+
+        from repro.cli import main
+        from repro.serve.store import ResultStore, StoreError
+        from repro.stream import JOURNAL_NAME, CheckpointError, dataset_from_journal
+
+        lines = [
+            json.dumps(line, ensure_ascii=False).encode("utf-8") + b"\n"
+            for line in _JOURNAL_LINES + [spliced]
+        ]
+        at = data.draw(st.integers(min_value=0, max_value=len(_JOURNAL_LINES)))
+        lines.insert(at, lines.pop())
+        directory = tmp_path_factory.mktemp("journal-prop")
+        path = directory / JOURNAL_NAME
+        path.write_bytes(b"".join(lines))
+        try:
+            dataset_from_journal(path)
+        except CheckpointError as exc:
+            where = re.match(rf"{re.escape(str(path))}:(\d+): ", str(exc))
+            assert where is not None and int(where.group(1)) > at, str(exc)
+            with pytest.raises(StoreError):
+                ResultStore(directory, train_recon=False)
+            with pytest.raises(SystemExit) as excinfo:
+                main(["serve", "--result", str(directory), "--no-recon", "--port", "0"])
+            message = str(excinfo.value.code)
+            assert message.startswith("repro serve: cannot load ") and "\n" not in message
+        else:
+            try:
+                ResultStore(directory, train_recon=False)
+            except StoreError:
+                pass

@@ -6,8 +6,9 @@ cache hit-after-miss and TTL expiry, 429 on burst, ETag/304
 revalidation, store hot-reload (dataset and journal sources), and
 graceful shutdown finishing in-flight requests.  The store's streamed
 build is pinned byte-identical to ``analyze_dataset`` and bounded to two
-decoded traces at a time; a damaged result directory ends in
-``StoreError`` at start-up and keeps the previous snapshot on reload;
+decoded traces at a time; a damaged result directory (a malformed
+journal line included) ends in ``StoreError`` at start-up and keeps the
+previous snapshot on reload;
 list and detail bodies are rendered once per snapshot.  Uncached
 recommends score from the snapshot's exposure table without reading a
 leak record, and only awaited dispatches (uploads) run under the
@@ -38,6 +39,7 @@ from repro.experiment.dataset import Dataset, read_manifest
 from repro.ioutil import atomic_write_json
 from repro.net.trace import Trace
 from repro.par import ExecutorError, tasks
+from repro.qa.faults import write_journal
 from repro.qa.oracle import canonical_bytes
 from repro.core.recommend import (
     Exposure,
@@ -58,7 +60,7 @@ from repro.serve import (
     recommend_payload,
 )
 from repro.services.catalog import build_catalog
-from repro.stream import dataset_from_journal, stream_dataset
+from repro.stream import dataset_from_journal
 
 SLUGS = ("weather", "cnn")
 
@@ -117,9 +119,7 @@ class TestResultStore:
             assert batch[(analysis.service, analysis.os_name, analysis.medium)] == analysis
 
     def test_journal_source_matches_dataset(self, seeded_study, tmp_path):
-        stream_dataset(
-            seeded_study.dataset, _specs(), train_recon=False, checkpoint_dir=tmp_path
-        )
+        write_journal(seeded_study.dataset, tmp_path / "journal.jsonl")
         rebuilt = dataset_from_journal(tmp_path / "journal.jsonl")
         assert len(rebuilt) == len(seeded_study.dataset)
         journal_store = ResultStore(tmp_path, train_recon=False)
@@ -185,9 +185,7 @@ class TestStreamedBuild:
 
     @pytest.mark.parametrize("recon", (False, True), ids=("no-recon", "recon"))
     def test_journal_source_matches_batch_bytes(self, seeded_study, tmp_path, recon):
-        stream_dataset(
-            seeded_study.dataset, _specs(), train_recon=False, checkpoint_dir=tmp_path
-        )
+        write_journal(seeded_study.dataset, tmp_path / "journal.jsonl")
         store = ResultStore(tmp_path, train_recon=recon)
         rebuilt = dataset_from_journal(tmp_path / "journal.jsonl")
         batch = analyze_dataset(rebuilt, _specs(), train_recon=recon)
@@ -255,6 +253,51 @@ def _touch_manifest(directory: Path) -> None:
     """Rewrite the manifest with new bytes, so the store sees a change."""
     path = directory / "manifest.json"
     atomic_write_json(path, json.loads(path.read_text()), indent=None)
+
+
+class TestMalformedJournal:
+    """A complete journal line that is not a valid event ends in
+    ``StoreError`` naming its ``path:line`` at start-up, a one-line
+    ``repro serve`` exit, and a kept snapshot on reload."""
+
+    BAD_LINE = b'{"seq": 3, "kind": "flow", "session": 5, "flow": {}}\n'
+
+    @pytest.fixture()
+    def journal_dir(self, seeded_study, tmp_path):
+        write_journal(seeded_study.dataset, tmp_path / "journal.jsonl")
+        return tmp_path
+
+    def _spoil(self, directory: Path) -> str:
+        path = directory / "journal.jsonl"
+        lines = path.read_bytes().splitlines(keepends=True)
+        path.write_bytes(b"".join(lines[:2]) + self.BAD_LINE + b"".join(lines[2:]))
+        return f"{path}:3: session is not [service, os, medium]"
+
+    def test_start_up_raises_store_error(self, journal_dir):
+        where = self._spoil(journal_dir)
+        with pytest.raises(StoreError, match="CheckpointError") as excinfo:
+            ResultStore(journal_dir, train_recon=False)
+        assert where in str(excinfo.value)
+
+    def test_serve_exits_with_one_line(self, journal_dir):
+        where = self._spoil(journal_dir)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--result", str(journal_dir), "--no-recon", "--port", "0"])
+        message = str(excinfo.value.code)
+        assert message.startswith("repro serve: cannot load ") and where in message
+        assert "\n" not in message
+
+    def test_reload_keeps_previous_snapshot(self, journal_dir, caplog):
+        store = ResultStore(journal_dir, train_recon=False, check_interval=0.0)
+        first = store.snapshot
+        with (journal_dir / "journal.jsonl").open("ab") as handle:
+            handle.write(self.BAD_LINE)  # a complete line, not a torn tail
+        with caplog.at_level(logging.WARNING, logger="repro.serve.store"):
+            assert store.maybe_reload() is first
+            assert store.maybe_reload() is first
+        (record,) = caplog.records
+        assert "CheckpointError" in record.getMessage()
+        assert record.getMessage().endswith("; still serving version 1")
 
 
 class TestDamagedDirectory:

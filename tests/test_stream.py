@@ -1,43 +1,44 @@
-"""Streaming subsystem: bus, checkpoints, and batch equivalence.
+"""The capture-time flow journal: writer, reader, and batch equivalence.
 
-The contract under test is exact: for any seed, any shard count, and
-any kill/resume point, the streaming pipeline's :class:`SessionAnalysis`
-results must *equal* (field-for-field, leak lists included) what the
-batch ``analyze_dataset`` reference path produces.
+The contract under test is exact: a journaled live study equals the
+batch study (the journal changes nothing in it), its journal reads back
+to a dataset that analyzes to the same :class:`SessionAnalysis` values
+(field for field, leak lists included), a capture killed after any
+event leaves a journal that reads back exactly its completed sessions,
+and any complete line that is not a valid event ends in
+:class:`CheckpointError`.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import threading
+from dataclasses import replace
 
 import pytest
 
 from repro.core.pipeline import analyze_dataset, run_study
 from repro.ingest import JobStore
 from repro.ioutil import atomic_write_json, atomic_write_text, iter_jsonl
+from repro.mitigate.policy import default_policy
 from repro.proxy.addons import StreamCapture
+from repro.qa.faults import journal_events, write_journal
+from repro.qa.oracle import canonical_bytes
 from repro.services.catalog import build_catalog
 from repro.stream import (
     FLOW,
+    JOURNAL_NAME,
     SESSION_END,
     SESSION_START,
-    CheckpointManager,
-    DatasetStreamer,
-    FlowBus,
+    CheckpointError,
     FlowJournal,
-    StreamAnalyzer,
-    StreamError,
     dataset_from_journal,
     event_from_dict,
     event_to_dict,
     flow_event,
     session_end_event,
     session_start_event,
-    stream_dataset,
 )
-from repro.stream.bus import shard_for
 
 STREAM_SLUGS = ("weather", "cnn", "yelp")
 SEEDS = (2016, 7)
@@ -51,9 +52,28 @@ def stream_specs():
 
 
 @pytest.fixture(scope="module", params=SEEDS, ids=lambda s: f"seed{s}")
-def batch_study(request, stream_specs):
+def seed(request):
+    return request.param
+
+
+@pytest.fixture(scope="module")
+def batch_study(seed, stream_specs):
     """Reference batch study (collection + analysis) for one seed."""
-    return run_study(stream_specs, seed=request.param, duration=DURATION)
+    return run_study(stream_specs, seed=seed, duration=DURATION)
+
+
+@pytest.fixture(scope="module")
+def live_journal(seed, stream_specs, tmp_path_factory):
+    """The journal a live ``run_study(checkpoint_dir=...)`` wrote."""
+    directory = tmp_path_factory.mktemp("live")
+    run_study(
+        stream_specs,
+        seed=seed,
+        duration=DURATION,
+        train_recon=False,
+        checkpoint_dir=directory,
+    )
+    return directory / JOURNAL_NAME
 
 
 def _sessions(study) -> dict:
@@ -71,35 +91,60 @@ def _assert_equal_studies(batch, streamed) -> None:
     ]
 
 
-# -- equivalence with the batch reference path ------------------------------
+# -- equivalence with the batch path -----------------------------------------
 
 
-@pytest.mark.parametrize("shards", [1, 2, 8])
-def test_stream_equals_batch(batch_study, stream_specs, shards):
-    streamed = stream_dataset(batch_study.dataset, stream_specs, shards=shards)
+@pytest.mark.parametrize("workers", [1, 2, 8])
+def test_stream_equals_batch(batch_study, stream_specs, live_journal, workers):
+    """The live journal reads back to the batch study's bytes, whatever
+    the worker count that analyzes it (8 is more workers than sessions)."""
+    journaled = dataset_from_journal(live_journal)
+    assert [r.key for r in journaled] == [r.key for r in batch_study.dataset]
+    streamed = analyze_dataset(journaled, stream_specs, executor=workers)
     _assert_equal_studies(batch_study, streamed)
+    assert canonical_bytes(streamed) == canonical_bytes(batch_study)
 
 
-def test_stream_equals_batch_without_recon(batch_study, stream_specs):
+def test_stream_equals_batch_without_recon(
+    seed, batch_study, stream_specs, tmp_path
+):
     batch = analyze_dataset(batch_study.dataset, stream_specs, train_recon=False)
-    streamed = stream_dataset(
-        batch_study.dataset, stream_specs, shards=2, train_recon=False
+    streamed = run_study(
+        stream_specs,
+        seed=seed,
+        duration=DURATION,
+        train_recon=False,
+        checkpoint_dir=tmp_path,
     )
     _assert_equal_studies(batch, streamed)
     assert streamed.recon is None
+    journaled = dataset_from_journal(tmp_path / JOURNAL_NAME)
+    back = analyze_dataset(journaled, stream_specs, train_recon=False)
+    assert canonical_bytes(back) == canonical_bytes(batch)
 
 
-def test_run_study_streaming_equals_batch(stream_specs):
-    batch = run_study(stream_specs, seed=2016, duration=DURATION)
+def test_run_study_streaming_equals_batch(stream_specs, tmp_path):
+    """Under a mitigation policy too: the journaled run is the batch run,
+    and its journal reads back to the same bytes."""
+    policy = default_policy()
+    batch = run_study(stream_specs, seed=2016, duration=DURATION, mitigation=policy)
     streamed = run_study(
-        stream_specs, seed=2016, duration=DURATION, streaming=True, shards=2
+        stream_specs,
+        seed=2016,
+        duration=DURATION,
+        checkpoint_dir=tmp_path,
+        mitigation=policy,
     )
     _assert_equal_studies(batch, streamed)
     assert len(streamed.dataset) == len(batch.dataset)
+    journaled = dataset_from_journal(tmp_path / JOURNAL_NAME)
+    assert canonical_bytes(analyze_dataset(journaled, stream_specs)) == (
+        canonical_bytes(batch)
+    )
 
 
-def test_streaming_run_leaves_proxy_clean(stream_specs):
-    """The live capture addon detaches when the streaming study ends."""
+def test_streaming_run_leaves_proxy_clean(stream_specs, tmp_path):
+    """The live capture addon detaches when the journaled study ends."""
     from repro.services.world import build_world
 
     world = build_world(stream_specs)
@@ -108,109 +153,193 @@ def test_streaming_run_leaves_proxy_clean(stream_specs):
         seed=2016,
         duration=DURATION,
         world=world,
-        streaming=True,
+        train_recon=False,
+        checkpoint_dir=tmp_path,
     )
     assert not any(isinstance(a, StreamCapture) for a in world.proxy.addons)
 
 
-# -- crash + resume ----------------------------------------------------------
+def test_collected_dataset_journals_to_the_capture_bytes(batch_study, live_journal, tmp_path):
+    """``repro.qa``'s journal writer reproduces a live capture byte for byte."""
+    path = tmp_path / JOURNAL_NAME
+    write_journal(batch_study.dataset, path)
+    assert path.read_bytes() == live_journal.read_bytes()
+
+
+# -- a killed capture --------------------------------------------------------
+
+
+class _Killed(BaseException):
+    """The capture process dying: not an ``Exception``, so the proxy's
+    addon isolation does not swallow it."""
 
 
 @pytest.mark.parametrize("kill_after", [5, 150, 400])
 def test_kill_and_resume_matches_batch(
-    batch_study, stream_specs, tmp_path, kill_after
+    seed, batch_study, stream_specs, live_journal, tmp_path, monkeypatch, kill_after
 ):
-    checkpoint = tmp_path / "ckpt"
-    first = DatasetStreamer(
-        batch_study.dataset,
-        stream_specs,
-        shards=2,
-        checkpoint_dir=checkpoint,
-        checkpoint_every=25,
-    )
-    published = first.run(limit=kill_after)
-    assert published == kill_after
-    first.analyzer.abort()  # simulated kill: no final snapshot
+    """A capture killed after N events leaves the journal's first N
+    lines, which read back exactly the sessions that ended before the
+    kill, each with its batch analysis; re-running it writes the same
+    journal and study."""
+    publish = FlowJournal.publish
+    published = []
 
-    resumed = DatasetStreamer(
-        batch_study.dataset,
-        stream_specs,
-        shards=2,
-        checkpoint_dir=checkpoint,
-        checkpoint_every=25,
-        resume=True,
-    )
-    resumed.run()
-    _assert_equal_studies(batch_study, resumed.finalize())
+    def killing_publish(journal, event):
+        if len(published) == kill_after:
+            raise _Killed
+        published.append(event)
+        return publish(journal, event)
 
-
-def test_resume_skips_checkpointed_events(batch_study, stream_specs, tmp_path):
-    """Events at or below a shard's watermark are not re-analyzed."""
-    first = DatasetStreamer(
-        batch_study.dataset,
-        stream_specs,
-        shards=1,
-        checkpoint_dir=tmp_path,
-        checkpoint_every=10,
-    )
-    first.run(limit=200)
-    first.analyzer.abort()
-    snapshot = json.loads((tmp_path / "shard-0.json").read_text())
-    assert snapshot["watermark"] >= 0
-
-    resumed = StreamAnalyzer(
-        stream_specs, shards=1, checkpoint_dir=tmp_path, resume=True
-    )
-    worker = resumed.workers[0]
-    assert worker.watermark == snapshot["watermark"]
-    ingested = []
-    for state in worker.sessions.values():
-        original = state.ingest_flow
-        state.ingest_flow = lambda flow, _orig=original: ingested.append(flow)
-    # Replaying an already-folded event must be a no-op.
-    replayed = 0
-    for event in map(event_from_dict, iter_jsonl(tmp_path / "journal.jsonl")):
-        if event.seq <= worker.watermark and event.kind == FLOW:
-            worker.process(event)
-            replayed += 1
-    assert replayed > 0
-    assert ingested == []
-    resumed.bus.close()
-    resumed.journal.close()
-
-
-def test_shard_count_change_rejected(batch_study, stream_specs, tmp_path):
-    from repro.stream import CheckpointError
-
-    first = DatasetStreamer(
-        batch_study.dataset,
-        stream_specs,
-        shards=2,
-        checkpoint_dir=tmp_path,
-        checkpoint_every=10,
-    )
-    first.run(limit=100)
-    first.analyzer.abort()
-    with pytest.raises(CheckpointError):
-        DatasetStreamer(
-            batch_study.dataset,
-            stream_specs,
-            shards=4,
-            checkpoint_dir=tmp_path,
-            resume=True,
+    monkeypatch.setattr(FlowJournal, "publish", killing_publish)
+    with pytest.raises(_Killed):
+        run_study(
+            stream_specs, seed=seed, duration=DURATION, checkpoint_dir=tmp_path
         )
+    monkeypatch.undo()
+    path = tmp_path / JOURNAL_NAME
+    killed = path.read_bytes()
+    assert killed.count(b"\n") == kill_after
+    assert live_journal.read_bytes().startswith(killed)
+
+    ended = [event.session for event in published if event.kind == SESSION_END]
+    journaled = dataset_from_journal(path)
+    assert [record.key for record in journaled] == ended
+    partial = analyze_dataset(journaled, stream_specs, recon=batch_study.recon)
+    expected = _sessions(batch_study)
+    for key, analysis in _sessions(partial).items():
+        assert analysis == expected[key], key
+
+    rerun = run_study(stream_specs, seed=seed, duration=DURATION, checkpoint_dir=tmp_path)
+    assert path.read_bytes() == live_journal.read_bytes()
+    _assert_equal_studies(batch_study, rerun)
+
+
+def test_journal_cut_at_any_byte_reads_back_completed_sessions(
+    batch_study, live_journal
+):
+    """Cut anywhere — on a line boundary, one byte either side of it, or
+    mid-line — the journal reads back the sessions whose ``session_end``
+    line survived whole, equal to the collected records."""
+    data = live_journal.read_bytes()
+    records = list(batch_study.dataset)
+    ends = []  # byte offset just past each session_end line
+    offset = 0
+    for line in data.splitlines(keepends=True):
+        offset += len(line)
+        if json.loads(line)["kind"] == SESSION_END:
+            ends.append(offset)
+    cuts = {0, len(data), len(data) // 3, len(data) // 2}
+    for end in ends:
+        cuts |= {end - 1, end, end + 1}
+    cut_path = live_journal.with_name("cut.jsonl")
+    for cut in sorted(c for c in cuts if 0 <= c <= len(data)):
+        cut_path.write_bytes(data[:cut])
+        completed = sum(1 for end in ends if end <= cut)
+        assert list(dataset_from_journal(cut_path)) == records[:completed], cut
+
+
+# -- malformed lines ---------------------------------------------------------
+
+
+def _one_session_journal(path) -> list:
+    """A closed journal holding one complete session of two flows."""
+    from repro.net.flow import Flow
+    from repro.net.trace import SessionMeta
+    from repro.pii.types import PiiType
+
+    meta = SessionMeta(service="svc", os_name="android", medium="app")
+    session = ("svc", "android", "app")
+    flows = [
+        Flow(i, 0.0, "10.0.0.2", 40000 + i, "93.184.216.34", 80, "api.example.com")
+        for i in range(2)
+    ]
+    journal = FlowJournal(path)
+    stamped = [
+        journal.publish(event)
+        for event in [
+            session_start_event(meta, {PiiType.EMAIL: ["a@b.com"]}),
+            *(flow_event(session, flow) for flow in flows),
+            session_end_event(session),
+        ]
+    ]
+    journal.close()
+    return stamped
+
+
+MALFORMED = {
+    "session-not-a-list": {"seq": 3, "kind": "flow", "session": 5, "flow": {}},
+    "flow-does-not-decode": {
+        "seq": 3, "kind": "flow", "session": ["svc", "android", "app"], "flow": {}
+    },
+    "flow-field-wrong-type": None,  # filled in from a real flow below
+    "no-seq": {"kind": "session_end", "session": ["svc", "android", "app"]},
+    "seq-is-a-bool": {
+        "seq": True, "kind": "session_end", "session": ["svc", "android", "app"]
+    },
+    "unknown-kind": {"seq": 3, "kind": "rescan", "session": ["svc", "android", "app"]},
+    "bad-ground-truth": {
+        "seq": 0, "kind": "session_start", "session": ["x", "ios", "web"],
+        "meta": None, "ground_truth": {"not-a-pii-type": ["v"]},
+    },
+    "meta-does-not-decode": {
+        "seq": 0, "kind": "session_start", "session": ["x", "ios", "web"],
+        "meta": {"service": "x"}, "ground_truth": {},
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_line_raises_checkpoint_error(tmp_path, case):
+    """A complete line that is not a valid event names its ``path:line``;
+    the same bytes as a torn (unterminated) tail just end the read."""
+    path = tmp_path / JOURNAL_NAME
+    stamped = _one_session_journal(path)
+    line = MALFORMED[case]
+    if line is None:
+        line = event_to_dict(stamped[1])
+        line["flow"]["hostname"] = 5
+    lines = path.read_bytes().splitlines(keepends=True)
+    spliced = json.dumps(line).encode("utf-8")
+    path.write_bytes(b"".join(lines[:2]) + spliced + b"\n" + b"".join(lines[2:]))
+    with pytest.raises(CheckpointError, match=rf"{JOURNAL_NAME}:3: "):
+        dataset_from_journal(path)
+    assert issubclass(CheckpointError, ValueError)
+    path.write_bytes(b"".join(lines[:2]) + spliced)
+    assert len(dataset_from_journal(path)) == 0  # the session never ended
+
+
+def test_unknown_session_flow_raises(tmp_path):
+    """An event for a session that is not the open one is not a valid
+    event: a flow or end outside its session, or a start while another
+    session is open."""
+    path = tmp_path / JOURNAL_NAME
+    stamped = _one_session_journal(path)
+    good = path.read_bytes().splitlines(keepends=True)
+    stray = [
+        event_to_dict(session_end_event(("nope", "android", "app"))),
+        event_to_dict(flow_event(("nope", "android", "app"), stamped[1].flow)),
+        event_to_dict(stamped[0]),  # a second start inside the session
+    ]
+    for line in stray:
+        spliced = good[:2] + [json.dumps(line).encode("utf-8") + b"\n"] + good[2:]
+        path.write_bytes(b"".join(spliced))
+        with pytest.raises(CheckpointError, match=":3: "):
+            dataset_from_journal(path)
+    path.write_bytes(b"".join(good + good))  # the same session twice
+    with pytest.raises(CheckpointError, match=":5: .*already journaled"):
+        dataset_from_journal(path)
+
+
+# -- torn tails --------------------------------------------------------------
 
 
 def _assert_journal_recovers(path, stamped) -> list:
-    """Every reader of a torn flow journal keeps exactly an intact prefix.
-
-    The read-only dataset reader goes first and must leave the file as
-    it found it; a resuming :class:`FlowJournal` then cuts the torn tail
-    off once, leaving only complete, parseable lines.  Returns the
-    surviving sequence numbers.
+    """The flow journal's reader keeps exactly an intact prefix of a torn
+    journal and never writes it.  Returns the surviving sequence numbers.
     """
     torn = path.read_bytes()
-    survivors = [record["seq"] for record in iter_jsonl(path)]
+    survivors = [record["seq"] for _line, record in iter_jsonl(path)]
     assert survivors == [event.seq for event in stamped][: len(survivors)]
     dataset = dataset_from_journal(path)
     assert path.read_bytes() == torn
@@ -221,12 +350,6 @@ def _assert_journal_recovers(path, stamped) -> list:
         assert record.ground_truth == start.ground_truth
     else:
         assert len(dataset) == 0  # a session without its end is dropped
-    recovered = FlowJournal(path, resume=True)
-    recovered.close()
-    assert recovered.last_seq == (survivors[-1] if survivors else -1)
-    assert [record["seq"] for record in iter_jsonl(path)] == survivors
-    for line in path.read_bytes().splitlines():
-        json.loads(line.decode("utf-8"))
     return survivors
 
 
@@ -240,7 +363,7 @@ def _assert_job_journal_recovers(root, tear) -> None:
     tear(first.journal_path)
     reopened = JobStore(root)
     late = reopened.create("t", b"c", 1)
-    journaled = [event["job"] for event in iter_jsonl(reopened.journal_path)]
+    journaled = [event["job"] for _line, event in iter_jsonl(reopened.journal_path)]
     assert journaled[-1] == late.job_id
     for line in reopened.journal_path.read_bytes().splitlines():
         json.loads(line.decode("utf-8"))
@@ -265,14 +388,7 @@ def _cut(count: int):
 def test_journal_recovers_torn_tail(tmp_path):
     path = tmp_path / "journal.jsonl"
     journal = FlowJournal(path)
-    first = session_start_event_fixture()
-    stamped = []
-    for seq, event in enumerate(first):
-        from dataclasses import replace
-
-        event = replace(event, seq=seq)
-        journal.append(event)
-        stamped.append(event)
+    stamped = [journal.publish(event) for event in session_start_event_fixture()]
     journal.close()
     # Simulate a crash mid-write: torn, newline-less final line.
     tail = b'{"seq": 99, "kind": "flow", "ses'
@@ -293,8 +409,6 @@ def session_start_event_fixture():
 
 def _non_ascii_journal(path):
     """A closed journal whose lines contain multi-byte UTF-8 values."""
-    from dataclasses import replace
-
     from repro.net.trace import SessionMeta
     from repro.pii.types import PiiType
 
@@ -304,9 +418,7 @@ def _non_ascii_journal(path):
         session_start_event(meta, {PiiType.NAME: ["Renée Müller", "José"]}),
         session_end_event(("café", "android", "app")),
     ]
-    stamped = [replace(event, seq=seq) for seq, event in enumerate(events)]
-    for event in stamped:
-        journal.append(event)
+    stamped = [journal.publish(event) for event in events]
     journal.close()
     data = path.read_bytes()
     assert max(data) > 0x7F, "journal must actually contain multi-byte UTF-8"
@@ -361,8 +473,7 @@ def test_journal_recovers_torn_tail_variants(tmp_path, tail):
 
 def test_serve_journal_reader_tolerates_mid_utf8_tear(tmp_path):
     """A *terminated* line torn mid-character ends the read too: the
-    one reader the finalizer and the serving layer share drops it and
-    leaves the file untouched."""
+    journal's one reader drops it and leaves the file untouched."""
     path = tmp_path / "journal.jsonl"
     stamped, _ = _non_ascii_journal(path)
     tear = _append(
@@ -374,58 +485,27 @@ def test_serve_journal_reader_tolerates_mid_utf8_tear(tmp_path):
     _assert_job_journal_recovers(tmp_path / "ingest", tear)
 
 
-# -- bus ---------------------------------------------------------------------
+# -- the journal's writer and event model ------------------------------------
 
 
-def test_shard_assignment_is_stable_and_in_range():
-    sessions = [("weather", "android", "app"), ("cnn", "ios", "web")]
-    for session in sessions:
-        for shards in (1, 2, 8, 13):
-            first = shard_for(session, shards)
-            assert 0 <= first < shards
-            assert shard_for(session, shards) == first  # content hash, not hash()
-    assert shard_for(sessions[0], 1) == 0
-
-
-def test_bus_stamps_monotonic_seq_and_counts():
-    bus = FlowBus(shards=2)
+def test_journal_publish_stamps_monotonic_seq(tmp_path):
+    journal = FlowJournal(tmp_path / JOURNAL_NAME)
     session = ("svc", "android", "app")
     events = [
-        bus.publish(session_end_event(session)),
-        bus.publish(session_end_event(("other", "ios", "web"))),
-        bus.publish(session_end_event(session)),
+        journal.publish(session_end_event(session)),
+        journal.publish(session_end_event(("other", "ios", "web"))),
+        journal.publish(session_end_event(session)),
     ]
+    journal.close()
     assert [e.seq for e in events] == [0, 1, 2]
-    assert bus.stats.events == 3
-    bus.close()
-    with pytest.raises(RuntimeError):
-        bus.publish(session_end_event(session))
-
-
-def test_bus_backpressure_blocks_until_consumed(batch_study):
-    record = next(iter(batch_study.dataset))
-    bus = FlowBus(shards=1, queue_size=1)
-    session = record.key
-    consumed = []
-
-    def consumer():
-        for event in bus.consume(0):
-            consumed.append(event)
-
-    thread = threading.Thread(target=consumer)
-    thread.start()
-    for flow in record.trace:
-        bus.publish(flow_event(session, flow))  # would deadlock without a consumer
-    bus.close()
-    thread.join(timeout=10)
-    assert not thread.is_alive()
-    assert len(consumed) == len(record.trace)
-    assert [e.seq for e in consumed] == sorted(e.seq for e in consumed)
+    assert [r["seq"] for _line, r in iter_jsonl(tmp_path / JOURNAL_NAME)] == [0, 1, 2]
+    reopened = FlowJournal(tmp_path / JOURNAL_NAME)  # a new capture starts fresh
+    assert reopened.publish(session_end_event(session)).seq == 0
+    reopened.close()
+    assert (tmp_path / JOURNAL_NAME).read_bytes().count(b"\n") == 1
 
 
 def test_event_json_roundtrip(batch_study):
-    from dataclasses import replace
-
     record = next(iter(batch_study.dataset))
     events = [
         session_start_event(record.trace.meta, record.ground_truth),
@@ -442,15 +522,8 @@ def test_event_json_roundtrip(batch_study):
             assert back.ground_truth == record.ground_truth
         if stamped.kind == FLOW:
             assert back.flow == stamped.flow
-
-
-def test_unknown_session_flow_raises(stream_specs):
-    analyzer = StreamAnalyzer(stream_specs, shards=1)
-    analyzer.start()
-    analyzer.publish(session_end_event(("nope", "android", "app")))
-    with pytest.raises(StreamError):
-        analyzer.finish()
-    analyzer.journal.close()
+    kinds = [event.kind for event in journal_events(batch_study.dataset)]
+    assert kinds.count(SESSION_START) == kinds.count(SESSION_END) == len(batch_study.dataset)
 
 
 # -- live capture addon ------------------------------------------------------
@@ -537,14 +610,3 @@ def test_resolve_workers_zero_means_all_cores():
         else (os.cpu_count() or 1)
     )
     assert resolve_executor(0).workers == usable
-
-
-def test_cli_stream_replay(batch_study, tmp_path, capsys):
-    from repro.cli import main
-
-    directory = tmp_path / "ds"
-    batch_study.dataset.save(directory)
-    assert main(["stream", "--dataset", str(directory), "--shards", "2"]) == 0
-    out = capsys.readouterr().out
-    assert "flows/s" in out
-    assert "Group" in out  # table 1 rendered
