@@ -468,8 +468,9 @@ def decode_batch(data: bytes) -> ColumnarBatch:
         (n_strings,) = _U32.unpack_from(data, pos)
         pos += 4
         strings = []
+        memo: dict = {}
         for _ in range(n_strings):
-            value, pos = codec._get_str(data, pos)
+            value, pos = codec._get_str(data, pos, memo)
             strings.append(value)
         batch.strings = tuple(strings)
 

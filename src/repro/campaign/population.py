@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -39,13 +40,47 @@ class PopulationError(Exception):
     """Raised on invalid population specifications."""
 
 
+def _check_number(name: str, value) -> None:
+    """``value`` must be an int or float a float can hold, and finite.
+
+    JSON booleans are not numbers here, and Python's ``json`` reads
+    ``NaN``, ``Infinity`` and ``1e999`` as floats, so each is refused.
+    """
+    try:
+        finite = not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):  # not a number, or an int past float range
+        finite = False
+    if not finite:
+        raise PopulationError(f"{name} must be a finite number: {value!r}")
+
+
+def _check_count(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise PopulationError(f"{name} must be an integer: {value!r}")
+
+
 def _check_fraction(name: str, value: float) -> None:
+    _check_number(name, value)
     if not 0.0 <= value <= 1.0:
         raise PopulationError(f"{name} must be in [0, 1]: {value}")
 
 
-def _check_range(name: str, pair: Sequence) -> tuple:
-    lo, hi = pair
+def _check_weights(name: str, weights: dict) -> None:
+    for key, weight in weights.items():
+        _check_number(f"{name} weight for {key!r}", weight)
+        if weight < 0:
+            raise PopulationError(f"negative {name} weight for {key!r}: {weight}")
+
+
+def _check_range(name: str, pair: Sequence, check=_check_number) -> tuple:
+    """``pair`` as a ``(lo, hi)`` tuple with ``0 <= lo <= hi``; ``check``
+    validates each bound first (:func:`_check_count` for counts)."""
+    try:
+        lo, hi = pair
+    except (TypeError, ValueError):
+        raise PopulationError(f"{name} must be a (lo, hi) pair: {pair!r}") from None
+    check(name, lo)
+    check(name, hi)
     if lo > hi or lo < 0:
         raise PopulationError(f"{name} must be a (lo, hi) pair with 0 <= lo <= hi: {pair}")
     return (lo, hi)
@@ -109,36 +144,34 @@ class PopulationSpec:
     def __post_init__(self) -> None:
         if not self.os_share:
             raise PopulationError("os_share must not be empty")
-        for os_name, weight in self.os_share.items():
+        for os_name in self.os_share:
             if os_name not in OS_ORDER:
                 raise PopulationError(f"unknown OS {os_name!r} in os_share")
-            if weight < 0:
-                raise PopulationError(f"negative os_share for {os_name!r}: {weight}")
+        _check_weights("os_share", self.os_share)
         if not any(self.os_share.values()):
             raise PopulationError("os_share weights sum to zero")
+        _check_weights("category_weights", self.category_weights)
         _check_fraction("app_preference", self.app_preference)
         _check_fraction("preference_strength", self.preference_strength)
-        object.__setattr__(
-            self, "services_per_user", _check_range("services_per_user", self.services_per_user)
-        )
-        object.__setattr__(
-            self,
-            "sessions_per_service",
-            _check_range("sessions_per_service", self.sessions_per_service),
-        )
-        if self.services_per_user[0] < 1:
-            raise PopulationError("services_per_user minimum must be >= 1")
-        if self.sessions_per_service[0] < 1:
-            raise PopulationError("sessions_per_service minimum must be >= 1")
+        for name in ("services_per_user", "sessions_per_service"):
+            pair = _check_range(name, getattr(self, name), _check_count)
+            if pair[0] < 1:
+                raise PopulationError(f"{name} minimum must be >= 1")
+            object.__setattr__(self, name, pair)
+        _check_number("session_duration", self.session_duration)
         if self.session_duration <= 0:
             raise PopulationError(f"session_duration must be positive: {self.session_duration}")
-        lo, hi = self.intensity_range
-        if lo <= 0 or lo > hi:
+        lo, hi = _check_range("intensity_range", self.intensity_range)
+        if lo <= 0:
             raise PopulationError(f"intensity_range must satisfy 0 < lo <= hi: {self.intensity_range}")
+        object.__setattr__(self, "intensity_range", (lo, hi))
+        # The longest session a user can draw must be finite too.
+        _check_number("session_duration * intensity_range[1]", self.session_duration * hi)
         for permission, rate in self.permission_grant_rates.items():
             if permission not in Permission.ALL:
                 raise PopulationError(f"unknown permission {permission!r} in grant rates")
             _check_fraction(f"grant rate for {permission!r}", rate)
+        _check_count("bootstrap_replicates", self.bootstrap_replicates)
         if self.bootstrap_replicates < 1:
             raise PopulationError(
                 f"bootstrap_replicates must be >= 1: {self.bootstrap_replicates}"

@@ -190,8 +190,8 @@ def _recommend_json_payload(study, preferences) -> dict:
 
 
 def cmd_recommend(args) -> int:
-    study = _build_study(args)
     preferences = _preferences_from_args(args)
+    study = _build_study(args)
     if getattr(args, "json", False):
         from .serve.app import canonical_json
 
@@ -256,7 +256,13 @@ def cmd_analyze(args) -> int:
 
 def cmd_stream(args) -> int:
     """Live capture journaled into ``--checkpoint-dir``, then the report."""
-    _print_tables_1_3(_build_study(args), args)
+    from .stream.checkpoint import CheckpointError
+
+    try:
+        study = _build_study(args)
+    except CheckpointError as exc:
+        raise SystemExit(f"repro stream: {exc}")
+    _print_tables_1_3(study, args)
     return 0
 
 

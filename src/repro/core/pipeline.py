@@ -389,7 +389,11 @@ def run_study(
     (:class:`~repro.stream.checkpoint.FlowJournal`), which ``repro
     serve`` can read while the capture is still going.  The study is the
     same batch analysis of the collected dataset; a journaled run always
-    captures, so the campaign fast path of the cache is skipped.
+    captures, so the campaign fast path of the cache is skipped.  A
+    failed journal append stops the journal at the last event it wrote
+    and, once the capture ends, raises
+    :class:`~repro.stream.checkpoint.CheckpointError` naming the journal
+    and the cause.
 
     ``mitigation`` runs the whole collection through the inline
     mitigation data plane (:mod:`repro.mitigate`): pass a
@@ -436,7 +440,7 @@ def run_study(
         from pathlib import Path
 
         from ..proxy.addons import StreamCapture
-        from ..stream.checkpoint import JOURNAL_NAME, FlowJournal
+        from ..stream.checkpoint import JOURNAL_NAME, CheckpointError, FlowJournal
 
         journal = FlowJournal(Path(checkpoint_dir) / JOURNAL_NAME)
         capture = StreamCapture(journal.publish)
@@ -451,6 +455,10 @@ def run_study(
         finally:
             world.proxy.remove_addon(capture)
             journal.close()
+        if capture.error is not None:
+            raise CheckpointError(
+                f"{journal.path}: cannot append to the journal: {capture.error}"
+            ) from capture.error
     if campaign_key is not None:
         cache.store_campaign(campaign_key, dataset)
     return analyze_dataset(

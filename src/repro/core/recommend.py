@@ -71,11 +71,11 @@ def _parse_weight(pii_name, value) -> tuple:
         raise ValueError(f"unknown PII type {pii_name!r} (valid: {valid})") from None
     try:
         weight = float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValueError(
             f"weight for {pii_type.value} must be a number, got {value!r}"
         ) from None
-    if not 0.0 <= weight <= 1.0:
+    if not 0.0 <= weight <= 1.0:  # NaN fails both comparisons
         raise ValueError(f"weight for {pii_type.value} must be in [0, 1], got {weight}")
     return pii_type, weight
 
@@ -91,10 +91,10 @@ def parse_weight_override(text: str) -> tuple:
 def _parse_aversion(name: str, value) -> float:
     try:
         aversion = float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValueError(f"{name} must be a number, got {value!r}") from None
-    if aversion < 0.0:
-        raise ValueError(f"{name} must be >= 0, got {aversion}")
+    if not (math.isfinite(aversion) and aversion >= 0.0):
+        raise ValueError(f"{name} must be a finite number >= 0, got {aversion}")
     return aversion
 
 
@@ -104,7 +104,10 @@ def preferences_from_dict(data: dict) -> PrivacyPreferences:
     The one parser behind both scriptable surfaces: ``repro recommend
     --prefs FILE.json`` and the service's ``POST /v1/recommend`` body.
     Unlisted weights keep their :data:`DEFAULT_WEIGHTS` value; unknown
-    fields or types raise ``ValueError`` rather than silently scoring 0.
+    fields or types raise ``ValueError`` rather than silently scoring 0,
+    and so does a weight outside [0, 1] or an aversion that is negative
+    or not finite (Python's ``json`` reads ``NaN``, ``Infinity`` and
+    ``1e999`` as floats).
     """
     if not isinstance(data, dict):
         raise ValueError(f"preferences must be a JSON object, got {type(data).__name__}")

@@ -27,7 +27,14 @@ silently short trace.
 The decoder is written as flat functions threading an integer offset
 through ``struct.unpack_from`` — no per-field object or slice for
 scalars.  That is what actually beats the C-accelerated ``json``
-parser; a naive method-per-field reader does not.
+parser; a naive method-per-field reader does not.  Each
+:func:`decode_trace`, :func:`decode_record` and :func:`decode_bundle`
+call also threads one memo ``dict`` through the string, header and
+byte readers, the per-trace rule of :mod:`repro.net.flow`: a string is
+keyed by its raw UTF-8 bytes, so a repeated one is neither decoded nor
+stored again, and equal header pairs and bodies come back as one
+object.  The memo changes no byte and no check: a truncated field, bad
+UTF-8 or trailing bytes still raise :class:`CodecError`.
 
 Determinism: encoding any value twice yields identical bytes, and
 ``encode(decode(encode(x))) == encode(x)``.  Sets (flow tags) are
@@ -207,7 +214,7 @@ def encode_record(record) -> bytes:
 # converted to CodecError at the public entry points.
 
 
-def _get_str(buf: bytes, pos: int):
+def _get_str(buf: bytes, pos: int, memo: dict):
     (size,) = _U32.unpack_from(buf, pos)
     pos += 4
     end = pos + size
@@ -216,13 +223,17 @@ def _get_str(buf: bytes, pos: int):
             f"truncated data: string of {size} byte(s) at offset {pos} "
             f"overruns buffer of {len(buf)}"
         )
-    try:
-        return buf[pos:end].decode("utf-8"), end
-    except UnicodeDecodeError as exc:
-        raise CodecError(f"bad UTF-8 string at offset {pos}: {exc}") from exc
+    raw = buf[pos:end]
+    value = memo.get(raw)
+    if value is None:
+        try:
+            value = memo[raw] = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CodecError(f"bad UTF-8 string at offset {pos}: {exc}") from exc
+    return value, end
 
 
-def _get_bytes(buf: bytes, pos: int):
+def _get_bytes(buf: bytes, pos: int, memo: dict):
     (size,) = _U32.unpack_from(buf, pos)
     pos += 4
     end = pos + size
@@ -231,29 +242,33 @@ def _get_bytes(buf: bytes, pos: int):
             f"truncated data: blob of {size} byte(s) at offset {pos} "
             f"overruns buffer of {len(buf)}"
         )
-    return buf[pos:end], end
+    raw = buf[pos:end]
+    # A 1-tuple key: a string's key is its raw bytes, which a body may equal.
+    return memo.setdefault((raw,), raw), end
 
 
-def _get_headers(buf: bytes, pos: int):
+def _get_headers(buf: bytes, pos: int, memo: dict):
     (count,) = _U32.unpack_from(buf, pos)
     pos += 4
     headers = []
     append = headers.append
     get_str = _get_str
+    setdefault = memo.setdefault
     for _ in range(count):
-        name, pos = get_str(buf, pos)
-        value, pos = get_str(buf, pos)
-        append((name, value))
+        name, pos = get_str(buf, pos, memo)
+        value, pos = get_str(buf, pos, memo)
+        pair = (name, value)
+        append(setdefault(pair, pair))
     return headers, pos
 
 
-def _get_transaction(buf: bytes, pos: int):
+def _get_transaction(buf: bytes, pos: int, memo: dict):
     (timestamp,) = _F64.unpack_from(buf, pos)
     pos += 8
-    method, pos = _get_str(buf, pos)
-    url, pos = _get_str(buf, pos)
-    headers, pos = _get_headers(buf, pos)
-    body, pos = _get_bytes(buf, pos)
+    method, pos = _get_str(buf, pos, memo)
+    url, pos = _get_str(buf, pos, memo)
+    headers, pos = _get_headers(buf, pos, memo)
+    body, pos = _get_bytes(buf, pos, memo)
     request = CapturedRequest(method=method, url=url, headers=headers, body=body)
     has_response = buf[pos]
     pos += 1
@@ -261,26 +276,26 @@ def _get_transaction(buf: bytes, pos: int):
     if has_response:
         (status,) = _I32.unpack_from(buf, pos)
         pos += 4
-        reason, pos = _get_str(buf, pos)
-        resp_headers, pos = _get_headers(buf, pos)
-        resp_body, pos = _get_bytes(buf, pos)
+        reason, pos = _get_str(buf, pos, memo)
+        resp_headers, pos = _get_headers(buf, pos, memo)
+        resp_body, pos = _get_bytes(buf, pos, memo)
         response = CapturedResponse(
             status=status, reason=reason, headers=resp_headers, body=resp_body
         )
     return HttpTransaction(timestamp=timestamp, request=request, response=response), pos
 
 
-def _get_flow(buf: bytes, pos: int):
+def _get_flow(buf: bytes, pos: int, memo: dict):
     flow_id, ts_start, ts_end = _FLOW_HEAD.unpack_from(buf, pos)
     pos += _FLOW_HEAD.size
-    client_ip, pos = _get_str(buf, pos)
+    client_ip, pos = _get_str(buf, pos, memo)
     (client_port,) = _U32.unpack_from(buf, pos)
     pos += 4
-    server_ip, pos = _get_str(buf, pos)
+    server_ip, pos = _get_str(buf, pos, memo)
     (server_port,) = _U32.unpack_from(buf, pos)
     pos += 4
-    hostname, pos = _get_str(buf, pos)
-    scheme, pos = _get_str(buf, pos)
+    hostname, pos = _get_str(buf, pos, memo)
+    scheme, pos = _get_str(buf, pos, memo)
     flow = Flow(
         flow_id=flow_id,
         ts_start=ts_start,
@@ -295,9 +310,9 @@ def _get_flow(buf: bytes, pos: int):
     has_tls = buf[pos]
     pos += 1
     if has_tls:
-        sni, pos = _get_str(buf, pos)
-        version, pos = _get_str(buf, pos)
-        cipher, pos = _get_str(buf, pos)
+        sni, pos = _get_str(buf, pos, memo)
+        version, pos = _get_str(buf, pos, memo)
+        cipher, pos = _get_str(buf, pos, memo)
         pinned = buf[pos] != 0
         intercepted = buf[pos + 1] != 0
         pos += 2
@@ -310,14 +325,14 @@ def _get_flow(buf: bytes, pos: int):
     transactions = []
     append = transactions.append
     for _ in range(txn_count):
-        txn, pos = _get_transaction(buf, pos)
+        txn, pos = _get_transaction(buf, pos, memo)
         append(txn)
     flow.transactions = transactions
     (tag_count,) = _U32.unpack_from(buf, pos)
     pos += 4
     tags = set()
     for _ in range(tag_count):
-        tag, pos = _get_str(buf, pos)
+        tag, pos = _get_str(buf, pos, memo)
         tags.add(tag)
     flow.tags = tags
     flow.bytes_up, flow.bytes_down = _FLOW_TAIL.unpack_from(buf, pos)
@@ -325,15 +340,15 @@ def _get_flow(buf: bytes, pos: int):
     return flow, pos
 
 
-def _get_meta(buf: bytes, pos: int):
-    service, pos = _get_str(buf, pos)
-    os_name, pos = _get_str(buf, pos)
-    medium, pos = _get_str(buf, pos)
-    category, pos = _get_str(buf, pos)
+def _get_meta(buf: bytes, pos: int, memo: dict):
+    service, pos = _get_str(buf, pos, memo)
+    os_name, pos = _get_str(buf, pos, memo)
+    medium, pos = _get_str(buf, pos, memo)
+    category, pos = _get_str(buf, pos, memo)
     (duration,) = _F64.unpack_from(buf, pos)
     pos += 8
-    device, pos = _get_str(buf, pos)
-    session_id, pos = _get_str(buf, pos)
+    device, pos = _get_str(buf, pos, memo)
+    session_id, pos = _get_str(buf, pos, memo)
     meta = SessionMeta(
         service=service,
         os_name=os_name,
@@ -346,14 +361,14 @@ def _get_meta(buf: bytes, pos: int):
     return meta, pos
 
 
-def _get_trace(buf: bytes, pos: int):
-    meta, pos = _get_meta(buf, pos)
+def _get_trace(buf: bytes, pos: int, memo: dict):
+    meta, pos = _get_meta(buf, pos, memo)
     (flow_count,) = _U32.unpack_from(buf, pos)
     pos += 4
     flows = []
     append = flows.append
     for _ in range(flow_count):
-        flow, pos = _get_flow(buf, pos)
+        flow, pos = _get_flow(buf, pos, memo)
         append(flow)
     return Trace(meta=meta, flows=flows), pos
 
@@ -368,7 +383,7 @@ def _expect_end(buf: bytes, pos: int) -> None:
 def decode_flow(data: bytes) -> Flow:
     """Parse a blob produced by :func:`encode_flow` (strict)."""
     try:
-        flow, pos = _get_flow(data, 0)
+        flow, pos = _get_flow(data, 0, {})
     except (struct.error, IndexError) as exc:
         raise CodecError(f"truncated flow data: {exc}") from exc
     _expect_end(data, pos)
@@ -378,27 +393,27 @@ def decode_flow(data: bytes) -> Flow:
 def decode_trace(data: bytes) -> Trace:
     """Parse a blob produced by :func:`encode_trace` (strict)."""
     try:
-        trace, pos = _get_trace(data, 0)
+        trace, pos = _get_trace(data, 0, {})
     except (struct.error, IndexError) as exc:
         raise CodecError(f"truncated trace data: {exc}") from exc
     _expect_end(data, pos)
     return trace
 
 
-def _get_record(buf: bytes, pos: int):
+def _get_record(buf: bytes, pos: int, memo: dict):
     from ..experiment.dataset import SessionRecord
     from ..pii.types import PiiType
 
-    service, pos = _get_str(buf, pos)
-    os_name, pos = _get_str(buf, pos)
-    medium, pos = _get_str(buf, pos)
+    service, pos = _get_str(buf, pos, memo)
+    os_name, pos = _get_str(buf, pos, memo)
+    medium, pos = _get_str(buf, pos, memo)
     (duration,) = _F64.unpack_from(buf, pos)
     pos += 8
     (gt_count,) = _U32.unpack_from(buf, pos)
     pos += 4
     ground_truth: dict = {}
     for _ in range(gt_count):
-        code, pos = _get_str(buf, pos)
+        code, pos = _get_str(buf, pos, memo)
         try:
             pii_type = PiiType(code)
         except ValueError as exc:
@@ -407,10 +422,10 @@ def _get_record(buf: bytes, pos: int):
         pos += 4
         values = []
         for _ in range(value_count):
-            value, pos = _get_str(buf, pos)
+            value, pos = _get_str(buf, pos, memo)
             values.append(value)
         ground_truth[pii_type] = values
-    trace, pos = _get_trace(buf, pos)
+    trace, pos = _get_trace(buf, pos, memo)
     record = SessionRecord(
         service=service,
         os_name=os_name,
@@ -425,7 +440,7 @@ def _get_record(buf: bytes, pos: int):
 def decode_record(data: bytes):
     """Parse a blob produced by :func:`encode_record` (strict)."""
     try:
-        record, pos = _get_record(data, 0)
+        record, pos = _get_record(data, 0, {})
     except (struct.error, IndexError) as exc:
         raise CodecError(f"truncated record data: {exc}") from exc
     _expect_end(data, pos)
@@ -452,8 +467,9 @@ def decode_bundle(data: bytes) -> list:
         (count,) = _U32.unpack_from(data, 0)
         pos = 4
         records = []
+        memo: dict = {}
         for _ in range(count):
-            record, pos = _get_record(data, pos)
+            record, pos = _get_record(data, pos, memo)
             records.append(record)
     except (struct.error, IndexError) as exc:
         raise CodecError(f"truncated bundle data: {exc}") from exc
@@ -674,8 +690,9 @@ def _get_campaign(buf: bytes, pos: int):
     (table_size,) = _U32.unpack_from(buf, pos)
     pos += 4
     table = []
+    memo: dict = {}
     for _ in range(table_size):
-        value, pos = _get_str(buf, pos)
+        value, pos = _get_str(buf, pos, memo)
         table.append(value)
 
     def ref(pos: int):

@@ -6,9 +6,19 @@ for Meddle).  Each flow carries zero or more :class:`HttpTransaction`
 records — the decrypted request/response pairs — plus byte and packet
 accounting used by the paper's Figure 1b (flows) and Figure 1c (bytes).
 
-These records are deliberately plain (dataclasses of strings, ints and
-bytes) so they serialize losslessly to the JSONL trace format and can be
-consumed by the PII detector without importing the HTTP client stack.
+These records are deliberately plain (slotted dataclasses of strings,
+ints and bytes) so they serialize losslessly to the JSONL trace format
+and can be consumed by the PII detector without importing the HTTP
+client stack.
+
+One object per distinct value within a trace.  Captured traffic repeats
+itself: one session sends the same header pairs, URLs and bodies over
+and over.  So everything that builds a trace -- the capture proxy, the
+binary decoder and the JSONL readers -- passes the trace's header
+pairs, strings and bodies through one ``dict`` per trace
+(``memo.setdefault(value, value)``) and stores the object it returns.
+Every value is immutable, so sharing one object is safe, and the dict
+is dropped with the trace it was built for.
 """
 
 from __future__ import annotations
@@ -22,7 +32,18 @@ _MSS = 1400
 _HEADER_OVERHEAD = 40
 
 
-@dataclass
+def _interner(memo: Optional[dict]):
+    """``value -> memo.setdefault(value, value)``; a record rebuilt on its
+    own (``memo`` is None) shares values with nothing outside it."""
+    setdefault = {}.setdefault if memo is None else memo.setdefault
+    return lambda value: setdefault(value, value)
+
+
+def _headers(items, intern) -> list:
+    return [intern((intern(name), intern(value))) for name, value in items]
+
+
+@dataclass(slots=True)
 class TlsInfo:
     """TLS session metadata attached to an encrypted flow.
 
@@ -47,17 +68,18 @@ class TlsInfo:
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "TlsInfo":
+    def from_dict(cls, data: dict, memo: Optional[dict] = None) -> "TlsInfo":
+        intern = _interner(memo)
         return cls(
-            sni=data["sni"],
-            version=data.get("version", "TLSv1.2"),
-            cipher=data.get("cipher", "ECDHE-RSA-AES128-GCM-SHA256"),
+            sni=intern(data["sni"]),
+            version=intern(data.get("version", "TLSv1.2")),
+            cipher=intern(data.get("cipher", "ECDHE-RSA-AES128-GCM-SHA256")),
             pinned=bool(data.get("pinned", False)),
             intercepted=bool(data.get("intercepted", True)),
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class CapturedRequest:
     """An HTTP request as recorded by the proxy."""
 
@@ -91,16 +113,17 @@ class CapturedRequest:
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "CapturedRequest":
+    def from_dict(cls, data: dict, memo: Optional[dict] = None) -> "CapturedRequest":
+        intern = _interner(memo)
         return cls(
-            method=data["method"],
-            url=data["url"],
-            headers=[tuple(h) for h in data.get("headers", [])],
-            body=data.get("body", "").encode("latin-1"),
+            method=intern(data["method"]),
+            url=intern(data["url"]),
+            headers=_headers(data.get("headers", []), intern),
+            body=intern(data.get("body", "").encode("latin-1")),
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class CapturedResponse:
     """An HTTP response as recorded by the proxy."""
 
@@ -134,16 +157,17 @@ class CapturedResponse:
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "CapturedResponse":
+    def from_dict(cls, data: dict, memo: Optional[dict] = None) -> "CapturedResponse":
+        intern = _interner(memo)
         return cls(
             status=data["status"],
-            reason=data.get("reason", ""),
-            headers=[tuple(h) for h in data.get("headers", [])],
-            body=data.get("body", "").encode("latin-1"),
+            reason=intern(data.get("reason", "")),
+            headers=_headers(data.get("headers", []), intern),
+            body=intern(data.get("body", "").encode("latin-1")),
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class HttpTransaction:
     """One request/response exchange inside a flow."""
 
@@ -166,16 +190,16 @@ class HttpTransaction:
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "HttpTransaction":
+    def from_dict(cls, data: dict, memo: Optional[dict] = None) -> "HttpTransaction":
         response = data.get("response")
         return cls(
             timestamp=data["timestamp"],
-            request=CapturedRequest.from_dict(data["request"]),
-            response=CapturedResponse.from_dict(response) if response else None,
+            request=CapturedRequest.from_dict(data["request"], memo),
+            response=CapturedResponse.from_dict(response, memo) if response else None,
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class Flow:
     """One TCP connection observed by the proxy.
 
@@ -272,22 +296,25 @@ class Flow:
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "Flow":
+    def from_dict(cls, data: dict, memo: Optional[dict] = None) -> "Flow":
+        """Rebuild a flow from :meth:`to_dict` output; a trace reader
+        passes its per-trace ``memo`` so repeated values are shared."""
+        intern = _interner(memo)
         flow = cls(
             flow_id=data["flow_id"],
             ts_start=data["ts_start"],
-            client_ip=data["client_ip"],
+            client_ip=intern(data["client_ip"]),
             client_port=data["client_port"],
-            server_ip=data["server_ip"],
+            server_ip=intern(data["server_ip"]),
             server_port=data["server_port"],
-            hostname=data["hostname"],
-            scheme=data.get("scheme", "http"),
+            hostname=intern(data["hostname"]),
+            scheme=intern(data.get("scheme", "http")),
             ts_end=data.get("ts_end", 0.0),
-            tls=TlsInfo.from_dict(data["tls"]) if data.get("tls") else None,
-            tags=set(data.get("tags", [])),
+            tls=TlsInfo.from_dict(data["tls"], memo) if data.get("tls") else None,
+            tags={intern(tag) for tag in data.get("tags", [])},
         )
         for txn_data in data.get("transactions", []):
-            flow.transactions.append(HttpTransaction.from_dict(txn_data))
+            flow.transactions.append(HttpTransaction.from_dict(txn_data, memo))
         flow.bytes_up = data.get("bytes_up", 0)
         flow.bytes_down = data.get("bytes_down", 0)
         return flow

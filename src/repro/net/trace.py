@@ -159,12 +159,15 @@ class Trace:
                     f"(expected {FORMAT_VERSION})"
                 )
             trace = cls(meta=SessionMeta.from_dict(header["meta"]))
+            memo: dict = {}  # one object per repeated value (repro.net.flow)
             for line_no, line in enumerate(handle, start=2):
                 if not line.strip():
                     continue
                 try:
-                    trace.add(Flow.from_dict(json.loads(line)))
-                except (json.JSONDecodeError, KeyError) as exc:
+                    trace.add(Flow.from_dict(json.loads(line), memo))
+                except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                    # ValueError covers JSONDecodeError; the others are a
+                    # field of the wrong type (say, a list where a string goes).
                     raise TraceFormatError(
                         f"bad flow record at {path}:{line_no}: {exc}"
                     ) from exc

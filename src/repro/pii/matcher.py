@@ -9,12 +9,16 @@ instead of textually.
 
 Searching is the pipeline's hot path.  The scan probes each encoded form
 with one C-level substring test (about 140 forms for one phone and
-persona), and a per-matcher memo of scanned texts and of requests answers
-the repeats — captured traffic repeats header and cookie values
-thousands of times.  Nothing is indexed per ground-truth set: every
-campaign session brings new ground truth, so a build is only the
-memoized :func:`~repro.pii.encodings.variants` lookups plus the scan
-plan.  Two exact prescreens skip most of a scan: one probe per distinct
+persona), and two per-matcher memos answer the repeats — captured traffic
+repeats header and cookie values thousands of times.  The request memo
+maps a request's ``(url, headers, body)`` to its matches; the text memo
+maps each scanned field value to its matches.  A request's whole text
+(:func:`~repro.pii.structure.searchable_text`) is scanned but never
+memoized: it is a function of the request memo's key, so the request
+memo answers a repeat before the text is even built.  Nothing is
+indexed per ground-truth set: every campaign session brings new ground
+truth, so a build is only the memoized
+:func:`~repro.pii.encodings.variants` lookups plus the scan plan.  Two exact prescreens skip most of a scan: one probe per distinct
 lowered form decides whether the per-form loop can hit at all (few
 texts hold any form), and the integer parts of each coordinate's
 tolerance window decide whether a text can hold an in-tolerance GPS
@@ -244,7 +248,7 @@ class GroundTruthMatcher:
             if cached is not None:
                 return list(cached)
         by_identity = {}
-        for match in self.match_text(searchable_text(request)):
+        for match in self._scan(searchable_text(request)):
             by_identity[(match.pii_type, match.value, match.encoding)] = match
         for field in extract_fields(request):
             for match in self.match_text(field.value):

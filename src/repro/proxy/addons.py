@@ -7,7 +7,7 @@ export of the capture into a flow journal.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Optional
 
 from ..http.message import Request, Response
 from ..net.flow import Flow
@@ -86,6 +86,13 @@ class StreamCapture:
     which flows exist, never of close timing.  Whatever is still open
     when the capture stops can no longer change and is flushed then.
 
+    A flow leaves the pending list as soon as it is published.  The
+    first publish that raises (say, a full disk under the journal) ends
+    publishing for good: the exception is kept in :attr:`error`, no
+    later event is published, so nothing reaches the journal twice, and
+    ``run_study(checkpoint_dir=...)`` turns it into a
+    :class:`~repro.stream.checkpoint.CheckpointError`.
+
     Ground truth must be staged before ``start_capture`` (the runner's
     ``phone_setup`` hook runs at exactly the right moment — after
     provisioning and sign-in, before capture):
@@ -105,6 +112,18 @@ class StreamCapture:
         self._session = None  # (service, os, medium) while a capture runs
         self._pending: list = []  # flows in connect order, not yet published
         self._closed: set = set()  # flow_ids whose connection closed
+        self.error: Optional[Exception] = None  # the first failed publish
+
+    def _send(self, event) -> bool:
+        """Publish ``event`` unless a publish failed; False once one has."""
+        if self.error is not None:
+            return False
+        try:
+            self._publish(event)
+        except Exception as exc:
+            self.error = exc
+            return False
+        return True
 
     # -- staging -------------------------------------------------------------
 
@@ -122,7 +141,7 @@ class StreamCapture:
         self._session = (meta.service, meta.os_name, meta.medium)
         self._pending = []
         self._closed = set()
-        self._publish(self._session_start_event(meta, self._staged_truth))
+        self._send(self._session_start_event(meta, self._staged_truth))
 
     def tcp_connect(self, flow: Flow) -> None:
         if self._session is not None:
@@ -139,20 +158,19 @@ class StreamCapture:
             return
         # Remaining open flows can't change once the capture is over.
         for flow in self._pending:
-            self._publish(self._flow_event(self._session, flow))
-        self._publish(self._session_end_event(self._session))
+            if not self._send(self._flow_event(self._session, flow)):
+                break
+        self._send(self._session_end_event(self._session))
         self._session = None
         self._pending = []
         self._closed = set()
         self._staged_truth = {}
 
     def _flush_closed_prefix(self) -> None:
-        flushed = 0
-        for flow in self._pending:
-            if flow.flow_id not in self._closed:
-                break
-            self._publish(self._flow_event(self._session, flow))
+        pending = self._pending
+        while pending and pending[0].flow_id in self._closed:
+            flow = pending[0]
+            if not self._send(self._flow_event(self._session, flow)):
+                return
+            del pending[0]
             self._closed.discard(flow.flow_id)
-            flushed += 1
-        if flushed:
-            del self._pending[:flushed]

@@ -61,20 +61,22 @@ _ADDON_EVENTS = (
 )
 
 
-def _captured_request(request: Request) -> CapturedRequest:
+def _captured_request(request: Request, memo: dict) -> CapturedRequest:
+    url = str(request.url)
+    body = request.body
     return CapturedRequest(
         method=request.method,
-        url=str(request.url),
-        headers=request.headers.items(),
-        body=request.body,
+        url=memo.setdefault(url, url),
+        headers=[memo.setdefault(pair, pair) for pair in request.headers],
+        body=memo.setdefault(body, body),
     )
 
 
-def _captured_response(response: Response) -> CapturedResponse:
+def _captured_response(response: Response, memo: dict) -> CapturedResponse:
     return CapturedResponse(
         status=response.status,
         reason=response.reason,
-        headers=response.headers.items(),
+        headers=[memo.setdefault(pair, pair) for pair in response.headers],
         body=response.body,
     )
 
@@ -107,6 +109,9 @@ class InterceptionProxy:
         self.addon_errors: list = []
         self._callbacks: dict = {}  # event name -> [bound callbacks]
         self._trace: Optional[Trace] = None
+        # One object per distinct header pair, URL and body within the
+        # running capture (the rule in repro.net.flow).
+        self._memo: dict = {}
         self._next_flow_id = 0
         self._next_port = 40000
 
@@ -121,6 +126,7 @@ class InterceptionProxy:
         if self._trace is not None:
             raise CaptureError("capture already in progress")
         self._trace = Trace(meta=meta)
+        self._memo = {}
         self._emit("capture_start", meta)
 
     def stop_capture(self) -> Trace:
@@ -128,6 +134,7 @@ class InterceptionProxy:
         if self._trace is None:
             raise CaptureError("no capture in progress")
         trace, self._trace = self._trace, None
+        self._memo = {}
         self._emit("capture_stop", trace)
         return trace
 
@@ -311,14 +318,18 @@ class ProxyConnection:
             response = proxy.network.dispatch(request)
         if decryptable:
             proxy._emit("response", self.flow, request, response)
-            captured_response = _captured_response(response)
+            memo = proxy._memo
+            captured_response = _captured_response(response, memo)
             wire_down = captured_response.size + 40
+            body = captured_response.body
             limit = proxy.max_stored_body
-            if limit is not None and len(captured_response.body) > limit:
-                captured_response.body = captured_response.body[:limit]
+            if limit is not None and len(body) > limit:
+                body = body[:limit]
+            # Only the stored (possibly truncated) body is shared.
+            captured_response.body = memo.setdefault(body, body)
             txn = HttpTransaction(
                 timestamp=proxy.clock.now(),
-                request=_captured_request(request),
+                request=_captured_request(request, memo),
                 response=captured_response,
             )
             self.flow.add_transaction(txn, bytes_down=wire_down)

@@ -95,7 +95,9 @@ def event_to_dict(event: StreamEvent) -> dict:
     return data
 
 
-def event_from_dict(data: dict) -> StreamEvent:
+def event_from_dict(data: dict, memo: Optional[dict] = None) -> StreamEvent:
+    """The event a journal line holds; a ``flow`` shares repeated values
+    through ``memo``, its session's dict (see :mod:`repro.net.flow`)."""
     kind = data["kind"]
     meta = ground_truth = flow = None
     if kind == SESSION_START:
@@ -106,7 +108,7 @@ def event_from_dict(data: dict) -> StreamEvent:
             for code, values in data.get("ground_truth", {}).items()
         }
     elif kind == FLOW:
-        flow = Flow.from_dict(data["flow"])
+        flow = Flow.from_dict(data["flow"], memo)
     return StreamEvent(
         kind=kind,
         session=tuple(data["session"]),
@@ -157,7 +159,7 @@ def _is_session(value) -> bool:
     )
 
 
-def _decode(where: str, data: dict):
+def _decode(where: str, data: dict, memo: dict):
     """One journal line as an event plus, for a ``session_start``, the
     empty record it opens; :class:`CheckpointError` when it is neither.
 
@@ -174,7 +176,7 @@ def _decode(where: str, data: dict):
         problem = "session is not [service, os, medium]"
     else:
         try:
-            event = event_from_dict(data)
+            event = event_from_dict(data, memo)
             record = None
             if kind == SESSION_START:
                 service, os_name, medium = event.session
@@ -215,9 +217,10 @@ def dataset_from_journal(path: Union[str, Path]) -> Dataset:
     """
     dataset = Dataset()
     record: Optional[SessionRecord] = None
+    memo: dict = {}  # the open session's shared values (repro.net.flow)
     for number, data in iter_jsonl(path):
         where = f"{path}:{number}"
-        event, opened = _decode(where, data)
+        event, opened = _decode(where, data, memo)
         if opened is not None:
             if record is not None:
                 raise CheckpointError(
@@ -228,6 +231,7 @@ def dataset_from_journal(path: Union[str, Path]) -> Dataset:
                     f"{where}: session {list(opened.key)} was already journaled"
                 )
             record = opened
+            memo = {}
         elif record is None or event.session != record.key:
             raise CheckpointError(
                 f"{where}: {event.kind} for {list(event.session)}, "

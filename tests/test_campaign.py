@@ -112,6 +112,33 @@ class TestPopulationSpec:
         with pytest.raises(PopulationError):
             PopulationSpec.from_dict({"not_a_field": 1})
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"session_duration": Infinity}',
+            '{"session_duration": 1e999}',
+            '{"bootstrap_replicates": NaN}',
+            '{"bootstrap_replicates": 2.5}',
+            '{"bootstrap_replicates": true}',
+            '{"services_per_user": [1.5, 2]}',
+            '{"sessions_per_service": [1, 2, 3]}',
+            '{"os_share": {"android": NaN}}',
+            '{"category_weights": {"News": NaN}}',
+            '{"category_weights": {"News": -1}}',
+            '{"app_preference": NaN}',
+            '{"intensity_range": [NaN, 1.0]}',
+            '{"intensity_range": [0.5, Infinity]}',
+            '{"intensity_range": [0.5, 1e308]}',
+            '{"permission_grant_rates": {"location": NaN}}',
+        ],
+    )
+    def test_rejects_non_finite_numbers_and_non_integer_counts(self, text):
+        """Python's ``json`` reads ``NaN``, ``Infinity`` and ``1e999`` as
+        floats; a spec holding one, or a count that is not an integer,
+        is a ``PopulationError``, never a hang or a traceback later."""
+        with pytest.raises(PopulationError):
+            PopulationSpec.from_dict(json.loads(text))
+
 
 class TestPersonaSampler:
     def test_same_seed_same_stream(self, services):
@@ -526,10 +553,16 @@ class TestReportAndCli:
         "extra, message",
         [
             (["--duration", "-5"], "session_duration must be positive"),
+            (["--duration", "inf"], "session_duration must be a finite number"),
             (["--population-spec", "{spec}"], "os_share must be an object"),
             (["--seed", "8"], "different campaign configuration"),
         ],
-        ids=["negative-duration", "os-share-not-object", "other-configuration"],
+        ids=[
+            "negative-duration",
+            "infinite-duration",
+            "os-share-not-object",
+            "other-configuration",
+        ],
     )
     def test_cli_input_error_is_one_line_and_writes_nothing(
         self, checkpoint, tmp_path, capsys, extra, message

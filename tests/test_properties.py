@@ -9,7 +9,8 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from repro.core.leaks import PLAINTEXT, THIRD_PARTY, LeakRecord
 from repro.core.pipeline import SessionAnalysis
-from repro.core.recommend import Exposure, PrivacyPreferences
+from repro.campaign.population import PopulationError, PopulationSpec
+from repro.core.recommend import Exposure, PrivacyPreferences, preferences_from_dict
 from repro.http.message import Request, Response
 from repro.http.session import ClientSession
 from repro.http.transport import DirectTransport, Network
@@ -402,6 +403,118 @@ class TestMitigationPolicyProperty:
         except PolicyError:
             return
         assert MitigationPolicy.from_dict(policy.to_dict()).to_dict() == policy.to_dict()
+
+
+# Any JSON value, or a preferences-shaped object whose fields may be in
+# range or any JSON value (floats include NaN and the infinities, which
+# ``json`` reads from ``NaN``, ``Infinity`` and ``1e999``).
+preference_payloads = json_values | st.fixed_dictionaries(
+    {},
+    optional={
+        "weights": _or_any_json(
+            st.dictionaries(
+                st.sampled_from([pii_type.value for pii_type in PiiType])
+                | st.text(max_size=8),
+                st.floats(0, 1) | json_values,
+                max_size=4,
+            )
+        ),
+        "tracker_aversion": st.floats(min_value=0) | json_values,
+        "plaintext_aversion": st.floats(min_value=0) | json_values,
+    },
+)
+
+
+class TestPreferencesProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(payload=preference_payloads)
+    def test_any_json_value_is_finite_preferences_or_value_error(self, payload):
+        try:
+            preferences = preferences_from_dict(payload)
+        except ValueError:
+            return
+        for weight in preferences.weights.values():
+            assert math.isfinite(weight) and 0.0 <= weight <= 1.0
+        for aversion in (preferences.tracker_aversion, preferences.plaintext_aversion):
+            assert math.isfinite(aversion) and aversion >= 0.0
+
+
+def _pairs_of(values):
+    return st.lists(values, min_size=2, max_size=2)
+
+
+_numbers = st.integers() | st.floats()
+
+
+def _plausible(strategy):
+    """``strategy``, a number of any kind (NaN and the infinities too),
+    or any JSON value."""
+    return strategy | _numbers | json_values
+
+
+# Any JSON value, or a spec-shaped object whose every field may be a
+# plausible value, any number or any JSON value.
+population_payloads = json_values | st.fixed_dictionaries(
+    {},
+    optional={
+        "os_share": _or_any_json(
+            st.dictionaries(
+                st.sampled_from(["android", "ios"]), _plausible(st.floats(0, 2)), max_size=2
+            )
+        ),
+        "app_preference": _plausible(st.floats(0, 1)),
+        "preference_strength": _plausible(st.floats(0, 1)),
+        "category_weights": _or_any_json(
+            st.dictionaries(
+                st.sampled_from(["News", "Weather"]), _plausible(st.floats(0, 2)), max_size=2
+            )
+        ),
+        "services_per_user": _or_any_json(_pairs_of(_plausible(st.integers(1, 4)))),
+        "sessions_per_service": _or_any_json(_pairs_of(_plausible(st.integers(1, 4)))),
+        "session_duration": _plausible(st.floats(1, 1e300)),
+        "intensity_range": _or_any_json(_pairs_of(_plausible(st.floats(0.1, 1e300)))),
+        "permission_grant_rates": _or_any_json(
+            st.dictionaries(
+                st.sampled_from(["location", "contacts"]),
+                _plausible(st.floats(0, 1)),
+                max_size=2,
+            )
+        ),
+        "bootstrap_replicates": _plausible(st.integers(1, 20)),
+    },
+)
+
+
+def _finite(value) -> bool:
+    return not isinstance(value, bool) and isinstance(value, (int, float)) and (
+        math.isfinite(value)
+    )
+
+
+class TestPopulationSpecProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(payload=population_payloads)
+    def test_any_json_value_is_a_usable_spec_or_population_error(self, payload):
+        try:
+            spec = PopulationSpec.from_dict(payload)
+        except PopulationError:
+            return
+        for weights in (spec.os_share, spec.category_weights):
+            assert all(_finite(weight) and weight >= 0 for weight in weights.values())
+        for fraction in (
+            spec.app_preference,
+            spec.preference_strength,
+            *spec.permission_grant_rates.values(),
+        ):
+            assert _finite(fraction) and 0.0 <= fraction <= 1.0
+        for lo, hi in (spec.services_per_user, spec.sessions_per_service):
+            assert type(lo) is int and type(hi) is int and 1 <= lo <= hi
+        lo, hi = spec.intensity_range
+        assert _finite(lo) and _finite(hi) and 0 < lo <= hi
+        assert _finite(spec.session_duration) and spec.session_duration > 0
+        assert math.isfinite(spec.session_duration * hi)
+        assert type(spec.bootstrap_replicates) is int and spec.bootstrap_replicates >= 1
+        assert PopulationSpec.from_dict(spec.to_dict()) == spec
 
 
 class TestIngestAdmissionProperty:

@@ -81,6 +81,12 @@ class TestPreferencesFromDict:
             {"weights": {"email": -0.1}},
             {"tracker_aversion": -1},
             {"plaintext_aversion": "lots"},
+            {"tracker_aversion": float("nan")},
+            {"plaintext_aversion": float("inf")},
+            {"tracker_aversion": "nan"},
+            {"plaintext_aversion": 10**400},
+            {"weights": {"email": float("nan")}},
+            {"weights": {"email": 10**400}},
         ],
     )
     def test_rejects_malformed(self, bad):
@@ -147,3 +153,19 @@ class TestRecommendCli:
         prefs.write_text("{not json")
         with pytest.raises(SystemExit):
             main(self.ARGS + ["--prefs", str(prefs)])
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"tracker_aversion": NaN}',
+            '{"plaintext_aversion": Infinity}',
+            '{"tracker_aversion": 1e999}',
+        ],
+    )
+    def test_non_finite_prefs_file_exits_with_one_line(self, tmp_path, text):
+        prefs = tmp_path / "prefs.json"
+        prefs.write_text(text)
+        with pytest.raises(SystemExit) as excinfo:
+            main(self.ARGS + ["--prefs", str(prefs)])
+        message = str(excinfo.value.code)
+        assert message.startswith("bad preferences:") and "\n" not in message

@@ -538,6 +538,25 @@ class TestEndpoints:
         assert post_recommend(app, b"[]").status == 400
         assert post_recommend(app, {"os": "windows"}).status == 400
         assert post_recommend(app, {"services": ["nope"]}).status == 400
+
+    @pytest.mark.parametrize(
+        "preferences",
+        [
+            b'{"tracker_aversion": NaN}',
+            b'{"plaintext_aversion": Infinity}',
+            b'{"tracker_aversion": 1e999}',
+            b'{"weights": {"email": NaN}}',
+        ],
+    )
+    def test_recommend_non_finite_preferences_are_400_and_not_cached(
+        self, app, preferences
+    ):
+        """Python's ``json`` reads these non-JSON tokens as floats; none
+        may reach scoring, where NaN compares false both ways."""
+        response = post_recommend(app, b'{"preferences": ' + preferences + b"}")
+        assert response.status == 400, response.body
+        assert b"finite" in response.body or b"[0, 1]" in response.body
+        assert len(app.cache) == 0
         assert post_recommend(app, {"bogus": 1}).status == 400
         assert post_recommend(app, {"preferences": {"weights": {"nope": 1}}}).status == 400
         assert post_recommend(app, {"preferences": {"weights": {"email": 7}}}).status == 400

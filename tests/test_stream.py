@@ -215,6 +215,60 @@ def test_kill_and_resume_matches_batch(
     _assert_equal_studies(batch_study, rerun)
 
 
+def test_failed_append_raises_checkpoint_error_and_publishes_once(
+    stream_specs, tmp_path, monkeypatch
+):
+    """An ``OSError`` from one journal append (say, a full disk) ends the
+    journaled run in a ``CheckpointError`` naming the journal and the
+    cause; nothing is published after it and no flow appears twice."""
+    publish = FlowJournal.publish
+    calls = []
+
+    def failing_publish(journal, event):
+        calls.append(event)
+        if len(calls) == 10:
+            raise OSError(28, "No space left on device")
+        return publish(journal, event)
+
+    monkeypatch.setattr(FlowJournal, "publish", failing_publish)
+    with pytest.raises(CheckpointError, match="No space left on device") as info:
+        run_study(
+            stream_specs[:1],
+            seed=2016,
+            duration=DURATION,
+            train_recon=False,
+            checkpoint_dir=tmp_path,
+        )
+    path = tmp_path / JOURNAL_NAME
+    assert str(path) in str(info.value)
+    assert len(calls) == 10
+    lines = [json.loads(line) for line in path.read_text().splitlines()]
+    assert len(lines) == 9
+    flows = [
+        (tuple(line["session"]), line["flow"]["flow_id"])
+        for line in lines
+        if line["kind"] == FLOW
+    ]
+    assert flows and len(flows) == len(set(flows))
+
+
+def test_stream_cli_reports_a_failed_append_in_one_line(tmp_path, monkeypatch):
+    from repro.cli import main
+
+    def failing_publish(journal, event):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(FlowJournal, "publish", failing_publish)
+    with pytest.raises(SystemExit) as excinfo:
+        main([
+            "stream", "--services", "weather", "--duration", "20", "--no-recon",
+            "--workers", "1", "--checkpoint-dir", str(tmp_path),
+        ])
+    message = str(excinfo.value.code)
+    assert message.startswith("repro stream: ") and "\n" not in message
+    assert "No space left on device" in message
+
+
 def test_journal_cut_at_any_byte_reads_back_completed_sessions(
     batch_study, live_journal
 ):
