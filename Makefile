@@ -49,11 +49,11 @@ bench-serve:
 	$(PYTHON) benchmarks/check_regression.py $(BENCH_DIR)/BENCH_serve.json \
 		--baseline benchmarks/BENCH_serve.json
 
-# Executor scaling (serial, and process at 2 and 4 workers), binary-codec
-# vs JSONL load, and cold-vs-warm cache speedup.  Runs without
-# --benchmark-only so the direct acceptance asserts (codec faster than
-# JSON, warm cache >= 5x) execute too; checked against the recorded
-# baseline (first run records it).
+# Executor scaling (serial, and process at 2 and 4 workers), binary
+# trace load, and cold-vs-warm cache speedup.  Runs without
+# --benchmark-only so the direct acceptance assert (warm cache >= 5x)
+# executes too; checked against the recorded baseline (first run
+# records it).
 bench-scaling:
 	@mkdir -p $(BENCH_DIR)
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest \
@@ -104,11 +104,8 @@ bench-campaign:
 	$(PYTHON) benchmarks/check_regression.py $(BENCH_DIR)/BENCH_campaign.json \
 		--baseline benchmarks/BENCH_campaign.json --tolerance 0.50
 
-# The million-user reduction bench: master- vs worker-side reduction
-# over KIND_CAGG partials covering 1,000,000 users, users/sec and peak
-# RSS recorded.  Runs without --benchmark-only so the direct acceptance
-# asserts execute too: byte-identity between both reduce paths, and
-# worker-reduce >= 2x master-reduce at 4 workers on multi-core hosts;
+# The million-user reduction bench: the coordinator's fold of KIND_CAGG
+# partials covering 1,000,000 users, users/sec and peak RSS recorded;
 # checked against the recorded baseline (first run records it).
 bench-campaign-scale:
 	@mkdir -p $(BENCH_DIR)

@@ -1,4 +1,4 @@
-"""Million-user campaign reduction: master vs worker-side, one invocation.
+"""Million-user campaign reduction on the coordinator.
 
 Simulating a million users live is hours of CPU, so the scale bench
 measures the part that actually changes at population scale — the
@@ -6,27 +6,23 @@ reduction data plane.  One 256-user shard is simulated for real with a
 single-service spec, encoded as a ``KIND_CAGG`` blob, and the blob is
 cloned until the set represents one million users (the merge algebra
 is agnostic to which users a partial holds, the same trick as the
-campaign merge bench).  Every reduction then runs through the real
-production APIs — :func:`repro.campaign.reduce_campaign_blobs` decodes
-and folds exactly as the campaign driver does — so the recorded
-numbers are the coordinator (master) and tree (worker) reduce paths at
+campaign merge bench).  The reduction then decodes every blob and folds
+it with :func:`repro.campaign.merge_campaigns`, the fold
+:func:`repro.campaign.run_campaign` does on the coordinator as each
+chunk's partial arrives — the recorded number is that path at
 population scale, not a synthetic proxy.
 
-Recorded: users/sec through each reduce path and the peak RSS of the
-run (the whole point of streaming reduction is that memory stays flat
-at any population).  Hard acceptance bar on multi-core hosts:
-worker-side reduction at 4 workers >= 2x the master-side fold.  Both
-paths must produce byte-identical aggregates everywhere.
+Recorded: users/sec through the fold and the peak RSS of the run (the
+whole point of streaming reduction is that memory stays flat at any
+population).
 """
 
 import math
-import os
 import resource
-import time
 
 import pytest
 
-from repro.campaign import CampaignContext, PopulationSpec, reduce_campaign_blobs
+from repro.campaign import CampaignContext, PopulationSpec, merge_campaigns
 from repro.net import codec
 from repro.services.catalog import build_catalog
 
@@ -62,11 +58,13 @@ def scale_blobs():
 
 def test_bench_campaign_scale_master(benchmark, scale_blobs, capsys):
     """Master-side reduction: the coordinator decodes and folds every
-    partial itself — the byte-identical reference path."""
+    partial itself."""
     blobs, users = scale_blobs
 
     merged = benchmark.pedantic(
-        lambda: reduce_campaign_blobs(blobs, executor=1), rounds=3, iterations=1
+        lambda: merge_campaigns(codec.decode_campaign(blob) for blob in blobs),
+        rounds=3,
+        iterations=1,
     )
     assert merged.users == users
 
@@ -77,38 +75,3 @@ def test_bench_campaign_scale_master(benchmark, scale_blobs, capsys):
             f"{rate:,.0f} users/s, peak RSS {_peak_rss_mb():.0f} MiB"
         )
 
-
-def test_bench_campaign_scale_worker(benchmark, scale_blobs, capsys):
-    """Worker-side tree reduction at 4 workers.
-
-    Hard acceptance bar: >= 2x the master-side fold on hosts with >= 2
-    cores.  On a single-core host the pool cannot beat the serial fold
-    by construction, so only byte-identity is asserted there.
-    """
-    blobs, users = scale_blobs
-
-    start = time.perf_counter()
-    master = reduce_campaign_blobs(blobs, executor=1)
-    master_seconds = time.perf_counter() - start
-
-    merged = benchmark.pedantic(
-        lambda: reduce_campaign_blobs(blobs, executor=4),
-        rounds=3,
-        iterations=1,
-    )
-    assert merged.canonical_bytes() == master.canonical_bytes()
-    assert merged.users == users
-
-    worker_seconds = benchmark.stats.stats.mean
-    speedup = master_seconds / worker_seconds
-    rate = users / worker_seconds
-    with capsys.disabled():
-        print(
-            f"\n  campaign scale worker[4]: {users:,} users, {rate:,.0f} users/s "
-            f"(x{speedup:.2f} over master, {os.cpu_count()} cores), "
-            f"peak RSS {_peak_rss_mb():.0f} MiB"
-        )
-    if (os.cpu_count() or 1) >= 2:
-        assert speedup >= 2.0, (
-            f"worker-side reduction only x{speedup:.2f} over master (need >= 2x)"
-        )

@@ -8,7 +8,7 @@ consumers over ``repro.analysis.columnar`` — and three things are
 measured:
 
 - the row-wise reference suite (the bar to beat);
-- the columnar suite, *including* the encode + kernel + merge cost;
+- the columnar suite, *including* the encode + kernel cost;
 - the direct speedup assert: columnar must be >= 5x (the recorded
   number targets >= 10x), and the rendered output must be identical
   byte for byte — a fast wrong answer is not a result.
@@ -24,7 +24,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.analysis.columnar import merge_aggregates, shard_aggregates, study_aggregate
+from repro.analysis.columnar import study_aggregate
 from repro.analysis.figures import ALL_FIGURES, render_series
 from repro.analysis.longitudinal import render_drift, summarize_drift
 from repro.analysis.reach import render_reach
@@ -171,22 +171,22 @@ def test_bench_rows_suite(benchmark, synthetic_study):
 
 
 def test_bench_columnar_suite(benchmark, synthetic_study):
-    """The columnar engine, end to end: encode + kernel + merge + suite."""
+    """The columnar engine, end to end: encode + kernel + suite."""
     study, expected = synthetic_study
 
     def run():
-        return run_suite(study_aggregate(study, executor=1))
+        return run_suite(study_aggregate(study))
 
     rendered = benchmark.pedantic(run, rounds=3, iterations=1)
     assert rendered == expected
 
 
 def test_bench_columnar_kernel(benchmark, synthetic_study):
-    """Encode + sharded kernels + merge alone (no consumers)."""
+    """Encode + kernel alone (no consumers): ``study_aggregate``."""
     study, _ = synthetic_study
 
     def run():
-        return merge_aggregates(shard_aggregates(study, shards=4))
+        return study_aggregate(study)
 
     agg = benchmark.pedantic(run, rounds=3, iterations=1)
     assert len(agg.cells) == N_SERVICES * 4
@@ -197,8 +197,7 @@ def test_columnar_speedup(synthetic_study, capsys):
     recorded BENCH_columnar.json number targets >= 10x).
 
     The engines are timed in alternation so machine drift hits both
-    equally, then best-of-rounds is compared — same methodology as the
-    codec-vs-JSON check in test_bench_scaling.py.
+    equally, then best-of-rounds is compared.
     """
     import gc
     import time
@@ -216,7 +215,7 @@ def test_columnar_speedup(synthetic_study, capsys):
         seconds, rendered = timed(lambda: run_reference_suite(study))
         assert rendered == expected
         rows_times.append(seconds)
-        seconds, rendered = timed(lambda: run_suite(study_aggregate(study, executor=1)))
+        seconds, rendered = timed(lambda: run_suite(study_aggregate(study)))
         assert rendered == expected
         columnar_times.append(seconds)
     rows_best, columnar_best = min(rows_times), min(columnar_times)

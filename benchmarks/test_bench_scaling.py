@@ -5,16 +5,14 @@ Three questions, one file:
 - how does per-session analysis scale from the in-process executor to
   the process pool at each worker count — the number the process-pool
   engine is measured by;
-- is the compact binary trace format actually faster to load than the
-  legacy JSONL (it must be: it is the process pool's wire format);
+- how long does a saved dataset take to load from the binary trace
+  format (the one trace file format, and the process pool's wire form);
 - what does the persistent cache buy on an unchanged re-run (the
   acceptance bar is >= 5x on ``run_study``).
 
 Each bench also asserts its equivalence property — a fast wrong answer
 is not a result.
 """
-
-import json
 
 import pytest
 
@@ -70,17 +68,6 @@ def test_bench_codec_binary_load(benchmark, subset_world, tmp_path):
     assert len(loaded) == len(dataset)
 
 
-def test_bench_codec_json_load(benchmark, subset_world, tmp_path):
-    """Loading the legacy JSONL format — the bar binary must beat."""
-    _, dataset, _ = subset_world
-    dataset.save(tmp_path / "json", fmt="json")
-
-    loaded = benchmark.pedantic(
-        lambda: Dataset.load(tmp_path / "json"), rounds=5, iterations=1
-    )
-    assert len(loaded) == len(dataset)
-
-
 def test_bench_cache_cold_vs_warm(benchmark, tmp_path):
     """Unchanged re-run of ``run_study`` through the persistent cache.
 
@@ -110,37 +97,3 @@ def test_bench_cache_cold_vs_warm(benchmark, tmp_path):
     )
     assert speedup >= 5.0, f"warm cache only x{speedup:.1f} over cold (need >= 5x)"
 
-
-def test_codec_faster_than_json(subset_world, tmp_path, capsys):
-    """Hard acceptance check: binary load measurably beats JSONL load.
-
-    Not a pytest-benchmark case (cross-test comparisons are awkward
-    there); the formats are timed in alternation so machine drift hits
-    both equally, then best-of-rounds is compared.
-    """
-    import gc
-    import time
-
-    _, dataset, _ = subset_world
-    dataset.save(tmp_path / "bin")
-    dataset.save(tmp_path / "json", fmt="json")
-
-    def timed(path):
-        gc.collect()
-        start = time.perf_counter()
-        Dataset.load(path)
-        return time.perf_counter() - start
-
-    binary_times, legacy_times = [], []
-    for _ in range(7):
-        binary_times.append(timed(tmp_path / "bin"))
-        legacy_times.append(timed(tmp_path / "json"))
-    binary, legacy = min(binary_times), min(legacy_times)
-    with capsys.disabled():
-        print(
-            f"\n  codec load: binary {binary * 1000:.1f}ms vs "
-            f"json {legacy * 1000:.1f}ms (x{legacy / binary:.2f})"
-        )
-    assert binary < legacy, (
-        f"binary load ({binary:.3f}s) not faster than JSONL ({legacy:.3f}s)"
-    )

@@ -22,16 +22,18 @@ This module walks them once:
   mergeable :class:`StudyAggregate` partial: per-cell counters,
   set-union sketches, and :class:`~repro.analysis.stats.Moments`
   accumulators;
-- :func:`study_aggregate` shards the cells round-robin, runs the
-  kernel per shard on a :mod:`repro.par` executor (the process
-  backend ships the batch as one compact blob), and merges the
-  partials deterministically (associative merge, folded in shard
-  order; every reduction is order-independent, so any merge tree
-  yields the same aggregate).
+- :func:`study_aggregate` is the front door: it encodes a study once
+  and folds it in-process (a ready :class:`StudyAggregate` passes
+  through).  The fold is bounded by the catalog, one cell per service
+  × OS × medium, so no pool runs it;
+- :func:`merge_aggregates` folds partials (campaign chunks, test
+  splits).  Every reduction is associative and order-independent, so
+  any split and any merge tree yield the same aggregate.
 
-The consumers in :mod:`.tables`, :mod:`.figures`, :mod:`.reach`, and
-:mod:`.longitudinal` read nothing but a :class:`StudyAggregate` (a
-``StudyResult`` is reduced once on entry by :func:`ensure_aggregate`).
+The consumers in :mod:`.tables`, :mod:`.figures`, :mod:`.reach`,
+:mod:`.report` and :mod:`.longitudinal` read nothing but a
+:class:`StudyAggregate` (a ``StudyResult`` is reduced once on entry by
+:func:`study_aggregate`).
 Their output is **byte-identical** to the row-wise walkers kept as the
 test-only reference in :mod:`repro.qa.reference` — pinned per fuzz seed
 by the :mod:`repro.qa` oracle and enforced at ≥5× (10× target) by
@@ -599,12 +601,13 @@ def aggregate_batch(batch: ColumnarBatch) -> StudyAggregate:
 
 
 def aggregate_blob(blob: bytes) -> StudyAggregate:
-    """Decode + kernel in one step (the executor's unit of fan-out)."""
+    """Decode + kernel in one step (the one fold of a study or a
+    campaign cell)."""
     return aggregate_batch(decode_batch(blob))
 
 
 # ---------------------------------------------------------------------------
-# Driver: study -> shard blobs -> par kernels -> merged aggregate
+# Front door: study -> one blob -> one in-process fold
 # ---------------------------------------------------------------------------
 
 
@@ -623,52 +626,18 @@ def _study_cells(study) -> tuple:
     return metas, cells
 
 
-def shard_blobs(study, shards: int = 1) -> list:
-    """Encode a study into ``shards`` round-robin columnar blobs.
+def study_aggregate(study, *, executor=None) -> StudyAggregate:
+    """The aggregation front door: a :class:`StudyAggregate` passes
+    through; a ``StudyResult`` is encoded once and folded in-process.
 
-    Every blob carries the full service-metadata table (merging
-    deduplicates it), so each shard aggregate is self-contained.
+    The fold is bounded by the catalog (one cell per service × OS ×
+    medium), so it never leaves the process.  ``executor`` is accepted
+    and ignored because ``perfbench/child.py`` passes
+    ``executor="serial"``.
     """
-    metas, cells = _study_cells(study)
-    shards = max(1, min(int(shards), len(cells) or 1))
-    return [encode_cells(metas, cells[index::shards]) for index in range(shards)]
-
-
-def shard_aggregates(study, shards: int = 1, executor=1) -> list:
-    """Per-shard partial aggregates, kernels fanned out via repro.par."""
-    from ..par import resolve_executor, tasks
-
-    engine = resolve_executor(executor)
-    return engine.map(tasks.aggregate, shard_blobs(study, shards))
-
-
-def study_aggregate(
-    study,
-    executor=1,
-    shards: Optional[int] = None,
-) -> StudyAggregate:
-    """The columnar front door: encode, fan out kernels, merge.
-
-    ``executor`` is a :mod:`repro.par` executor or worker count (1:
-    in-process); ``shards`` defaults to the executor's worker
-    count.  The merge folds partials in shard order — and because every
-    reduction is associative and order-independent, any other merge
-    tree yields the same aggregate (property-pinned).
-    """
-    from ..par import resolve_executor
-
-    engine = resolve_executor(executor)
-    if shards is None:
-        shards = engine.workers
-    return merge_aggregates(shard_aggregates(study, shards=shards, executor=engine))
-
-
-def ensure_aggregate(study) -> StudyAggregate:
-    """Pass a ready aggregate through; reduce a StudyResult otherwise
-    (in-process; for a pool, call :func:`study_aggregate` once)."""
     if isinstance(study, StudyAggregate):
         return study
-    return study_aggregate(study)
+    return aggregate_blob(encode_cells(*_study_cells(study)))
 
 
 def aggregate_diffs(agg: StudyAggregate, os_name: Optional[str] = None) -> list:

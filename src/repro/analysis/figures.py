@@ -78,7 +78,7 @@ def panel_series(figure: str, os_name: str, diffs: list) -> FigureSeries:
 
 
 def _figure(figure: str, study) -> dict:
-    agg = columnar.ensure_aggregate(study)
+    agg = columnar.study_aggregate(study)
     return {
         os_name: panel_series(figure, os_name, columnar.aggregate_diffs(agg, os_name))
         for os_name in OSES

@@ -67,8 +67,8 @@ def diff_studies(before, after) -> list:
     Services present in only one study are skipped — the comparison is
     about behavioural change, not catalog churn.
     """
-    before = columnar.ensure_aggregate(before)
-    after = columnar.ensure_aggregate(after)
+    before = columnar.study_aggregate(before)
+    after = columnar.study_aggregate(after)
     before_cells = before.cells_by_service()
     after_cells = after.cells_by_service()
     drifts = []

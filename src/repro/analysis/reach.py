@@ -79,7 +79,7 @@ def tracker_reach(study) -> dict:
     reference in :mod:`repro.qa.reference`.
     """
     reaches: dict = {}
-    for cell in columnar.ensure_aggregate(study).ordered_cells():
+    for cell in columnar.study_aggregate(study).ordered_cells():
         slug = cell.service
         medium = cell.medium
         # Sorted, not raw set iteration: entry creation order is dict

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 from ..experiment.dataset import APP, WEB
 from ..pii.types import PiiType
-from .columnar import StudyAggregate, ensure_aggregate
+from . import columnar
+from .columnar import StudyAggregate
 from .figures import fig1a, fig1b, fig1c, fig1d, fig1e, fig1f
 from .stats import fraction
 from .tables import table1, table2, table3
@@ -263,7 +264,7 @@ def _figure_lines(agg: StudyAggregate) -> list:
 def build_comparison(study) -> list:
     """Every paper-vs-measured line, grouped by section; all three
     tables and six figure panels read one aggregate of ``study``."""
-    agg = ensure_aggregate(study)
+    agg = columnar.study_aggregate(study)
     lines = []
     lines.extend(_table1_lines(agg))
     lines.extend(_table2_lines(agg))

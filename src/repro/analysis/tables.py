@@ -129,7 +129,7 @@ def _row(group: str, medium: str, members: list, os_name: str = None) -> Table1R
 
 def table1(study) -> list:
     """Generate every row of Table 1 in presentation order."""
-    agg = columnar.ensure_aggregate(study)
+    agg = columnar.study_aggregate(study)
     by_service = agg.cells_by_service()
     members = [
         (meta, by_service.get(meta.slug, ())) for meta in agg.ordered_services()
@@ -238,7 +238,7 @@ def _table2_rows(contact: dict, leaks: dict, identifiers: dict, top: int) -> lis
 
 def table2(study, top: int = 20) -> list:
     """Top A&A domains by total leaks received."""
-    agg = columnar.ensure_aggregate(study)
+    agg = columnar.study_aggregate(study)
     easylist = bundled_easylist()
     contact: dict = defaultdict(lambda: {APP: set(), WEB: set()})
     leaks: dict = defaultdict(lambda: {APP: defaultdict(int), WEB: defaultdict(int)})
@@ -313,7 +313,7 @@ def _table3_buckets() -> dict:
 def table3(study) -> list:
     """Per-PII-type aggregation, sorted by total leaks."""
     per_type = _table3_buckets()
-    for cell in columnar.ensure_aggregate(study).ordered_cells():
+    for cell in columnar.study_aggregate(study).ordered_cells():
         slug = cell.service
         medium = cell.medium
         for (domain, host, pii), count in cell.leak_groups.items():

@@ -6,8 +6,11 @@ Scales the paper's one-tester study to populations: a seeded
 shards, simulates every session through the unchanged scripted runner
 and detection pipeline, and folds the results into associatively
 mergeable :class:`CohortAggregate` partials with Wilson and
-Poisson-bootstrap confidence intervals.  Any shard count, worker
-count, or merge order yields identical canonical bytes.
+Poisson-bootstrap confidence intervals.  Chunks of users run on the
+:mod:`repro.par` pool; the coordinator folds each chunk's partial as it
+arrives (:func:`merge_campaigns` folds any other set of partials).  Any
+shard count, worker count, or merge order yields identical canonical
+bytes.
 """
 
 from .engine import (
@@ -23,7 +26,6 @@ from .engine import (
     default_shard_count,
     merge_campaigns,
     plan_shards,
-    reduce_campaign_blobs,
     run_campaign,
 )
 from .population import (
@@ -47,7 +49,6 @@ __all__ = [
     "CampaignError",
     "CohortAggregate",
     "checkpoint_key",
-    "reduce_campaign_blobs",
     "PersonaSampler",
     "PopulationError",
     "PopulationSpec",

@@ -29,6 +29,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
 import time
 from collections import deque
 from pathlib import Path
@@ -561,6 +562,9 @@ def checkpoint_key(population: int, specs: Sequence, config: dict) -> str:
     ).hexdigest()
 
 
+_PARTIAL_NAME = re.compile(r"partial-[0-9]{12}\.cagg")
+
+
 class CampaignCheckpoint:
     """Crash-safe checkpoint directory for resumable campaigns.
 
@@ -586,7 +590,15 @@ class CampaignCheckpoint:
 
     def load(self) -> Optional[tuple]:
         """``(next_user, merged)`` from the last checkpoint, or ``None``
-        when the directory holds no state yet."""
+        when the directory holds no state yet.
+
+        Any other state ends in a :class:`CampaignError`: a
+        ``state.json`` that is not an object of this configuration, a
+        partial not named ``partial-<12 digits>.cagg`` (so never a path
+        outside the directory), a partial that does not decode or match
+        its digest, and a ``next_user`` other than the partial's user
+        count (the merged prefix is ``[0, next_user)``).
+        """
         from ..net import codec
 
         state_path = self.directory / self.STATE_FILE
@@ -598,19 +610,37 @@ class CampaignCheckpoint:
             raise CampaignError(
                 f"unreadable campaign checkpoint {state_path}: {exc}"
             ) from exc
+        if not isinstance(state, dict):
+            raise CampaignError(f"checkpoint {state_path} is not a JSON object")
         if state.get("key") != self.key:
             raise CampaignError(
                 f"checkpoint {state_path} was written by a different campaign "
                 "configuration (population/seed/spec/services/cohorts mismatch)"
             )
-        partial_path = self.directory / state["partial"]
-        merged = codec.read_campaign(partial_path)
-        if merged.digest() != state["digest"]:
+        name = state.get("partial")
+        if not isinstance(name, str) or not _PARTIAL_NAME.fullmatch(name):
+            raise CampaignError(
+                f"checkpoint {state_path} names no partial-<12 digits>.cagg "
+                f"file: {name!r}"
+            )
+        partial_path = self.directory / name
+        try:
+            merged = codec.read_campaign(partial_path)
+        except (OSError, codec.CodecError) as exc:
+            raise CampaignError(
+                f"unreadable checkpoint partial {partial_path}: {exc}"
+            ) from exc
+        if merged.digest() != state.get("digest"):
             raise CampaignError(
                 f"checkpoint partial {partial_path} does not match the "
-                f"recorded digest {state['digest']}"
+                f"recorded digest {state.get('digest')!r}"
             )
-        next_user = int(state["next_user"])
+        next_user = state.get("next_user")
+        if type(next_user) is not int or next_user != merged.users:
+            raise CampaignError(
+                f"checkpoint {state_path}: next_user {next_user!r} is not the "
+                f"partial's {merged.users} users"
+            )
         self._last_saved = next_user
         return next_user, merged
 
@@ -779,31 +809,3 @@ def run_campaign(
         checkpointer.save(merged, population)
     return merged
 
-
-def reduce_campaign_blobs(
-    blobs: Iterable, executor=1, window: Optional[int] = None
-) -> CampaignAggregate:
-    """Tree-reduce KIND_CAGG blobs into one :class:`CampaignAggregate`.
-
-    The reference path (one worker) decodes every blob and left-folds —
-    exactly the coordinator's serial fold.  A process pool folds
-    contiguous windows of blobs on the workers (``tasks.merge``),
-    repeating in rounds until one merged blob remains, so the
-    coordinator decodes O(1) payloads instead of O(blobs).
-    Associativity of the merge algebra makes the tree byte-identical to
-    the serial fold.
-    """
-    from ..net import codec
-    from ..par import resolve_executor, tasks
-
-    blobs = list(blobs)
-    if not blobs:
-        raise CampaignError("no campaign partials to merge")
-    engine = resolve_executor(executor)
-    if engine.workers == 1 or len(blobs) == 1:
-        return merge_campaigns(codec.decode_campaign(blob) for blob in blobs)
-    size = window if window else max(2, math.ceil(len(blobs) / engine.workers))
-    while len(blobs) > 1:
-        windows = [blobs[i : i + size] for i in range(0, len(blobs), size)]
-        blobs = engine.map(tasks.merge, windows)
-    return codec.decode_campaign(blobs[0])

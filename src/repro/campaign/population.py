@@ -27,6 +27,7 @@ from typing import Iterator, Optional, Sequence, Union
 from ..analysis.stats import poisson_weights
 from ..device.persona import Persona, generate_persona
 from ..device.phone import ANDROID, IOS, Permission
+from ..experiment.scripts import check_duration
 from ..ioutil import atomic_write_json
 
 #: Canonical OS iteration order (matches the paper's tables).
@@ -165,8 +166,13 @@ class PopulationSpec:
         if lo <= 0:
             raise PopulationError(f"intensity_range must satisfy 0 < lo <= hi: {self.intensity_range}")
         object.__setattr__(self, "intensity_range", (lo, hi))
-        # The longest session a user can draw must be finite too.
-        _check_number("session_duration * intensity_range[1]", self.session_duration * hi)
+        # The longest session a user can draw must be one a script runs.
+        try:
+            check_duration(self.session_duration * hi)
+        except ValueError as exc:
+            raise PopulationError(
+                f"session_duration * intensity_range[1]: {exc}"
+            ) from None
         for permission, rate in self.permission_grant_rates.items():
             if permission not in Permission.ALL:
                 raise PopulationError(f"unknown permission {permission!r} in grant rates")
@@ -407,15 +413,6 @@ class PersonaSampler:
         return poisson_weights(
             self._rng("boot", user_id), self.spec.bootstrap_replicates
         )
-
-    # -- cell geometry -------------------------------------------------------
-
-    def service_order(self, slug: str) -> int:
-        """Canonical index of a service in the campaign's catalog order."""
-        for index, service in enumerate(self.services):
-            if service.slug == slug:
-                return index
-        raise PopulationError(f"unknown service {slug!r}")
 
 
 def cell_order(service_index: int, os_name: str, medium: str) -> int:

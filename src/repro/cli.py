@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .analysis.columnar import study_aggregate
 from .analysis.figures import ALL_FIGURES, render_series
 from .analysis.tables import (
     render_table1,
@@ -21,6 +22,7 @@ from .analysis.tables import (
 )
 from .core.pipeline import run_study
 from .core.recommend import PrivacyPreferences, Recommender
+from .experiment.scripts import check_duration
 from .services.catalog import build_catalog
 
 
@@ -52,17 +54,9 @@ def _build_study(args):
     )
 
 
-def _aggregate(study, args):
-    """The study's columnar aggregate, reduced once on ``--workers``
-    and shared by every table/figure/reach consumer."""
-    from .analysis import columnar
-
-    return columnar.study_aggregate(study, executor=args.workers)
-
-
-def _print_tables_1_3(study, args) -> None:
+def _print_tables_1_3(study) -> None:
     """The ``analyze`` report: Tables 1 and 3."""
-    agg = _aggregate(study, args)
+    agg = study_aggregate(study)
     print(render_table1(table1(agg)))
     print()
     print(render_table3(table3(agg)))
@@ -88,10 +82,18 @@ def _add_workers(parser, what="analysis", flag="--workers", default=0) -> None:
     )
 
 
+def _duration(text: str) -> float:
+    """``--duration``: session seconds in (0, MAX_DURATION]."""
+    try:
+        return check_duration(float(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _add_study_inputs(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=2016, help="study RNG seed")
     parser.add_argument(
-        "--duration", type=float, default=240.0, help="session length in seconds"
+        "--duration", type=_duration, default=240.0, help="session length in seconds"
     )
     parser.add_argument(
         "--services", help="comma-separated service slugs (default: all 50)"
@@ -120,7 +122,7 @@ def _add_common(parser: argparse.ArgumentParser, cache: bool = True) -> None:
 
 
 def cmd_run(args) -> int:
-    agg = _aggregate(_build_study(args), args)
+    agg = study_aggregate(_build_study(args))
     print(render_table1(table1(agg)))
     print()
     print(render_table2(table2(agg)))
@@ -130,7 +132,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_tables(args) -> int:
-    agg = _aggregate(_build_study(args), args)
+    agg = study_aggregate(_build_study(args))
     renderers = {"1": (table1, render_table1), "2": (table2, render_table2), "3": (table3, render_table3)}
     if args.table not in renderers:
         raise SystemExit(f"unknown table {args.table!r} (choose 1, 2, or 3)")
@@ -140,7 +142,7 @@ def cmd_tables(args) -> int:
 
 
 def cmd_figure(args) -> int:
-    agg = _aggregate(_build_study(args), args)
+    agg = study_aggregate(_build_study(args))
     generator = ALL_FIGURES.get(args.figure)
     if generator is None:
         raise SystemExit(f"unknown figure {args.figure!r} (choose {sorted(ALL_FIGURES)})")
@@ -213,7 +215,7 @@ def cmd_recommend(args) -> int:
 def cmd_report(args) -> int:
     from .analysis.report import render_markdown
 
-    agg = _aggregate(_build_study(args), args)
+    agg = study_aggregate(_build_study(args))
     print(render_markdown(agg, seed=args.seed, duration=args.duration))
     return 0
 
@@ -250,7 +252,7 @@ def cmd_analyze(args) -> int:
         executor=args.workers,
         cache=cache,
     )
-    _print_tables_1_3(study, args)
+    _print_tables_1_3(study)
     return 0
 
 
@@ -262,7 +264,7 @@ def cmd_stream(args) -> int:
         study = _build_study(args)
     except CheckpointError as exc:
         raise SystemExit(f"repro stream: {exc}")
-    _print_tables_1_3(study, args)
+    _print_tables_1_3(study)
     return 0
 
 
@@ -520,7 +522,7 @@ def cmd_mitigate(args) -> int:
         # Exactly what ``repro analyze`` prints for the same dataset —
         # CI diffs the two byte-for-byte to pin "mitigation off changes
         # nothing".
-        agg = _aggregate(outcome.baseline, args)
+        agg = study_aggregate(outcome.baseline)
         text = (
             render_table1(table1(agg))
             + "\n\n"
@@ -536,7 +538,7 @@ def cmd_mitigate(args) -> int:
 def cmd_reach(args) -> int:
     from .analysis.reach import render_reach, summarize_reach
 
-    agg = _aggregate(_build_study(args), args)
+    agg = study_aggregate(_build_study(args))
     print(render_reach(agg))
     summary = summarize_reach(agg)
     print(
@@ -914,7 +916,7 @@ def build_parser() -> argparse.ArgumentParser:
     har_parser.add_argument("--medium", default="web", choices=["app", "web"])
     har_parser.add_argument("--out", default="session.har")
     har_parser.add_argument("--seed", type=int, default=2016)
-    har_parser.add_argument("--duration", type=float, default=240.0)
+    har_parser.add_argument("--duration", type=_duration, default=240.0)
     har_parser.set_defaults(func=cmd_har)
 
     blocking_parser = sub.add_parser(

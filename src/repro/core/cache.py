@@ -177,46 +177,36 @@ class AnalysisCache:
 
     # -- session layer --------------------------------------------------------
 
-    def analyze_all(self, records: list, services: list, recon, engine) -> list:
-        """Analyses for ``records`` (aligned), reusing cached entries.
-
-        Misses fan out through ``engine`` exactly as the uncached path
-        would, then persist; a warm cache therefore returns analyses
-        byte-identical to a fresh run.
-        """
-        from ..par import tasks
-        from .pipeline import SessionAnalysis
-
+    def session_keys(self, records: list, services: list, recon) -> list:
+        """The content address of each record's analysis (aligned)."""
         by_slug = {spec.slug: spec for spec in services}
         recon_fp = recon_fingerprint(recon)
-        results: list = [None] * len(records)
-        miss_records, miss_indexes, miss_keys = [], [], []
-        for index, record in enumerate(records):
-            key = self._session_key(record, by_slug[record.service], recon_fp)
-            entry = self._load_json(self.sessions_dir / f"{key}.json")
-            if entry is not None:
-                try:
-                    results[index] = SessionAnalysis.from_dict(entry)
-                    self.hits += 1
-                    continue
-                except (KeyError, TypeError, ValueError):
-                    pass  # schema drift or corruption: recompute
-            self.misses += 1
-            miss_records.append(record)
-            miss_indexes.append(index)
-            miss_keys.append(key)
-        if miss_records:
-            self.sessions_dir.mkdir(parents=True, exist_ok=True)
-            context = tasks.AnalysisContext(services, recon)
-            fresh = engine.map(tasks.analyze, miss_records, context=context)
-            for index, key, analysis in zip(miss_indexes, miss_keys, fresh):
-                results[index] = analysis
-                atomic_write_json(
-                    self.sessions_dir / f"{key}.json", analysis.to_dict()
-                )
-        return results
+        return [
+            self._session_key(record, by_slug[record.service], recon_fp)
+            for record in records
+        ]
 
-    def _load_json(self, path: Path) -> Optional[dict]:
+    def load_session(self, key: str):
+        """The cached ``SessionAnalysis`` under ``key``, or ``None``."""
+        from .pipeline import SessionAnalysis
+
+        entry = self._read_json(self.sessions_dir / f"{key}.json")
+        if entry is not None:
+            try:
+                analysis = SessionAnalysis.from_dict(entry)
+            except (KeyError, TypeError, ValueError):
+                pass  # schema drift or corruption: recompute
+            else:
+                self.hits += 1
+                return analysis
+        self.misses += 1
+        return None
+
+    def store_session(self, key: str, analysis) -> None:
+        self.sessions_dir.mkdir(parents=True, exist_ok=True)
+        atomic_write_json(self.sessions_dir / f"{key}.json", analysis.to_dict())
+
+    def _read_json(self, path: Path) -> Optional[dict]:
         try:
             with path.open("r", encoding="utf-8") as handle:
                 return json.load(handle)
@@ -283,7 +273,7 @@ class AnalysisCache:
         from ..net.trace import TraceFormatError
 
         directory = self.campaigns_dir / key
-        hashes = self._load_json(directory / "hashes.json")
+        hashes = self._read_json(directory / "hashes.json")
         try:
             dataset = Dataset.load(directory)
         except (OSError, json.JSONDecodeError, KeyError, ValueError,

@@ -273,6 +273,24 @@ def _fan_out(engine, task, sessions: list, context=None):
         yield from pool.imap(task, _records(sessions), window=window)
 
 
+def _cached_analyses(cache, engine, sessions: list, context) -> list:
+    """Analyses of ``sessions`` (aligned): entries ``cache`` holds are
+    reused, and the misses go through :func:`_fan_out` like any
+    uncached session, each stored as it arrives.  A warm cache therefore
+    returns analyses byte-identical to a fresh run."""
+    from ..par import tasks
+
+    records = list(_records(sessions))  # the key hashes each trace
+    keys = cache.session_keys(records, context.specs, context.recon)
+    results = [cache.load_session(key) for key in keys]
+    misses = [index for index, result in enumerate(results) if result is None]
+    fresh = _fan_out(engine, tasks.analyze, [records[i] for i in misses], context)
+    for index, analysis in zip(misses, fresh, strict=True):
+        results[index] = analysis
+        cache.store_session(keys[index], analysis)
+    return results
+
+
 def train_recon_on_dataset(
     dataset,
     every_nth_service: int = 4,
@@ -346,11 +364,11 @@ def analyze_dataset(
     if recon is None and train_recon:
         recon = train_recon_on_dataset(sessions, executor=engine, cache=cache)
     ordered = sorted(sessions, key=_session_order)
-    if cache is not None:
-        results = cache.analyze_all(list(_records(ordered)), services, recon, engine)
-    else:
-        context = tasks.AnalysisContext(services, recon)
+    context = tasks.AnalysisContext(services, recon)
+    if cache is None:
         results = _fan_out(engine, tasks.analyze, ordered, context)
+    else:
+        results = _cached_analyses(cache, engine, ordered, context)
     analyses = dict(zip([_session_order(s) for s in ordered], results, strict=True))
     return assemble_study(
         (analyses[_session_order(session)] for session in sessions),

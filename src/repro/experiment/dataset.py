@@ -3,8 +3,9 @@
 A :class:`Dataset` holds every captured session of a study run together
 with the per-session ground truth needed for detection, and provides the
 indexing the analysis stage uses (by service, OS, and medium).  Datasets
-serialize to a directory of JSONL traces plus a manifest, so studies can
-be collected once and analyzed many times.
+serialize to a directory of binary traces (:meth:`Trace.dump
+<repro.net.trace.Trace.dump>`) plus a JSON manifest, so studies can be
+collected once and analyzed many times.
 
 :func:`read_manifest` is the one reader of that manifest: it returns a
 :class:`SavedSession` per listed session, each decoding its trace only
@@ -79,7 +80,7 @@ class SavedSession:
         return (self.service, self.os_name, self.medium)
 
     def load(self) -> SessionRecord:
-        """Decode the trace into a :class:`SessionRecord` (either format)."""
+        """Decode the trace into a :class:`SessionRecord`."""
         return SessionRecord(
             service=self.service,
             os_name=self.os_name,
@@ -162,24 +163,20 @@ class Dataset:
 
     # -- persistence ---------------------------------------------------------
 
-    def save(self, directory: Union[str, Path], fmt: str = "binary") -> None:
+    def save(self, directory: Union[str, Path]) -> None:
         """Write traces + manifest under ``directory``.
 
-        ``fmt`` picks the trace format (``"binary"`` default, ``"json"``
-        for the legacy JSONL files); :meth:`load` reads either since the
-        manifest records filenames and ``Trace.load`` sniffs the format.
-        Every file (each trace and the manifest) is written atomically,
-        and the manifest goes last — a killed save never leaves a
-        manifest pointing at truncated or missing traces.
+        Every file (each binary trace and the manifest) is written
+        atomically, and the manifest goes last — a killed save never
+        leaves a manifest pointing at truncated or missing traces.
         """
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-        extension = "bin" if fmt == "binary" else "jsonl"
         manifest = []
         for key in sorted(self._sessions):
             record = self._sessions[key]
-            filename = f"{record.service}_{record.os_name}_{record.medium}.{extension}"
-            record.trace.dump(directory / filename, fmt=fmt)
+            filename = f"{record.service}_{record.os_name}_{record.medium}.bin"
+            record.trace.dump(directory / filename)
             manifest.append(
                 {
                     "service": record.service,

@@ -21,8 +21,24 @@ SEARCH = "search"
 
 DEFAULT_DURATION = 240.0
 
+#: The longest session a script may run, in simulated seconds: one hour,
+#: 15x the paper's four-minute session.  The runner drives actions until
+#: the simulated clock passes the deadline, so an unbounded (or NaN)
+#: duration never ends.
+MAX_DURATION = 3600.0
+
 # The rotating stream of in-service activities after open/login.
 _ACTIVITY_CYCLE = (BROWSE, VIEW, SEARCH, BROWSE, VIEW, BROWSE)
+
+
+def check_duration(duration) -> float:
+    """``duration`` if it lies in ``(0, MAX_DURATION]`` seconds, else
+    ``ValueError`` (NaN and the infinities included)."""
+    if not 0 < duration <= MAX_DURATION:  # NaN fails every comparison
+        raise ValueError(
+            f"duration must be in (0, {MAX_DURATION:g}] seconds: {duration!r}"
+        )
+    return duration
 
 
 @dataclass(frozen=True)
@@ -40,8 +56,7 @@ class InteractionScript:
     cycle: tuple = _ACTIVITY_CYCLE
 
     def __post_init__(self) -> None:
-        if self.duration <= 0:
-            raise ValueError(f"duration must be positive: {self.duration}")
+        check_duration(self.duration)
         if not self.cycle:
             raise ValueError("activity cycle must not be empty")
         for action in self.cycle:

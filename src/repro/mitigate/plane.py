@@ -188,14 +188,6 @@ class MitigationDecision:
     action: str
     encoding: str
 
-    def as_tuple(self) -> tuple:
-        """``(host, verdict, rule)`` — the blocking decisions-log shape."""
-        return (
-            self.host,
-            self.action,
-            f"{self.pii_type.value}:{self.encoding}@{self.party}",
-        )
-
 
 class MitigationAddon:
     """Proxy addon implementing the mitigation data plane.

@@ -1,14 +1,12 @@
 """Compact binary encoding for flows, traces, and session records.
 
-The JSONL trace format is convenient to eyeball but expensive to parse:
-every flow line re-tokenizes strings, escapes bodies through latin-1,
-and round-trips numbers through decimal text.  This codec is the fast
-twin — length-prefixed, struct-packed, zero text escaping — used for:
+Length-prefixed, struct-packed, zero text escaping — no re-tokenized
+strings, no bodies escaped through latin-1, no numbers round-tripped
+through decimal text.  Used for:
 
-- on-disk traces (:meth:`repro.net.trace.Trace.dump` and
-  :meth:`repro.experiment.dataset.Dataset.save` write it by default;
-  the JSON reader is kept for back-compat and both formats are
-  auto-detected on load);
+- on-disk traces, the one trace file format
+  (:meth:`repro.net.trace.Trace.dump`, :meth:`~repro.net.trace.Trace.load`
+  and :meth:`repro.experiment.dataset.Dataset.save`);
 - worker task shipping for the process-pool execution engine
   (:mod:`repro.par`), where a session record must cross a process
   boundary cheaply;
@@ -541,23 +539,6 @@ def _get_moments(buf: bytes, pos: int):
     return moments, pos
 
 
-def _put_i64_column(buf: bytearray, values: list) -> None:
-    buf += _U32.pack(len(values))
-    buf += struct.pack(f"<{len(values)}q", *values)
-
-
-def _get_i64_column(buf: bytes, pos: int):
-    (count,) = _U32.unpack_from(buf, pos)
-    pos += 4
-    end = pos + 8 * count
-    if end > len(buf):
-        raise CodecError(
-            f"truncated data: {count} i64 value(s) at offset {pos} "
-            f"overrun buffer of {len(buf)}"
-        )
-    return list(struct.unpack_from(f"<{count}q", buf, pos)), end
-
-
 def _put_bootstrap(buf: bytearray, sums) -> None:
     buf += _U32.pack(sums.replicates)
     buf += _I64.pack(sums.count)
@@ -897,10 +878,3 @@ def read_campaign(path: Union[str, Path]):
 def write_bundle(path: Union[str, Path], records) -> None:
     """Atomically write an upload bundle as a framed binary file."""
     atomic_write_bytes(path, _header(KIND_BUNDLE) + encode_bundle(records))
-
-
-def read_bundle(path: Union[str, Path]) -> list:
-    """Read a framed binary bundle file written by :func:`write_bundle`."""
-    path = Path(path)
-    data = path.read_bytes()
-    return decode_bundle(_check_header(data, KIND_BUNDLE, path))

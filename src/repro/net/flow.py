@@ -7,14 +7,14 @@ records — the decrypted request/response pairs — plus byte and packet
 accounting used by the paper's Figure 1b (flows) and Figure 1c (bytes).
 
 These records are deliberately plain (slotted dataclasses of strings,
-ints and bytes) so they serialize losslessly to the JSONL trace format
-and can be consumed by the PII detector without importing the HTTP
-client stack.
+ints and bytes) so they serialize losslessly to the binary codec and
+the stream journal's JSONL lines, and can be consumed by the PII
+detector without importing the HTTP client stack.
 
 One object per distinct value within a trace.  Captured traffic repeats
 itself: one session sends the same header pairs, URLs and bodies over
 and over.  So everything that builds a trace -- the capture proxy, the
-binary decoder and the JSONL readers -- passes the trace's header
+binary decoder and the journal reader -- passes the trace's header
 pairs, strings and bodies through one ``dict`` per trace
 (``memo.setdefault(value, value)``) and stores the object it returns.
 Every value is immutable, so sharing one object is safe, and the dict
@@ -24,7 +24,7 @@ is dropped with the trace it was built for.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Optional
 
 # Rough per-packet envelope used to convert payload sizes into packet
 # counts: TCP/IP headers plus typical TLS record overhead.
@@ -273,9 +273,6 @@ class Flow:
             raise ValueError("byte counts cannot be negative")
         self.bytes_up += bytes_up
         self.bytes_down += bytes_down
-
-    def iter_transactions(self) -> Iterator[HttpTransaction]:
-        return iter(self.transactions)
 
     def to_dict(self) -> dict:
         return {

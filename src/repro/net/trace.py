@@ -1,28 +1,24 @@
-"""Trace container and JSONL serialization.
+"""Trace container.
 
 A :class:`Trace` is the unit of capture in the study: every flow recorded
 while one service was exercised on one OS over one medium (app or web).
 Traces carry the session metadata the analysis needs (service, OS,
-medium, duration) and serialize to a line-oriented JSON format — one
-metadata line followed by one line per flow — so large datasets stream
-without loading everything at once.
+medium, duration).  On disk a trace is one framed binary file of the
+:mod:`repro.net.codec` format (:meth:`Trace.dump`, :meth:`Trace.load`).
+External captures come in through :func:`repro.net.har.load_har`.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Union
 
-from ..ioutil import atomic_write_text
 from .flow import Flow
-
-FORMAT_VERSION = 1
 
 
 class TraceFormatError(Exception):
-    """Raised when a trace file is malformed or has a bad version."""
+    """Raised when a trace file is not a well-formed binary trace."""
 
 
 @dataclass
@@ -100,78 +96,27 @@ class Trace:
 
     # -- serialization ----------------------------------------------------
 
-    def dump(self, path: Union[str, Path], fmt: str = "binary") -> None:
-        """Write the trace to ``path``.
+    def dump(self, path: Union[str, Path]) -> None:
+        """Write the trace to ``path`` in the binary codec format.
 
-        ``fmt`` selects the on-disk format: ``"binary"`` (default) is the
-        struct-packed codec from :mod:`repro.net.codec` — markedly faster
-        to load; ``"json"`` is the original line-oriented JSON, kept for
-        interoperability and eyeballing.  :meth:`load` auto-detects
-        either.  The write is atomic (temp sibling + rename): a killed
-        collection never leaves a truncated trace on disk.
-        """
-        if fmt == "binary":
-            from . import codec
-
-            codec.write_trace(path, self)
-            return
-        if fmt != "json":
-            raise ValueError(f"unknown trace format {fmt!r} (binary|json)")
-        header = {"version": FORMAT_VERSION, "meta": self.meta.to_dict()}
-        lines = [json.dumps(header)]
-        lines.extend(json.dumps(flow.to_dict()) for flow in self.flows)
-        atomic_write_text(path, "\n".join(lines) + "\n")
-
-    @classmethod
-    def load(cls, path: Union[str, Path]) -> "Trace":
-        """Read a trace previously written by :meth:`dump` (either format).
-
-        The first bytes are sniffed: codec-framed files go through the
-        binary reader, anything else through the JSONL reader, so callers
-        never need to know how a trace was saved.
+        The write is atomic (temp sibling + rename): a killed collection
+        never leaves a truncated trace on disk.
         """
         from . import codec
 
-        path = Path(path)
-        with path.open("rb") as probe:
-            prefix = probe.read(len(codec.MAGIC))
-        if codec.is_binary(prefix):
-            try:
-                return codec.read_trace(path)
-            except codec.CodecError as exc:
-                raise TraceFormatError(f"bad binary trace {path}: {exc}") from exc
-        return cls._load_json(path)
+        codec.write_trace(path, self)
 
     @classmethod
-    def _load_json(cls, path: Path) -> "Trace":
-        with path.open("r", encoding="utf-8") as handle:
-            header_line = handle.readline()
-            if not header_line.strip():
-                raise TraceFormatError(f"empty trace file: {path}")
-            try:
-                header = json.loads(header_line)
-            except json.JSONDecodeError as exc:
-                raise TraceFormatError(f"bad trace header in {path}: {exc}") from exc
-            version = header.get("version")
-            if version != FORMAT_VERSION:
-                raise TraceFormatError(
-                    f"unsupported trace version {version!r} in {path} "
-                    f"(expected {FORMAT_VERSION})"
-                )
-            trace = cls(meta=SessionMeta.from_dict(header["meta"]))
-            memo: dict = {}  # one object per repeated value (repro.net.flow)
-            for line_no, line in enumerate(handle, start=2):
-                if not line.strip():
-                    continue
-                try:
-                    trace.add(Flow.from_dict(json.loads(line), memo))
-                except (AttributeError, KeyError, TypeError, ValueError) as exc:
-                    # ValueError covers JSONDecodeError; the others are a
-                    # field of the wrong type (say, a list where a string goes).
-                    raise TraceFormatError(
-                        f"bad flow record at {path}:{line_no}: {exc}"
-                    ) from exc
-        return trace
+    def load(cls, path: Union[str, Path]) -> "Trace":
+        """Read a trace written by :meth:`dump`.  A file that is not one
+        (empty, a foreign format or version, a torn or padded body)
+        raises :class:`TraceFormatError` naming the file."""
+        from . import codec
+
+        try:
+            return codec.read_trace(path)
+        except codec.CodecError as exc:
+            raise TraceFormatError(f"bad binary trace {path}: {exc}") from exc
 
 
 def merge_traces(traces: Iterable[Trace], meta: Optional[SessionMeta] = None) -> Trace:

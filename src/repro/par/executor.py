@@ -1,10 +1,9 @@
 """One execution primitive: ``Executor(workers)``.
 
-Every fan-out in the repo — per-session analysis, ReCon labeling,
-columnar kernels, campaign chunks and the campaign tree merge, the
-ingest worker loop — maps one named task from :mod:`repro.par.tasks`
-over an ordered stream of items.  An
-:class:`Executor` owns *how* that map runs:
+Every fan-out in the repo — per-session analysis and ReCon labeling in
+the pipeline and the ingest worker loop, campaign chunks — maps one
+named task from :mod:`repro.par.tasks` over an ordered stream of
+items.  An :class:`Executor` owns *how* that map runs:
 
 - ``workers == 1`` calls each task in-process on live objects (no codec
   encode/decode, no dict round trip) — the reference;
@@ -16,14 +15,14 @@ over an ordered stream of items.  An
   back in their plain wire forms (:class:`repro.par.tasks.Wire`).
 
 :meth:`Executor.pool` yields a handle whose :meth:`Pool.imap` returns
-results in input order with at most ``window`` items in flight;
-:meth:`Executor.imap` and :meth:`Executor.map` are the one-shot forms.
-Windowing, failure annotation (an :class:`ExecutorError` naming the
-failing item) and teardown are written once, here.  The QA oracle pins
-the process pool byte-identical to the in-process reference for any
-worker count, which requires hash-seed independence from every stage
-(see the sorted-iteration notes in :mod:`repro.pii.recon`), because a
-spawned worker gets its own string-hash seed.
+results in input order with at most ``window`` items in flight; it is
+the one way to map.  Windowing, failure annotation (an
+:class:`ExecutorError` naming the failing item) and teardown are written
+once, here.  The QA oracle pins the process pool byte-identical to the
+in-process reference for any worker count, which requires hash-seed
+independence from every stage (see the sorted-iteration notes in
+:mod:`repro.pii.recon`), because a spawned worker gets its own
+string-hash seed.
 """
 
 from __future__ import annotations
@@ -160,20 +159,10 @@ class Executor:
         finally:
             processes.shutdown(wait=True, cancel_futures=True)
 
-    def imap(self, task, items, *, context=None, window: Optional[int] = None):
-        """One-shot :meth:`Pool.imap` over a pool of its own."""
-        with self.pool(context) as pool:
-            yield from pool.imap(task, items, window)
-
     def fitted(self, count: int) -> "Executor":
         """This executor, or a smaller one for fewer than ``workers``
         items: a map never starts more processes than it has items."""
         return self if count >= self.workers else Executor(max(1, count))
-
-    def map(self, task, items, *, context=None) -> list:
-        """All results as a list; never starts more processes than items."""
-        items = list(items)
-        return list(self.fitted(len(items)).imap(task, items, context=context))
 
     def __repr__(self) -> str:
         return f"<Executor {self.name} workers={self.workers}>"

@@ -1,10 +1,15 @@
 """The named tasks a :mod:`repro.par` pool runs.
 
+The pool runs per-session work (:func:`analyze`, :func:`label`) and
+per-user work (:func:`campaign_chunk`), nothing else.  Each grows with
+the data: sessions in a dataset, users in a population.  Reductions
+bounded by the catalog (a study aggregate has at most one cell per
+service × OS × medium) fold in-process on the coordinator, where a pool
+would only add the cost of shipping their input.
+
 Each task is a module-level function ``task(context, item)`` over live
-objects: the two per-session pipeline stages (analyze and ReCon
-labeling), the columnar kernel, a timed campaign chunk, and the
-campaign tree merge.  A one-worker executor calls them in-process
-exactly as written.
+objects.  A one-worker executor calls them in-process exactly as
+written.
 
 A process pool can only ship module-level callables and plain data, so
 each task also carries a :class:`Wire` — how the coordinator encodes an
@@ -126,12 +131,6 @@ def _analysis_from_dict(payload: dict):
     return SessionAnalysis.from_dict(payload)
 
 
-def _aggregate_from_dict(payload: dict):
-    from ..analysis.columnar import StudyAggregate
-
-    return StudyAggregate.from_dict(payload)
-
-
 def _chunk_to_blob(result) -> tuple:
     elapsed, partial = result
     return elapsed, codec.encode_campaign(partial)
@@ -169,15 +168,6 @@ def label(context, record) -> list:
     return label_record(record)
 
 
-@_task(reply=_to_dict, accept=_aggregate_from_dict)
-def aggregate(context, blob: bytes):
-    """Columnar kernel over one self-contained batch blob ->
-    ``StudyAggregate`` (exact partials, so merges stay bit-identical)."""
-    from ..analysis.columnar import aggregate_blob
-
-    return aggregate_blob(blob)
-
-
 @_task(reply=_chunk_to_blob, accept=_chunk_from_blob, describe=_shard_name)
 def campaign_chunk(context, shard_range) -> tuple:
     """Simulate one contiguous user range ->
@@ -188,15 +178,3 @@ def campaign_chunk(context, shard_range) -> tuple:
     began = time.perf_counter()
     partial = context.run_shard(start, stop)
     return time.perf_counter() - began, partial
-
-
-@_task()
-def merge(context, blobs: list) -> bytes:
-    """Tree-reduction step: fold a window of KIND_CAGG blobs (in the
-    given order) into one merged blob.  Context-free and exact, so a
-    tree of these merges is bit-identical to a serial left fold."""
-    from ..campaign.engine import merge_campaigns
-
-    return codec.encode_campaign(
-        merge_campaigns(codec.decode_campaign(blob) for blob in blobs)
-    )

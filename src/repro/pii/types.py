@@ -35,19 +35,6 @@ class PiiType(str, Enum):
         """The human-readable row label used in Table 3."""
         return _LABELS[self]
 
-    @classmethod
-    def from_code(cls, code: str) -> "PiiType":
-        for pii_type, c in _CODES.items():
-            if c == code:
-                return pii_type
-        raise ValueError(f"unknown PII code {code!r}")
-
-    # Identifiers only a native app can read off the device; the paper
-    # found no evidence of web sites accessing these (§1, Table 3).
-    @property
-    def device_bound(self) -> bool:
-        return self in (PiiType.UNIQUE_ID, PiiType.DEVICE_INFO)
-
 
 _CODES = {
     PiiType.BIRTHDAY: "B",

@@ -287,8 +287,12 @@ def run_oracle(scenario: Scenario, mutators=None) -> OracleReport:
             want, got = _first_divergent_line(expected_text, actual_text)
             divergences.append(Divergence(component, "<render>", want, got))
 
-    whole = columnar.study_aggregate(reference, shards=1)
-    partials = columnar.shard_aggregates(reference, shards=3)
+    whole = columnar.study_aggregate(reference)
+    metas, cells = columnar._study_cells(reference)
+    partials = [
+        columnar.aggregate_blob(columnar.encode_cells(metas, cells[index::3]))
+        for index in range(3)
+    ]
     agg_expected = whole.canonical_bytes()
     check_columnar_bytes(
         "columnar[reference-aggregate]",
@@ -430,10 +434,9 @@ def run_oracle(scenario: Scenario, mutators=None) -> OracleReport:
     )
 
     # Scale-out data plane pins: the KIND_CAGG codec must round-trip to
-    # identical canonical bytes, a pool campaign without pinned shards
-    # (pool workers folding adaptive chunks locally) must match the
-    # serial fixed-plan fold, and the blob tree reduction must match a
-    # serial left fold of the same shard blobs.
+    # identical canonical bytes, and a pool campaign without pinned
+    # shards (pool workers folding adaptive chunks locally) must match
+    # the serial fixed-plan fold.
     from ..net import codec as _codec
 
     check_campaign_bytes(
@@ -454,16 +457,6 @@ def run_oracle(scenario: Scenario, mutators=None) -> OracleReport:
         "campaign[process,adaptive]",
         campaign_expected,
         campaign_worker.canonical_bytes(),
-    )
-    from ..campaign import reduce_campaign_blobs
-
-    shard_blobs = [
-        _codec.encode_campaign(partial) for partial in campaign_partials
-    ]
-    check_campaign_bytes(
-        "campaign[tree-reduce blobs]",
-        campaign_expected,
-        reduce_campaign_blobs(shard_blobs, executor=2, window=2).canonical_bytes(),
     )
 
     # -- mitigation data plane ----------------------------------------------

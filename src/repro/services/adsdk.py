@@ -37,10 +37,6 @@ class SdkProfile:
     def beacon_host(self) -> str:
         return get_party(self.domain).beacon_host
 
-    @property
-    def is_ad_sdk(self) -> bool:
-        return self.serves_ads
-
 
 # Built-in profiles for every app-capable third party.  Volume knobs are
 # per-SDK personality: attribution SDKs are quiet, ad SDKs are chatty.

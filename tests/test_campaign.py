@@ -108,6 +108,16 @@ class TestPopulationSpec:
         with pytest.raises(PopulationError):
             PopulationSpec(permission_grant_rates={"telepathy": 0.5})
 
+    def test_rejects_sessions_past_the_duration_cap(self):
+        from repro.experiment.scripts import MAX_DURATION
+
+        longest = PopulationSpec(session_duration=MAX_DURATION / 1.5)
+        assert longest.session_duration * longest.intensity_range[1] == MAX_DURATION
+        with pytest.raises(PopulationError, match=r"must be in \(0, 3600\] seconds"):
+            PopulationSpec(session_duration=3000.0)  # x 1.5 = 4500 s
+        with pytest.raises(PopulationError, match=r"intensity_range\[1\]"):
+            PopulationSpec(intensity_range=(0.5, 1e9))
+
     def test_rejects_unknown_field(self):
         with pytest.raises(PopulationError):
             PopulationSpec.from_dict({"not_a_field": 1})
@@ -344,10 +354,11 @@ class TestCampaignDeterminism:
         from repro.par import Executor, tasks
 
         context = CampaignContext(small_spec(), services, 7)
-        stream = Executor(1).imap(tasks.campaign_chunk, plan_shards(4, 4), context=context)
-        assert iter(stream) is stream  # a generator, not a list
-        _elapsed, first = next(stream)
-        assert first.users == 1
+        with Executor(1).pool(context) as pool:
+            stream = pool.imap(tasks.campaign_chunk, plan_shards(4, 4))
+            assert iter(stream) is stream  # a generator, not a list
+            _elapsed, first = next(stream)
+            assert first.users == 1
 
 
 class TestAggregates:
@@ -449,6 +460,13 @@ class TestScripts:
             InteractionScript("x", False, cycle=())
         with pytest.raises(ValueError):
             InteractionScript("x", False, cycle=("fly",))
+
+    @pytest.mark.parametrize(
+        "duration", [float("nan"), float("inf"), -float("inf"), 0.0, -5.0, 3600.5, 1e9]
+    )
+    def test_duration_must_be_finite_and_at_most_an_hour(self, duration):
+        with pytest.raises(ValueError, match=r"duration must be in \(0, 3600\] seconds"):
+            InteractionScript("x", False, duration=duration)
 
 
 class TestReportAndCli:
@@ -579,6 +597,22 @@ class TestReportAndCli:
         assert message in error and "\n" not in error
         assert capsys.readouterr().out == ""
         assert {path.name: path.read_bytes() for path in checkpoint.iterdir()} == before
+
+    def test_truncated_partial_is_a_one_line_error(self, checkpoint, tmp_path, capsys):
+        import shutil
+
+        from repro.cli import main
+
+        damaged = tmp_path / "checkpoint"
+        shutil.copytree(checkpoint, damaged)
+        (partial,) = damaged.glob("partial-*.cagg")
+        partial.write_bytes(partial.read_bytes()[:40])
+        with pytest.raises(SystemExit) as excinfo:
+            main(self._argv("--checkpoint-dir", str(damaged), "--resume"))
+        error = str(excinfo.value.code)
+        assert error.startswith("campaign: unreadable checkpoint partial ")
+        assert "\n" not in error
+        assert capsys.readouterr().out == ""
 
     def test_from_dict_type_errors_are_population_errors(self):
         with pytest.raises(PopulationError, match="os_share must be an object"):
@@ -844,29 +878,6 @@ class TestCheckpointResume:
             10, checkpoint_dir=tmp_path, resume=True, **kwargs
         )
         assert resumed.canonical_bytes() == reference.canonical_bytes()
-
-
-class TestTreeReduce:
-    @pytest.mark.parametrize("workers", [1, 2], ids=["serial", "process"])
-    def test_blob_reduction_matches_reference(
-        self, services, reference, workers
-    ):
-        from repro.campaign import reduce_campaign_blobs
-        from repro.net import codec
-
-        context = CampaignContext(small_spec(), services, 7)
-        blobs = [
-            codec.encode_campaign(context.run_shard(start, stop))
-            for start, stop in plan_shards(10, 5)
-        ]
-        merged = reduce_campaign_blobs(blobs, executor=workers, window=2)
-        assert merged.canonical_bytes() == reference.canonical_bytes()
-
-    def test_no_blobs_rejected(self):
-        from repro.campaign import reduce_campaign_blobs
-
-        with pytest.raises(CampaignError):
-            reduce_campaign_blobs([])
 
 
 class TestProgressLog:

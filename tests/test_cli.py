@@ -94,6 +94,21 @@ class TestParser:
             for flag in ("--executor", "--ingest-executor", "--reduce"):
                 assert flag not in text, (verb, flag)
 
+    @pytest.mark.parametrize("value", ["inf", "nan", "1e9", "3600.5", "0", "long"])
+    @pytest.mark.parametrize(
+        "verb", [["collect", "--out", "ds"], ["run"], ["har", "weather"]],
+        ids=["collect", "run", "har"],
+    )
+    def test_duration_out_of_range_is_a_usage_error(self, verb, value, capsys):
+        """A session runs until its simulated clock passes the deadline,
+        so ``--duration`` is refused outside (0, 3600] seconds before any
+        capture starts."""
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(verb + ["--duration", value])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ") and "argument --duration: " in err
+
     def test_workers_default_is_every_usable_cpu(self):
         parser = build_parser()
         for argv in (
@@ -200,8 +215,8 @@ def weather_dataset(tmp_path_factory):
 
 class TestWorkers:
     """``--workers N`` alone sizes every fan-out of a verb: ReCon
-    labeling, per-session analysis (a journaled ``stream`` capture's
-    included) and the columnar aggregate."""
+    labeling and per-session analysis (a journaled ``stream`` capture's
+    included).  The columnar aggregate folds in-process."""
 
     @pytest.fixture
     def two_cpus_no_pool(self, monkeypatch):
@@ -230,6 +245,40 @@ class TestWorkers:
         assert main(argv) == 0
         out = capsys.readouterr().out
         assert "%Leak" in out and "SvcA" in out  # Tables 1 and 3 printed
+
+    def test_analyze_starts_one_pool(self, weather_dataset, monkeypatch, capsys):
+        """The per-session analysis is the one pool ``analyze`` starts;
+        the study aggregate never starts one."""
+        from repro.analysis.columnar import study_aggregate
+        from repro.core.pipeline import analyze_dataset
+        from repro.experiment.dataset import Dataset
+        from repro.par import executor
+        from repro.qa import reference
+        from repro.services.catalog import build_catalog
+
+        started = []
+        real = executor.ProcessPoolExecutor
+
+        def counted(*args, **kwargs):
+            started.append(kwargs["max_workers"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(executor, "ProcessPoolExecutor", counted)
+        assert main(["analyze", weather_dataset, "--no-recon", "--workers", "2"]) == 0
+        assert started == [2]
+        pooled = capsys.readouterr().out
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(executor, "ProcessPoolExecutor", refuse)
+        assert main(["analyze", weather_dataset, "--no-recon", "--workers", "1"]) == 0
+        assert capsys.readouterr().out == pooled
+        weather = [spec for spec in build_catalog() if spec.slug == "weather"]
+        study = analyze_dataset(Dataset.load(weather_dataset), weather, train_recon=False)
+        assert study_aggregate(study, executor=2).canonical_bytes() == (
+            reference.reference_aggregate(study).canonical_bytes()
+        )
 
     def test_stream_recon_passes_use_the_worker_count(
         self, monkeypatch, capsys, tmp_path

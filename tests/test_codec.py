@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.experiment.dataset import Dataset, SessionRecord
+from repro.experiment.dataset import SessionRecord
 from repro.net import codec
 from repro.net.codec import (
     CodecError,
@@ -28,7 +28,6 @@ from repro.pii.types import PiiType
 from repro.qa.scenarios import random_hostname, random_url
 
 from .test_flow import make_flow, make_txn
-from .test_trace import make_trace
 
 
 def fuzz_flow(rng: random.Random, flow_id: int) -> Flow:
@@ -259,37 +258,3 @@ class TestFileFormat:
         path.write_bytes(data[: len(data) // 2])
         with pytest.raises(CodecError):
             codec.read_trace(path)
-
-
-class TestInterop:
-    def test_trace_dump_binary_default_load_sniffs(self, tmp_path):
-        trace = make_trace(3)
-        binary = tmp_path / "b.bin"
-        jsonl = tmp_path / "j.jsonl"
-        trace.dump(binary)
-        trace.dump(jsonl, fmt="json")
-        assert codec.is_binary(binary.read_bytes()[:4])
-        assert not codec.is_binary(jsonl.read_bytes()[:4])
-        from_binary = Trace.load(binary)
-        from_json = Trace.load(jsonl)
-        assert encode_trace(from_binary) == encode_trace(from_json)
-
-    def test_dataset_binary_and_json_load_identically(self, tmp_path):
-        dataset = Dataset()
-        for seed in range(3):
-            record = fuzz_record(seed)
-            record.service = f"svc{seed}"
-            dataset.add(record)
-        dataset.save(tmp_path / "bin")
-        dataset.save(tmp_path / "json", fmt="json")
-        binary = Dataset.load(tmp_path / "bin")
-        legacy = Dataset.load(tmp_path / "json")
-        assert sorted(r.key for r in binary) == sorted(r.key for r in legacy)
-        for left, right in zip(
-            sorted(binary, key=lambda r: r.key), sorted(legacy, key=lambda r: r.key)
-        ):
-            assert encode_record(left) == encode_record(right)
-
-    def test_unknown_dump_format_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            make_trace(1).dump(tmp_path / "x", fmt="yaml")

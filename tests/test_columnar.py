@@ -1,7 +1,7 @@
 """Columnar aggregation engine: byte-identity, merge algebra, codec.
 
-The engine's contract is absolute: for any study, shard split, merge
-order, and executor backend, the columnar path renders output
+The engine's contract is absolute: for any study, split of its cells
+and merge order, the columnar path renders output
 byte-for-byte equal to the row-wise walkers of
 :mod:`repro.qa.reference` — a fast wrong answer is not a result.  These
 tests pin that contract directly (exhaustive entry-point equality on
@@ -25,8 +25,6 @@ from repro.analysis.columnar import (
     decode_batch,
     encode_cells,
     merge_aggregates,
-    shard_aggregates,
-    shard_blobs,
     study_aggregate,
 )
 from repro.analysis.figures import ALL_FIGURES, render_series
@@ -43,13 +41,25 @@ from repro.analysis.tables import (
 )
 from repro.core.compare import study_diffs
 from repro.net.codec import CodecError
-from repro.par import Executor
 from repro.qa import reference
 
 
 @pytest.fixture(scope="module")
 def mini_aggregate(mini_study):
-    return study_aggregate(mini_study, executor=1)
+    return study_aggregate(mini_study)
+
+
+def _study_blob(study) -> bytes:
+    return encode_cells(*columnar._study_cells(study))
+
+
+def _round_robin_partials(study, shards: int) -> list:
+    """Partial aggregates of ``shards`` round-robin slices of the cells."""
+    metas, cells = columnar._study_cells(study)
+    return [
+        aggregate_blob(encode_cells(metas, cells[index::shards]))
+        for index in range(shards)
+    ]
 
 
 class TestByteIdentity:
@@ -119,7 +129,7 @@ class TestByteIdentity:
 
         lines = build_comparison(mini_aggregate)
         markdown = render_markdown(mini_aggregate)
-        monkeypatch.setattr(report, "ensure_aggregate", lambda study: study)
+        monkeypatch.setattr(columnar, "study_aggregate", lambda study: study)
         monkeypatch.setattr(report, "table1", reference.table1)
         monkeypatch.setattr(report, "table2", reference.table2)
         monkeypatch.setattr(report, "table3", reference.table3)
@@ -134,17 +144,17 @@ class TestByteIdentity:
 
     def test_report_aggregates_once(self, mini_study, monkeypatch):
         """All three tables and six panels of the report share one
-        aggregate of the study."""
-        calls = []
-        real = columnar.study_aggregate
+        fold of the study."""
+        folds = []
+        real = columnar.aggregate_blob
 
-        def counted(study, *args, **kwargs):
-            calls.append(study)
-            return real(study, *args, **kwargs)
+        def counted(blob):
+            folds.append(blob)
+            return real(blob)
 
-        monkeypatch.setattr(columnar, "study_aggregate", counted)
+        monkeypatch.setattr(columnar, "aggregate_blob", counted)
         build_comparison(mini_study)
-        assert calls == [mini_study]
+        assert folds == [_study_blob(mini_study)]
 
 
 class TestMergeAlgebra:
@@ -153,12 +163,12 @@ class TestMergeAlgebra:
     def test_shard_counts_identical(self, mini_study, mini_aggregate):
         reference = mini_aggregate.canonical_bytes()
         for shards in (1, 2, 3, 5, 24, 1000):
-            agg = study_aggregate(mini_study, executor=1, shards=shards)
+            agg = merge_aggregates(_round_robin_partials(mini_study, shards))
             assert agg.canonical_bytes() == reference, f"shards={shards}"
 
     def test_merge_reversed_and_shuffled(self, mini_study, mini_aggregate):
         reference = mini_aggregate.canonical_bytes()
-        partials = shard_aggregates(mini_study, shards=4, executor=1)
+        partials = _round_robin_partials(mini_study, 4)
         assert merge_aggregates(partials[::-1]).canonical_bytes() == reference
         shuffled = list(partials)
         random.Random(11).shuffle(shuffled)
@@ -169,7 +179,7 @@ class TestMergeAlgebra:
         assert merged.canonical_bytes() == mini_aggregate.canonical_bytes()
 
     def test_merge_is_associative(self, mini_study, mini_aggregate):
-        a, b, c = shard_aggregates(mini_study, shards=3, executor=1)
+        a, b, c = _round_robin_partials(mini_study, 3)
         left = merge_aggregates([merge_aggregates([a, b]), c])
         right = merge_aggregates([a, merge_aggregates([b, c])])
         assert left.canonical_bytes() == right.canonical_bytes()
@@ -207,7 +217,7 @@ class TestCodec:
     """The batch wire format: canonical, strict, framed."""
 
     def test_blob_round_trip(self, mini_study, mini_aggregate):
-        (blob,) = shard_blobs(mini_study, shards=1)
+        blob = _study_blob(mini_study)
         assert aggregate_blob(blob).canonical_bytes() == (
             mini_aggregate.canonical_bytes()
         )
@@ -215,12 +225,10 @@ class TestCodec:
     def test_blob_is_canonical(self, mini_study):
         """Encoding is deterministic (sorted sets/groups): two encodes
         of the same study are the same bytes."""
-        assert shard_blobs(mini_study, shards=1) == shard_blobs(
-            mini_study, shards=1
-        )
+        assert _study_blob(mini_study) == _study_blob(mini_study)
 
     def test_batch_counts(self, mini_study):
-        (blob,) = shard_blobs(mini_study, shards=1)
+        blob = _study_blob(mini_study)
         batch = decode_batch(blob)
         metas, cells = columnar._study_cells(mini_study)
         assert batch.n_cells == len(cells)
@@ -230,20 +238,20 @@ class TestCodec:
         )
 
     def test_truncation_rejected(self, mini_study):
-        (blob,) = shard_blobs(mini_study, shards=1)
+        blob = _study_blob(mini_study)
         for cut in (1, len(blob) // 3, len(blob) - 1):
             with pytest.raises(CodecError):
                 decode_batch(blob[:cut])
 
     def test_trailing_garbage_rejected(self, mini_study):
-        (blob,) = shard_blobs(mini_study, shards=1)
+        blob = _study_blob(mini_study)
         with pytest.raises(CodecError, match="trailing garbage"):
             decode_batch(blob + b"\x00")
 
     def test_corrupt_count_column_rejected(self, mini_study):
         """Inflating the declared string count makes the decode overrun
         into unrelated bytes — it must raise, never mis-aggregate."""
-        (blob,) = shard_blobs(mini_study, shards=1)
+        blob = _study_blob(mini_study)
         bad = struct.pack("<I", 2**31) + blob[4:]
         with pytest.raises(CodecError):
             decode_batch(bad)
@@ -261,21 +269,6 @@ class TestCodec:
             restored.moments["aa_bytes"].sum()
             == mini_aggregate.moments["aa_bytes"].sum()
         )
-
-
-class TestExecutorBackends:
-    """The aggregate task on every repro.par executor, identical partials."""
-
-    @pytest.mark.parametrize("workers", (1, 2), ids=("serial", "process"))
-    def test_backend_equivalence(self, mini_study, mini_aggregate, workers):
-        agg = study_aggregate(mini_study, executor=Executor(workers), shards=3)
-        assert agg.canonical_bytes() == mini_aggregate.canonical_bytes()
-
-    def test_empty_blob_list(self):
-        from repro.par import tasks
-
-        for workers in (1, 2):
-            assert Executor(workers).map(tasks.aggregate, []) == []
 
 
 class TestOraclePin:

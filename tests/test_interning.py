@@ -1,8 +1,7 @@
 """One object per distinct value within a trace (the rule in repro.net.flow).
 
 Every way the program builds a trace -- the capture proxy, the binary
-decoder (trace, record, bundle), the JSONL trace reader and the journal
-reader -- hands back equal header pairs, strings and bodies as one
+decoder (trace, record, bundle) and the journal reader -- hands back equal header pairs, strings and bodies as one
 shared object, and the matcher's text memo keeps field values only,
 never a whole request's text.
 """
@@ -17,7 +16,6 @@ import pytest
 from repro.experiment.dataset import Dataset
 from repro.experiment.runner import ExperimentRunner
 from repro.net import codec
-from repro.net.trace import Trace
 from repro.pii.matcher import GroundTruthMatcher
 from repro.pii.structure import searchable_text
 from repro.qa.faults import write_journal
@@ -122,16 +120,6 @@ def test_decoded_bundle_shares_values_across_its_records(captured):
         codec.encode_record(r) for r in dataset
     ]
     _assert_all_shared([record.trace for record in records])
-
-
-def test_jsonl_trace_shares_every_value(captured, tmp_path):
-    dataset, _proxy = captured
-    for index, record in enumerate(dataset):
-        path = tmp_path / f"{index}.jsonl"
-        record.trace.dump(path, fmt="json")
-        loaded = Trace.load(path)
-        assert codec.encode_trace(loaded) == codec.encode_trace(record.trace)
-        _assert_all_shared([loaded])
 
 
 def test_journal_session_shares_every_value(captured, tmp_path):

@@ -204,9 +204,8 @@ def _campaign_chunks(workers, specs, config, ranges):
     from repro.campaign import CampaignContext
 
     context = CampaignContext.from_config(specs, config)
-    return Executor(workers).imap(
-        tasks.campaign_chunk, ranges, context=context, window=4
-    )
+    with Executor(workers).pool(context) as pool:
+        yield from pool.imap(tasks.campaign_chunk, ranges, window=4)
 
 
 class TestMapSessionsLifecycle:
@@ -254,9 +253,10 @@ class TestImapLifecycle:
     def test_early_close_leaves_nothing_running(self, small_world, workers):
         _scenario, specs, dataset = small_world
         before = _live()
-        stream = Executor(workers).imap(tasks.label, list(dataset), window=2)
-        next(stream)
-        stream.close()
+        with Executor(workers).pool() as pool:
+            stream = pool.imap(tasks.label, list(dataset), window=2)
+            next(stream)
+            stream.close()
         _assert_nothing_leaked(before)
 
     @pytest.mark.parametrize(
@@ -284,14 +284,8 @@ class TestImapLifecycle:
         before = _live()
         message = f"session {'/'.join(bad.key)} failed: RuntimeError: planted failure"
         with pytest.raises(ExecutorError, match=re.escape(message)):
-            list(
-                Executor(workers).imap(
-                    getattr(tasks, task_name),
-                    records,
-                    context=tasks.AnalysisContext(specs),
-                    window=2,
-                )
-            )
+            with Executor(workers).pool(tasks.AnalysisContext(specs)) as pool:
+                list(pool.imap(getattr(tasks, task_name), records, window=2))
         _assert_nothing_leaked(before)
 
     def test_lazy_input_pulled_at_most_window_ahead(self, small_world, workers):
@@ -311,7 +305,7 @@ class TestImapLifecycle:
                 results.append(result)
                 assert len(pulled) - len(results) <= window
         assert len(results) == len(records)
-        assert results == Executor(1).map(tasks.label, records)
+        assert results == [tasks.label(None, record) for record in records]
 
     def test_ingest_shutdown_reaps_pool(self, small_world, tmp_path, workers):
         from repro.ingest import IngestService

@@ -11,6 +11,7 @@ from repro.core.leaks import PLAINTEXT, THIRD_PARTY, LeakRecord
 from repro.core.pipeline import SessionAnalysis
 from repro.campaign.population import PopulationError, PopulationSpec
 from repro.core.recommend import Exposure, PrivacyPreferences, preferences_from_dict
+from repro.experiment.scripts import MAX_DURATION
 from repro.http.message import Request, Response
 from repro.http.session import ClientSession
 from repro.http.transport import DirectTransport, Network
@@ -157,7 +158,7 @@ class TestTraceRoundtripProperty:
             for _ in range(rng.randrange(3)):
                 flow.add_transaction(make_txn(body=bytes(rng.randrange(256) for _ in range(rng.randrange(64)))))
             trace.add(flow)
-        path = tmp_path_factory.mktemp("traces") / f"t{seed}.jsonl"
+        path = tmp_path_factory.mktemp("traces") / f"t{seed}.bin"
         trace.dump(path)
         again = Trace.load(path)
         assert len(again) == len(trace)
@@ -512,9 +513,84 @@ class TestPopulationSpecProperty:
         lo, hi = spec.intensity_range
         assert _finite(lo) and _finite(hi) and 0 < lo <= hi
         assert _finite(spec.session_duration) and spec.session_duration > 0
-        assert math.isfinite(spec.session_duration * hi)
+        assert spec.session_duration * hi <= MAX_DURATION
         assert type(spec.bootstrap_replicates) is int and spec.bootstrap_replicates >= 1
         assert PopulationSpec.from_dict(spec.to_dict()) == spec
+
+
+class TestCampaignCheckpointProperty:
+    """Any JSON value as a campaign checkpoint's ``state.json``, or a
+    valid state with one field dropped or changed, either resumes to the
+    uninterrupted run's canonical bytes or raises ``CampaignError`` —
+    never another exception, and never different bytes."""
+
+    _cache = None
+
+    @classmethod
+    def _checkpoint(cls, tmp_path_factory):
+        """(run kwargs, uninterrupted bytes, a checkpoint at user 2 of 4,
+        its valid state), made once."""
+        if cls._cache is None:
+            import json
+
+            from repro.campaign import CampaignAborted, run_campaign
+            from repro.services.catalog import build_catalog
+
+            kwargs = dict(
+                seed=7,
+                population_spec=PopulationSpec(
+                    services_per_user=(1, 1),
+                    sessions_per_service=(1, 1),
+                    session_duration=5.0,
+                    bootstrap_replicates=5,
+                ),
+                services=[spec for spec in build_catalog() if spec.slug == "weather"],
+                executor=1,
+            )
+            expected = run_campaign(4, **kwargs).canonical_bytes()
+            directory = tmp_path_factory.mktemp("campaign-state")
+            with pytest.raises(CampaignAborted):
+                run_campaign(
+                    4,
+                    shards=4,
+                    checkpoint_dir=directory,
+                    checkpoint_every=1,
+                    abort_after_users=2,
+                    **kwargs,
+                )
+            state = json.loads((directory / "state.json").read_text())
+            cls._cache = kwargs, expected, directory, state
+        return cls._cache
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_state_resumes_to_the_same_bytes_or_campaign_error(self, tmp_path_factory, data):
+        import json
+        import shutil
+
+        from repro.campaign import CampaignError, run_campaign
+
+        kwargs, expected, source, valid = self._checkpoint(tmp_path_factory)
+        near = st.integers(-3, 6) | st.sampled_from(
+            [
+                valid["partial"],
+                "partial-000000000004.cagg",
+                "state.json",
+                "../" + valid["partial"],
+                "/etc/passwd",
+                valid["key"],
+                valid["digest"],
+            ]
+        )
+        state = data.draw(json_values | _with_one_field_changed(valid, near | json_values))
+        directory = tmp_path_factory.mktemp("campaign-resume")
+        shutil.copytree(source, directory, dirs_exist_ok=True)
+        (directory / "state.json").write_text(json.dumps(state))
+        try:
+            resumed = run_campaign(4, checkpoint_dir=directory, resume=True, **kwargs)
+        except CampaignError:
+            return
+        assert resumed.canonical_bytes() == expected
 
 
 class TestIngestAdmissionProperty:

@@ -1,4 +1,4 @@
-"""Tests for trace container and JSONL serialization."""
+"""Tests for the trace container and its binary file form."""
 
 import pytest
 
@@ -45,7 +45,7 @@ class TestTrace:
 class TestSerialization:
     def test_roundtrip(self, tmp_path):
         trace = make_trace(5)
-        path = tmp_path / "t.jsonl"
+        path = tmp_path / "t.bin"
         trace.dump(path)
         again = Trace.load(path)
         assert len(again) == 5
@@ -55,7 +55,7 @@ class TestSerialization:
 
     def test_empty_trace_roundtrip(self, tmp_path):
         trace = Trace(meta=SessionMeta(service="x", os_name="ios", medium="web"))
-        path = tmp_path / "t.jsonl"
+        path = tmp_path / "t.bin"
         trace.dump(path)
         assert len(Trace.load(path)) == 0
 
@@ -76,24 +76,6 @@ class TestSerialization:
         path.write_text('{"version": 99, "meta": {"service": "x", "os": "ios", "medium": "web"}}\n')
         with pytest.raises(TraceFormatError):
             Trace.load(path)
-
-    def test_load_rejects_corrupt_flow_line(self, tmp_path):
-        trace = make_trace(1)
-        path = tmp_path / "c.jsonl"
-        trace.dump(path, fmt="json")
-        with path.open("a") as handle:
-            handle.write("{broken\n")
-        with pytest.raises(TraceFormatError) as excinfo:
-            Trace.load(path)
-        assert "line" in str(excinfo.value) or ":" in str(excinfo.value)
-
-    def test_blank_lines_skipped(self, tmp_path):
-        trace = make_trace(1)
-        path = tmp_path / "b.jsonl"
-        trace.dump(path, fmt="json")
-        with path.open("a") as handle:
-            handle.write("\n\n")
-        assert len(Trace.load(path)) == 1
 
 
 class TestMerge:
