@@ -235,10 +235,13 @@ def cmd_collect(args) -> int:
 
 def cmd_analyze(args) -> int:
     from .core.pipeline import analyze_dataset
-    from .experiment.dataset import Dataset
+    from .experiment.dataset import read_manifest
 
-    dataset = Dataset.load(args.dataset)
-    slugs = set(dataset.services())
+    # Handles, not a loaded Dataset: each trace is decoded when the
+    # analysis reaches it, so (without --cache-dir, which hashes every
+    # trace first) the report never holds every trace at once.
+    sessions = read_manifest(args.dataset)
+    slugs = {session.service for session in sessions}
     services = [s for s in build_catalog() if s.slug in slugs]
     cache = None
     if args.cache_dir:
@@ -246,7 +249,7 @@ def cmd_analyze(args) -> int:
 
         cache = AnalysisCache(args.cache_dir)
     study = analyze_dataset(
-        dataset,
+        sessions,
         services,
         train_recon=not args.no_recon,
         executor=args.workers,
@@ -353,7 +356,7 @@ def _load_upload_body(path) -> bytes:
 
     A directory is a saved dataset — encoded as one framed bundle.  A
     file must already be a codec-framed record or bundle (e.g. written
-    by ``repro.net.codec.write_record``/``write_bundle``).
+    by ``repro.net.codec.write_record``).
     """
     import os
 

@@ -12,6 +12,7 @@ and recommendation is computed from.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional
 
 from ..experiment.dataset import APP, WEB, Dataset, SavedSession, SessionRecord
@@ -132,30 +133,22 @@ class StudyResult:
         return out
 
 
+def categorizer_for(spec: ServiceSpec) -> Categorizer:
+    return _categorizer(tuple(spec.first_party_domains), tuple(spec.sso_domains))
+
+
 # Categorizer construction recompiles the spec's domain sets on every
 # call; specs are immutable for the life of a study, so one instance per
 # distinct (first-party, SSO) domain profile is shared across sessions.
-_CATEGORIZER_CACHE: dict = {}
-_CATEGORIZER_CACHE_MAX = 256
-
-
-def categorizer_for(spec: ServiceSpec) -> Categorizer:
+@lru_cache(maxsize=256)
+def _categorizer(first_party_domains: tuple, sso_domains: tuple) -> Categorizer:
     from ..device.phone import OS_SERVICE_HOSTS
 
-    key = (tuple(spec.first_party_domains), tuple(spec.sso_domains))
-    cached = _CATEGORIZER_CACHE.get(key)
-    if cached is not None:
-        return cached
-    os_hosts = [h for hosts in OS_SERVICE_HOSTS.values() for h in hosts]
-    categorizer = Categorizer(
-        first_party_domains=spec.first_party_domains,
-        os_service_hosts=os_hosts,
-        sso_domains=spec.sso_domains,
+    return Categorizer(
+        first_party_domains=first_party_domains,
+        os_service_hosts=[h for hosts in OS_SERVICE_HOSTS.values() for h in hosts],
+        sso_domains=sso_domains,
     )
-    if len(_CATEGORIZER_CACHE) >= _CATEGORIZER_CACHE_MAX:
-        _CATEGORIZER_CACHE.clear()
-    _CATEGORIZER_CACHE[key] = categorizer
-    return categorizer
 
 
 def analyze_session(

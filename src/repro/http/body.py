@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import gzip
 import json
+from functools import lru_cache
 from typing import Iterable, Optional
 
 from .url import decode_query, encode_query
@@ -120,14 +121,6 @@ def gzip_decompress(body: bytes) -> Optional[bytes]:
         return None
 
 
-# Decoding is pure and the same beacon/telemetry bodies recur thousands
-# of times per trace; memoize full decode results.  The cached pairs
-# list is copied out per call, but the text and parsed JSON are shared —
-# callers treat both as read-only.
-_DECODE_CACHE: dict = {}
-_DECODE_CACHE_MAX = 8192
-
-
 def decode_body(body: bytes, content_type: str, content_encoding: str = "") -> dict:
     """Best-effort structured decode of a captured body.
 
@@ -140,18 +133,16 @@ def decode_body(body: bytes, content_type: str, content_encoding: str = "") -> d
     Never raises: undecodable content falls back to replacement text and
     empty pairs, which is what the detector wants for opaque payloads.
     """
-    key = (body, content_type, content_encoding)
-    cached = _DECODE_CACHE.get(key)
-    if cached is not None:
-        return {"text": cached[0], "pairs": list(cached[1]), "json": cached[2]}
-    decoded = _decode_body_uncached(body, content_type, content_encoding)
-    if len(_DECODE_CACHE) >= _DECODE_CACHE_MAX:
-        _DECODE_CACHE.clear()
-    _DECODE_CACHE[key] = (decoded["text"], tuple(decoded["pairs"]), decoded["json"])
-    return decoded
+    text, pairs, parsed = _decode_body(body, content_type, content_encoding)
+    return {"text": text, "pairs": list(pairs), "json": parsed}
 
 
-def _decode_body_uncached(body: bytes, content_type: str, content_encoding: str) -> dict:
+# Decoding is pure and the same beacon/telemetry bodies recur thousands
+# of times per trace; memoize full decode results.  The pairs list is
+# copied out per call, but the text and parsed JSON are shared —
+# callers treat both as read-only.
+@lru_cache(maxsize=8192)
+def _decode_body(body: bytes, content_type: str, content_encoding: str) -> tuple:
     if content_encoding.lower() == "gzip":
         inflated = gzip_decompress(body)
         if inflated is not None:
@@ -171,8 +162,7 @@ def _decode_body_uncached(body: bytes, content_type: str, content_encoding: str)
         boundary = parse_multipart_boundary(original_content_type)
         if boundary:
             pairs = decode_multipart(body, boundary)
-    text = body.decode("utf-8", errors="replace")
-    return {"text": text, "pairs": pairs, "json": parsed_json}
+    return body.decode("utf-8", errors="replace"), tuple(pairs), parsed_json
 
 
 def flatten_json(payload, prefix: str = "") -> list:

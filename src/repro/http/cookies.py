@@ -11,6 +11,7 @@ close enough to RFC 6265 for the simulated ecosystem.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterable, Optional
 
 
@@ -55,17 +56,15 @@ class Cookie:
         return False
 
 
-# Cookie headers repeat verbatim across a session's requests; parsing is
-# pure, so memoize the split.  Capped to bound adversarial streams.
-_COOKIE_PARSE_CACHE: dict = {}
-_COOKIE_PARSE_CACHE_MAX = 8192
-
-
 def parse_cookie_header(value: str) -> list:
     """Parse a request ``Cookie`` header into (name, value) pairs."""
-    cached = _COOKIE_PARSE_CACHE.get(value)
-    if cached is not None:
-        return list(cached)
+    return list(_cookie_pairs(value))
+
+
+# Cookie headers repeat verbatim across a session's requests; parsing is
+# pure, so memoize the split.
+@lru_cache(maxsize=8192)
+def _cookie_pairs(value: str) -> tuple:
     pairs = []
     for chunk in value.split(";"):
         chunk = chunk.strip()
@@ -75,10 +74,7 @@ def parse_cookie_header(value: str) -> list:
         if not sep:
             continue  # tolerate malformed crumbs
         pairs.append((name.strip(), val.strip()))
-    if len(_COOKIE_PARSE_CACHE) >= _COOKIE_PARSE_CACHE_MAX:
-        _COOKIE_PARSE_CACHE.clear()
-    _COOKIE_PARSE_CACHE[value] = tuple(pairs)
-    return pairs
+    return tuple(pairs)
 
 
 def format_cookie_header(pairs: Iterable) -> str:

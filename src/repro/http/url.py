@@ -9,6 +9,7 @@ ground-truth values to search for them in URLs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Iterable, Optional
 
 _SCHEME_PORTS = {"http": 80, "https": 443}
@@ -25,16 +26,17 @@ class UrlError(ValueError):
 
 def percent_encode(text: str, safe: str = "") -> str:
     """Percent-encode ``text``, leaving unreserved and ``safe`` chars bare."""
-    keep = _UNRESERVED | set(safe) if safe else _UNRESERVED
     # Dominant case on the hot path: nothing needs escaping at all.
     if not text.strip(_UNRESERVED_STR + safe):
         return text
-    # The slow byte-by-byte path is pure and its inputs (PII values,
-    # tracker parameters) repeat constantly — memoize it.
-    key = (text, safe)
-    cached = _ENCODE_CACHE.get(key)
-    if cached is not None:
-        return cached
+    return _percent_encode(text, safe)
+
+
+# The slow byte-by-byte path is pure and its inputs (PII values,
+# tracker parameters) repeat constantly, so it is memoized.
+@lru_cache(maxsize=8192)
+def _percent_encode(text: str, safe: str) -> str:
+    keep = _UNRESERVED | set(safe) if safe else _UNRESERVED
     out = []
     for byte in text.encode("utf-8"):
         char = chr(byte)
@@ -42,15 +44,7 @@ def percent_encode(text: str, safe: str = "") -> str:
             out.append(char)
         else:
             out.append(f"%{_HEX[byte >> 4]}{_HEX[byte & 0xF]}")
-    encoded = "".join(out)
-    if len(_ENCODE_CACHE) >= _ENCODE_CACHE_MAX:
-        _ENCODE_CACHE.clear()
-    _ENCODE_CACHE[key] = encoded
-    return encoded
-
-
-_ENCODE_CACHE: dict = {}
-_ENCODE_CACHE_MAX = 8192
+    return "".join(out)
 
 
 def percent_decode(text: str, plus_as_space: bool = False) -> str:
@@ -81,10 +75,11 @@ def percent_decode(text: str, plus_as_space: bool = False) -> str:
 
 def encode_query(params: Iterable) -> str:
     """Encode an iterable of (key, value) pairs as a query string."""
-    params = tuple(params)
-    cached = _ENCODE_QUERY_CACHE.get(params)
-    if cached is not None:
-        return cached
+    return _encode_query(tuple(params))
+
+
+@lru_cache(maxsize=4096)
+def _encode_query(params: tuple) -> str:
     parts = []
     for key, value in params:
         key = str(key)
@@ -96,18 +91,7 @@ def encode_query(params: Iterable) -> str:
             parts.append(f"{key}={percent_encode(value)}")
             continue
         parts.append(f"{percent_encode(key)}={percent_encode(value)}")
-    encoded = "&".join(parts)
-    try:
-        if len(_ENCODE_QUERY_CACHE) >= _ENCODE_QUERY_CACHE_MAX:
-            _ENCODE_QUERY_CACHE.clear()
-        _ENCODE_QUERY_CACHE[params] = encoded
-    except TypeError:
-        pass  # unhashable values: skip the memo, the result still stands
-    return encoded
-
-
-_ENCODE_QUERY_CACHE: dict = {}
-_ENCODE_QUERY_CACHE_MAX = 8192
+    return "&".join(parts)
 
 
 def decode_query(query: str) -> list:
@@ -118,11 +102,14 @@ def decode_query(query: str) -> list:
     Decoding is pure and beacon queries repeat endlessly, so results are
     memoized (a fresh list is returned per call).
     """
-    if not query:
-        return []
-    cached = _QUERY_CACHE.get(query)
-    if cached is not None:
-        return list(cached)
+    return list(_decode_query(query)) if query else []
+
+
+# 3,072 keeps the hits of 4,096 on serve's store build (84.5 %) and
+# holds 2.0 MB there against 2.7 MB (DESIGN.md, "Process-lifetime
+# caches").
+@lru_cache(maxsize=3072)
+def _decode_query(query: str) -> tuple:
     pairs = []
     # Dominant case: nothing to unescape anywhere in the query.
     plain = "%" not in query and "+" not in query
@@ -139,14 +126,7 @@ def decode_query(query: str) -> list:
                     percent_decode(value, plus_as_space=True),
                 )
             )
-    if len(_QUERY_CACHE) >= _QUERY_CACHE_MAX:
-        _QUERY_CACHE.clear()
-    _QUERY_CACHE[query] = tuple(pairs)
-    return pairs
-
-
-_QUERY_CACHE: dict = {}
-_QUERY_CACHE_MAX = 16384
+    return tuple(pairs)
 
 
 @dataclass(frozen=True)

@@ -873,8 +873,3 @@ def read_campaign(path: Union[str, Path]):
     path = Path(path)
     data = path.read_bytes()
     return decode_campaign(_check_header(data, KIND_CAGG, path))
-
-
-def write_bundle(path: Union[str, Path], records) -> None:
-    """Atomically write an upload bundle as a framed binary file."""
-    atomic_write_bytes(path, _header(KIND_BUNDLE) + encode_bundle(records))

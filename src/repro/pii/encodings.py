@@ -65,15 +65,16 @@ def variants(value: str, include_hashes: bool = True) -> dict:
     earlier, more specific name wins.
 
     Results are memoized: hash digests dominate the cost, and matcher
-    construction re-enumerates the same ground-truth values for every
-    session of a study.
+    construction re-enumerates one user's ground-truth values for each
+    of that user's sessions.  Those sessions run back to back, so a
+    small recency bound keeps the reuse.
     """
     if value is None:
         return {}
     return dict(_variant_items(value, include_hashes))
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=1024)
 def _variant_items(value: str, include_hashes: bool) -> tuple:
     out: dict = {}
 

@@ -272,9 +272,14 @@ class GroundTruthMatcher:
         return {match.pii_type for match in self.match_request(request)}
 
 
-# One matcher per distinct ground-truth set, so sessions that share
-# ground truth (a study's sessions on one phone and account) also share
-# the matcher's text and request memos.
+# One matcher per distinct ground truth, so the sessions that share one
+# also share the matcher's text and request memos: a campaign user's
+# consecutive sessions, a study's label pass and analysis pass over the
+# same training-slice session (its 196 sessions have 196 distinct
+# ground truths), and serve's uploads of a session it already serves.
+# 256 matchers keep all of that reuse; 16 lose the study's and serve's.
+# Cleared when full rather than evicted by recency: a warm LRU keeps all
+# 256 matchers and their memos resident (~4 MB more campaign peak).
 _MATCHER_CACHE: dict = {}
 _MATCHER_CACHE_MAX = 256
 

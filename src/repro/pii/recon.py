@@ -22,6 +22,7 @@ import math
 import random
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional
 
 from ..net.flow import CapturedRequest
@@ -33,28 +34,11 @@ from .types import PiiType
 # -- featurization ------------------------------------------------------------
 
 
-# Field values repeat across a study's requests (the persona's
-# identifiers, fixed SDK parameters, user agents: the seed-2016 study
-# shapes 525,471 values, 3,417 of them distinct), so shapes are memoized
-# per value.  Values longer than _SHAPE_VALUE_MAX characters, such as
-# long ``_raw`` body texts, are not kept, and the memo is cleared when
-# full rather than evicted piecemeal, so it holds at most
-# _SHAPE_MEMO_MAX short strings.
-_SHAPE_MEMO: dict = {}
-_SHAPE_MEMO_MAX = 8192
-_SHAPE_VALUE_MAX = 256
-
-
 def _value_shape(value: str) -> str:
     """Coarse shape descriptor of a field value."""
-    shape = _SHAPE_MEMO.get(value)
-    if shape is None:
-        shape = _shape_of(value)
-        if len(value) <= _SHAPE_VALUE_MAX:
-            if len(_SHAPE_MEMO) >= _SHAPE_MEMO_MAX:
-                _SHAPE_MEMO.clear()
-            _SHAPE_MEMO[value] = shape
-    return shape
+    if len(value) > _SHAPE_VALUE_MAX:
+        return _shape_of(value)
+    return _short_shape(value)
 
 
 def _shape_of(value: str) -> str:
@@ -81,6 +65,15 @@ def _shape_of(value: str) -> str:
     if len(value) > 24:
         return "text_long"
     return "text_short"
+
+
+# Field values repeat across a study's requests (the persona's
+# identifiers, fixed SDK parameters, user agents: the seed-2016 study
+# shapes 525,471 values, 3,417 of them distinct), so shapes are memoized
+# per value.  Values longer than _SHAPE_VALUE_MAX characters, such as
+# long ``_raw`` body texts, are not kept.
+_SHAPE_VALUE_MAX = 256
+_short_shape = lru_cache(maxsize=8192)(_shape_of)
 
 
 def _is_hex(value: str) -> bool:

@@ -10,6 +10,7 @@ of :class:`Field` records drawn from the URL query, the decoded body
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import NamedTuple
 
 from ..http.body import decode_body
@@ -41,18 +42,16 @@ class Field(NamedTuple):
     value: str
 
 
-_INTERESTING_MEMO: dict = {}
-
-
+# Header names repeat across every request (the study and a campaign
+# ask about the same five); the bound keeps a long-running ingest, which
+# may meet new names with every upload, from growing the memo.
+@lru_cache(maxsize=256)
 def _header_is_interesting(name: str) -> bool:
-    verdict = _INTERESTING_MEMO.get(name)
-    if verdict is None:
-        lowered = name.lower()
-        verdict = _INTERESTING_MEMO[name] = any(
-            lowered == probe or (probe.endswith("-") and lowered.startswith(probe))
-            for probe in _INTERESTING_HEADERS
-        )
-    return verdict
+    lowered = name.lower()
+    return any(
+        lowered == probe or (probe.endswith("-") and lowered.startswith(probe))
+        for probe in _INTERESTING_HEADERS
+    )
 
 
 def extract_fields(request: CapturedRequest) -> list:

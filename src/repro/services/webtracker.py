@@ -37,30 +37,15 @@ GIF_BODY = b"GIF89a\x01\x00\x01\x00\x80\x00\x00\xff\xff\xff\x00\x00\x00!\xf9"
 OK_JSON_BODY = encode_json({"status": "ok"})
 
 
-# Blobs are pure functions of (seed, low, high) and the same assets are
-# served over and over (pages re-embed the same scripts and creatives);
-# cache the built bytes.  Small entry cap — blobs run to ~100KB each.
-_BLOB_CACHE: dict = {}
-_BLOB_CACHE_MAX = 1024
-
-
 def sized_blob(seed: str, low: int, high: int) -> bytes:
     """Deterministic pseudo-content of a size derived from ``seed``."""
     if low > high:
         raise ValueError(f"empty size range [{low}, {high}]")
-    key = (seed, low, high)
-    cached = _BLOB_CACHE.get(key)
-    if cached is not None:
-        return cached
     digest = hashlib.sha256(seed.encode()).digest()
     span = high - low + 1
     size = low + int.from_bytes(digest[:4], "big") % span
     unit = digest * (size // len(digest) + 1)
-    blob = unit[:size]
-    if len(_BLOB_CACHE) >= _BLOB_CACHE_MAX:
-        _BLOB_CACHE.clear()
-    _BLOB_CACHE[key] = blob
-    return blob
+    return unit[:size]
 
 
 class _CookieMinter:

@@ -11,6 +11,8 @@ why the paper had to spot those password flows manually.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .abpfilter import FilterList
 
 EASYLIST_TEXT = """\
@@ -107,12 +109,7 @@ EASYLIST_TEXT = """\
 @@||facebook.com/docs/^
 """
 
-_compiled: FilterList = None  # type: ignore[assignment]
-
-
+@lru_cache(maxsize=1)
 def bundled_easylist() -> FilterList:
     """Return the compiled bundled list (cached after first call)."""
-    global _compiled
-    if _compiled is None:
-        _compiled = FilterList.parse(EASYLIST_TEXT)
-    return _compiled
+    return FilterList.parse(EASYLIST_TEXT)

@@ -7,7 +7,11 @@ network with a single echo server for transport/proxy tests.
 
 from __future__ import annotations
 
+import functools
+import importlib
+import pkgutil
 import random
+import re
 
 import pytest
 
@@ -27,33 +31,58 @@ def rng():
     return random.Random(42)
 
 
+@functools.lru_cache(maxsize=1)
+def process_caches() -> dict:
+    """Every process-lifetime cache in ``repro``, by qualified name.
+
+    A cache is a ``functools`` LRU wrapper a ``repro`` module defines,
+    at module level or on a class (``ServerTlsProfile.standard``), or a
+    module-level dict named ``_..._CACHE`` or ``_..._MEMO``.  Every
+    module is imported on the first call, so one scan finds them all.
+    """
+    import repro
+
+    found = {}
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        if info.name.endswith(".__main__"):
+            continue
+        module = importlib.import_module(info.name)
+        for name, value in vars(module).items():
+            members = {name: value}
+            if isinstance(value, type) and value.__module__ == info.name:
+                members = {
+                    f"{name}.{attr}": getattr(member, "__func__", member)
+                    for attr, member in vars(value).items()
+                }
+            for label, member in members.items():
+                if isinstance(member, functools._lru_cache_wrapper):
+                    if member.__module__ == info.name:
+                        found[f"{info.name}.{label}"] = member
+                elif isinstance(member, dict) and re.fullmatch(r"_[A-Z_]+_(CACHE|MEMO)", label):
+                    found[f"{info.name}.{label}"] = member
+    return found
+
+
+def clear_process_caches() -> None:
+    for cache in process_caches().values():
+        if isinstance(cache, dict):
+            cache.clear()
+        else:
+            cache.cache_clear()
+
+
 @pytest.fixture(autouse=True)
 def _hermetic_caches():
-    """Reset module-level memo caches after every test.
+    """Reset every process-lifetime cache after every test.
 
-    The fast-path engines memoize aggressively (matcher automata,
-    decoded bodies, cookie parses, filter verdicts).  The caches are
+    The fast paths memoize parsed URLs, decoded bodies, cookie parses,
+    matchers and their memos, filter verdicts and more.  The caches are
     content-keyed, so they cannot change *results* — but a test that
     asserts on cache behaviour, or one that monkeypatches something a
     cached value baked in, must not see another test's entries.
     """
     yield
-    from repro.core import pipeline
-    from repro.http import body, cookies
-    from repro.pii import encodings, matcher
-    from repro.services import webtracker
-    from repro.trackerdb import easylist, psl
-
-    matcher._MATCHER_CACHE.clear()
-    pipeline._CATEGORIZER_CACHE.clear()
-    body._DECODE_CACHE.clear()
-    cookies._COOKIE_PARSE_CACHE.clear()
-    webtracker._BLOB_CACHE.clear()
-    encodings._variant_items.cache_clear()
-    psl.same_party.cache_clear()
-    psl.domain_key.cache_clear()
-    if easylist._compiled is not None:
-        easylist._compiled._verdicts.clear()
+    clear_process_caches()
 
 
 class EchoHandler:

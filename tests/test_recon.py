@@ -69,10 +69,10 @@ class TestFeaturize:
         assert example.domain == ""
 
     def test_shape_memo_is_bounded(self, monkeypatch):
-        """The memo clears when full and never keeps a long value."""
-        monkeypatch.setattr(recon_module, "_SHAPE_MEMO", {})
-        monkeypatch.setattr(recon_module, "_SHAPE_MEMO_MAX", 2)
+        """The memo never keeps a long value (its bound: tests/test_caches.py)."""
         monkeypatch.setattr(recon_module, "_SHAPE_VALUE_MAX", 4)
+        memo = recon_module._short_shape
+        memo.cache_clear()
         values = ("1", "a@b.co", "42.5", "7", "a@b.co", "1")
         shapes = [recon_module._value_shape(v) for v in values]
         assert shapes == [
@@ -83,8 +83,8 @@ class TestFeaturize:
             "email_like",
             "digits_short",
         ]
-        assert "a@b.co" not in recon_module._SHAPE_MEMO
-        assert len(recon_module._SHAPE_MEMO) <= 2
+        info = memo.cache_info()  # "a@b.co" is over 4 characters: never looked up
+        assert (info.hits, info.misses, info.currsize) == (1, 3, 3)
 
 
 class TestDecisionTree:
