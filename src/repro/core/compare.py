@@ -83,11 +83,3 @@ def fraction_web_contacts_more_aa(study: StudyResult, os_name: str) -> float:
     if not diffs:
         return 0.0
     return sum(1 for d in diffs if d.aa_domains < 0) / len(diffs)
-
-
-def fraction_web_more_aa_flows(study: StudyResult, os_name: str) -> float:
-    """Fig 1b headline: fraction with more A&A flows on the web side."""
-    diffs = study_diffs(study, os_name)
-    if not diffs:
-        return 0.0
-    return sum(1 for d in diffs if d.aa_flows < 0) / len(diffs)

@@ -15,12 +15,14 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional
 
+from ..collector import collector_held, session_boundary
 from ..experiment.dataset import APP, WEB, Dataset, SavedSession, SessionRecord
 from ..experiment.filtering import filter_background
 from ..experiment.runner import ExperimentRunner
 from ..pii.detector import PiiDetector
 from ..pii.matcher import matcher_for
-from ..pii.recon import ReconClassifier, train_from_traces
+from ..pii.recon import ReconClassifier
+from ..pii.structure import extract_fields
 from ..services.service import ServiceSpec
 from ..services.world import World, build_world
 from ..trackerdb.categorize import Categorizer
@@ -190,7 +192,7 @@ def label_record(record: SessionRecord) -> list:
     Labels come from the session's own ground truth (the
     controlled-experiment workflow); example order follows the trace,
     so the concatenation order across sessions fully determines the
-    trained tree.
+    trained tree.  Each request's fields are extracted once, for both.
     """
     matcher = matcher_for(record.ground_truth)
     out = []
@@ -198,8 +200,9 @@ def label_record(record: SessionRecord) -> list:
         if not flow.decrypted:
             continue
         for txn in flow.transactions:
-            labels = {m.pii_type for m in matcher.match_request(txn.request)}
-            out.append(ReconClassifier.make_example(txn.request, labels))
+            fields = extract_fields(txn.request)
+            labels = {m.pii_type for m in matcher.match_request(txn.request, fields)}
+            out.append(ReconClassifier.make_example(txn.request, labels, fields))
     return out
 
 
@@ -259,11 +262,13 @@ def _fan_out(engine, task, sessions: list, context=None):
     of the consumer: in-process one at a time, so a pass over saved
     sessions holds at most two traces; on N processes 2N, so a worker
     that finishes early finds its next session queued (as ingest's
-    ``_analyze_stream`` does).
+    ``_analyze_stream`` does).  Each result is a session boundary.
     """
     with engine.fitted(len(sessions)).pool(context) as pool:
         window = 1 if pool.workers == 1 else 2 * pool.workers
-        yield from pool.imap(task, _records(sessions), window=window)
+        for result in pool.imap(task, _records(sessions), window=window):
+            yield result
+            session_boundary()
 
 
 def _cached_analyses(cache, engine, sessions: list, context) -> list:
@@ -324,6 +329,7 @@ def train_recon_on_dataset(
     return classifier
 
 
+@collector_held()
 def analyze_dataset(
     dataset,
     services: list,
@@ -371,6 +377,7 @@ def analyze_dataset(
     )
 
 
+@collector_held()
 def run_study(
     services: Optional[list] = None,
     seed: int = 2016,

@@ -14,6 +14,7 @@ from __future__ import annotations
 import random
 from typing import Optional
 
+from ..collector import collector_held, session_boundary
 from ..device.browser import Browser
 from ..device.persona import Persona, generate_persona
 from ..device.phone import ANDROID, IOS, Phone, PhoneSpec
@@ -169,15 +170,7 @@ class ExperimentRunner:
         self, spec: ServiceSpec, duration: float = 240.0, phone_setup=None
     ) -> list:
         """All cells for one service (app/web × each tested OS)."""
-        records = []
-        for os_name in spec.oses:
-            for medium in (APP, WEB):
-                records.append(
-                    self.run_session(
-                        spec, os_name, medium, duration=duration, phone_setup=phone_setup
-                    )
-                )
-        return records
+        return list(self.run_study([spec], duration=duration, phone_setup=phone_setup))
 
     def run_study(
         self,
@@ -203,38 +196,35 @@ class ExperimentRunner:
         pre-mitigation runner.
         """
         specs = services if services is not None else self.world.services
-        if mitigation is None:
-            dataset = Dataset()
-            for spec in specs:
-                for record in self.run_service(
-                    spec, duration=duration, phone_setup=phone_setup
-                ):
-                    dataset.add(record)
-            return dataset
+        addon = None
+        setup = phone_setup
+        if mitigation is not None:
+            if hasattr(mitigation, "rewrite_request"):
+                addon = mitigation
+            else:
+                from ..mitigate.plane import MitigationAddon
 
-        if hasattr(mitigation, "rewrite_request"):
-            addon = mitigation
-        else:
-            from ..mitigate.plane import MitigationAddon
+                addon = MitigationAddon(mitigation, specs, seed=self.seed)
+            if phone_setup is None:
+                setup = addon.stage_phone
+            else:
+                def setup(phone):
+                    addon.stage_phone(phone)
+                    phone_setup(phone)
 
-            addon = MitigationAddon(mitigation, specs, seed=self.seed)
-
-        if phone_setup is None:
-            setup = addon.stage_phone
-        else:
-            def setup(phone):
-                addon.stage_phone(phone)
-                phone_setup(phone)
-
-        proxy = self.world.proxy
-        proxy.add_addon(addon)
+            self.world.proxy.add_addon(addon)
+        dataset = Dataset()
         try:
-            dataset = Dataset()
-            for spec in specs:
-                for record in self.run_service(
-                    spec, duration=duration, phone_setup=setup
-                ):
-                    dataset.add(record)
-            return dataset
+            with collector_held():
+                for spec in specs:
+                    for os_name in spec.oses:
+                        for medium in (APP, WEB):
+                            record = self.run_session(
+                                spec, os_name, medium, duration=duration, phone_setup=setup
+                            )
+                            dataset.add(record)
+                            session_boundary()
         finally:
-            proxy.remove_addon(addon)
+            if addon is not None:
+                self.world.proxy.remove_addon(addon)
+        return dataset

@@ -74,16 +74,17 @@ def percent_decode(text: str, plus_as_space: bool = False) -> str:
 
 
 def encode_query(params: Iterable) -> str:
-    """Encode an iterable of (key, value) pairs as a query string."""
-    return _encode_query(tuple(params))
+    """Encode an iterable of (key, value) pairs as a query string.
+
+    Keys and values go through ``str`` before the memo sees them, so
+    ``1``, ``1.0`` and ``True`` are three memo keys, not one."""
+    return _encode_query(tuple([(str(key), str(value)) for key, value in params]))
 
 
 @lru_cache(maxsize=4096)
 def _encode_query(params: tuple) -> str:
     parts = []
     for key, value in params:
-        key = str(key)
-        value = str(value)
         if not key.strip(_UNRESERVED_STR):
             if not value.strip(_UNRESERVED_STR):
                 parts.append(f"{key}={value}")

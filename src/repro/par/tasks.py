@@ -33,6 +33,7 @@ per-process and are reused across that worker's tasks.
 
 from __future__ import annotations
 
+import gc
 import time
 from typing import Callable, NamedTuple, Optional
 
@@ -89,16 +90,26 @@ def init_campaign(specs: list, config: dict) -> None:
     _WORKER["context"] = CampaignContext.from_config(specs, config)
 
 
+def start_worker(install, *args) -> None:
+    """Pool initializer: the collector on, since ``fork`` copies the off
+    state of a :func:`~repro.collector.collector_held`, then
+    ``install(*args)`` unless ``install`` is ``None``."""
+    gc.enable()
+    if install is not None:
+        install(*args)
+
+
 def pool_initializer(context) -> tuple:
-    """``(initializer, initargs)`` that rebuild ``context`` in a worker.
+    """``(initializer, initargs)`` that start a worker with the collector
+    on and ``context`` rebuilt.
 
     The initializers are looked up when a pool starts, not at import.
     """
     if context is None:
-        return None, ()
+        return start_worker, (None,)
     if isinstance(context, AnalysisContext):
-        return init_worker, (context.specs, context.recon)
-    return init_campaign, (context.services, context.config())
+        return start_worker, (init_worker, context.specs, context.recon)
+    return start_worker, (init_campaign, context.services, context.config())
 
 
 def run_shipped(task, payload):

@@ -1,7 +1,7 @@
 """PII detection: taxonomy, encodings, matching, and the ReCon classifier."""
 
 from .detector import MATCHING, RECON, DetectionReport, PiiDetector, PiiObservation
-from .encodings import encode_value, hashed_forms, variants
+from .encodings import encode_value, variants
 from .matcher import GroundTruthMatcher, PiiMatch, matcher_for
 from .recon import (
     DecisionTree,
@@ -12,7 +12,6 @@ from .recon import (
     evaluate_classifier,
     featurize,
     render_metrics,
-    train_from_traces,
 )
 from .structure import Field, extract_fields, searchable_text
 from .types import ALL_PII_TYPES, TABLE1_ORDER, PiiType
@@ -38,9 +37,7 @@ __all__ = [
     "encode_value",
     "extract_fields",
     "featurize",
-    "hashed_forms",
     "matcher_for",
     "searchable_text",
-    "train_from_traces",
     "variants",
 ]

@@ -24,6 +24,7 @@ from ..trackerdb.psl import domain_key
 from . import encodings
 from .matcher import GroundTruthMatcher
 from .recon import ReconClassifier
+from .structure import extract_fields
 from .types import PiiType
 
 MATCHING = "matching"
@@ -140,13 +141,15 @@ class PiiDetector:
     def scan_transaction(self, flow: Flow, txn: HttpTransaction) -> tuple:
         """Detect PII in one transaction.
 
-        Returns ``(observations, recon_false_positives)``.
+        Returns ``(observations, recon_false_positives)``.  With ReCon on,
+        the request's fields are extracted once, for the matcher and ReCon.
         """
         merged: dict = {}
         plaintext = flow.scheme == "http"
         host = flow.hostname
+        fields = None if self.recon is None else extract_fields(txn.request)
 
-        for match in self.matcher.match_request(txn.request):
+        for match in self.matcher.match_request(txn.request, fields):
             obs = merged.get(match.pii_type)
             if obs is None:
                 obs = PiiObservation(
@@ -168,7 +171,7 @@ class PiiDetector:
 
         false_positives = 0
         if self.recon is not None:
-            for prediction in self.recon.predict(txn.request):
+            for prediction in self.recon.predict(txn.request, fields):
                 verified = not self.verify_recon or self._verify(
                     prediction.pii_type, prediction.extracted_value
                 )

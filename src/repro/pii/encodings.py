@@ -94,11 +94,3 @@ def _variant_items(value: str, include_hashes: bool) -> tuple:
     if digits != value and len(digits) >= 7:
         put(digits, DIGITS_ONLY)
     return tuple(out.items())
-
-
-def hashed_forms(value: str) -> dict:
-    """Just the hash digests of ``value`` (used by hashing-aware tests)."""
-    return {
-        encode_value(value, name): name
-        for name in _HASHES
-    }

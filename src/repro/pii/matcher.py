@@ -229,7 +229,7 @@ class GroundTruthMatcher:
                 except ValueError:
                     continue
 
-    def match_request(self, request: CapturedRequest) -> list:
+    def match_request(self, request: CapturedRequest, fields: Optional[list] = None) -> list:
         """Scan a captured request, attributing hits to structured keys.
 
         Structure-attributed matches replace their text-scan twins, so a
@@ -238,7 +238,9 @@ class GroundTruthMatcher:
 
         Results are memoized per request content — traces repeat beacon
         and heartbeat requests heavily, and the matches are pure
-        functions of (url, headers, body).
+        functions of (url, headers, body).  ``fields`` is the request's
+        :func:`~repro.pii.structure.extract_fields`, when the caller
+        already has them; they are read only on a memo miss.
         """
         if not self._slow:
             # Captured headers are already (name, value) tuples, so one
@@ -250,7 +252,9 @@ class GroundTruthMatcher:
         by_identity = {}
         for match in self._scan(searchable_text(request)):
             by_identity[(match.pii_type, match.value, match.encoding)] = match
-        for field in extract_fields(request):
+        if fields is None:
+            fields = extract_fields(request)
+        for field in fields:
             for match in self.match_text(field.value):
                 key = (match.pii_type, match.value, match.encoding)
                 by_identity[key] = PiiMatch(

@@ -341,12 +341,17 @@ class ReconClassifier:
         self.trained_types: set = set()
 
     @staticmethod
-    def make_example(request: CapturedRequest, labels: set) -> TrainingExample:
+    def make_example(
+        request: CapturedRequest, labels: set, fields: Optional[list] = None
+    ) -> TrainingExample:
+        """``fields`` as :func:`featurize` takes them."""
         try:
             domain = domain_key(parse_url(request.url).host)
         except UrlError:
             domain = ""
-        return TrainingExample(features=featurize(request), domain=domain, labels=set(labels))
+        return TrainingExample(
+            features=featurize(request, fields), domain=domain, labels=set(labels)
+        )
 
     def fit(self, examples: list) -> "ReconClassifier":
         """Train from :class:`TrainingExample` records."""
@@ -402,14 +407,16 @@ class ReconClassifier:
             return specialist
         return self._global.get(pii_type)
 
-    def predict(self, request: CapturedRequest) -> list:
+    def predict(self, request: CapturedRequest, fields: Optional[list] = None) -> list:
         """Predict PII types present in ``request``.
 
         Returns :class:`ReconPrediction` records above the threshold,
         each with the heuristically extracted key/value when one of the
-        type's synonym keys is present.
+        type's synonym keys is present.  ``fields`` as :func:`featurize`
+        takes them.
         """
-        fields = extract_fields(request)
+        if fields is None:
+            fields = extract_fields(request)
         features = featurize(request, fields)
         try:
             domain = domain_key(parse_url(request.url).host)
@@ -447,30 +454,6 @@ def _extract_by_synonym(fields: list, pii_type: PiiType) -> tuple:
         if bare in synonyms or key in synonyms:
             return (fld.key, fld.value)
     return ("", "")
-
-
-def train_from_traces(
-    traces: list,
-    matcher,
-    classifier: Optional[ReconClassifier] = None,
-) -> ReconClassifier:
-    """Build a classifier from captured traces using ground-truth labels.
-
-    ``matcher`` is a :class:`~repro.pii.matcher.GroundTruthMatcher`; its
-    hits become the training labels — the controlled-experiment workflow
-    the paper uses to get reliable labels for ML detection.
-    """
-    examples = []
-    for trace in traces:
-        for flow in trace:
-            if not flow.decrypted:
-                continue
-            for txn in flow.transactions:
-                labels = {m.pii_type for m in matcher.match_request(txn.request)}
-                examples.append(ReconClassifier.make_example(txn.request, labels))
-    if classifier is None:
-        classifier = ReconClassifier()
-    return classifier.fit(examples)
 
 
 # -- evaluation ----------------------------------------------------------------

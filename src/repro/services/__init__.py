@@ -1,7 +1,7 @@
 """Simulated online-service world: catalog, behaviours, third parties."""
 
-from .adsdk import SdkProfile, known_profiles, profile_for
-from .catalog import build_catalog, catalog_by_slug, rows
+from .adsdk import SdkProfile, profile_for
+from .catalog import build_catalog, rows
 from .endpoints import FirstPartyHandler
 from .service import (
     FIRST_PARTY_DEST,
@@ -13,7 +13,7 @@ from .service import (
     WebConfig,
     WebRuntime,
 )
-from .thirdparty import ThirdParty, aa_domains, all_hostnames, by_role, get, registry
+from .thirdparty import ThirdParty, aa_domains, get, registry
 from .world import World, build_world
 
 __all__ = [
@@ -30,13 +30,9 @@ __all__ = [
     "WebRuntime",
     "World",
     "aa_domains",
-    "all_hostnames",
     "build_catalog",
     "build_world",
-    "by_role",
-    "catalog_by_slug",
     "get",
-    "known_profiles",
     "profile_for",
     "registry",
     "rows",

@@ -91,7 +91,3 @@ def profile_for(domain: str) -> SdkProfile:
     if existing is not None:
         return existing
     return SdkProfile(domain=domain)
-
-
-def known_profiles() -> dict:
-    return dict(_PROFILES)

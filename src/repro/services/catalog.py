@@ -607,10 +607,6 @@ def build_catalog() -> list:
     return specs
 
 
-def catalog_by_slug() -> dict:
-    return {spec.slug: spec for spec in build_catalog()}
-
-
 def rows() -> tuple:
     """The raw catalog rows (useful for tests and tooling)."""
     return _ROWS

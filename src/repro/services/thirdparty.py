@@ -176,14 +176,3 @@ def get(domain: str) -> ThirdParty:
 def aa_domains() -> set:
     """Registrable domains EasyList should flag as A&A."""
     return {party.domain for party in _REGISTRY.values() if party.is_aa}
-
-
-def all_hostnames() -> set:
-    hosts: set = set()
-    for party in _REGISTRY.values():
-        hosts.update(party.hostnames)
-    return hosts
-
-
-def by_role(role: str) -> list:
-    return [party for party in _REGISTRY.values() if party.role == role]

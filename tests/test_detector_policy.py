@@ -80,7 +80,7 @@ class TestDetector:
 
     def test_recon_verification_drops_false_positive(self):
         class FakeRecon:
-            def predict(self, request):
+            def predict(self, request, fields=None):
                 from repro.pii.recon import ReconPrediction
 
                 return [
@@ -95,7 +95,7 @@ class TestDetector:
 
     def test_recon_verified_prediction_kept(self):
         class FakeRecon:
-            def predict(self, request):
+            def predict(self, request, fields=None):
                 from repro.pii.recon import ReconPrediction
 
                 return [ReconPrediction(PiiType.EMAIL, 0.9, "em", "signup99@testmail.example")]
@@ -110,7 +110,7 @@ class TestDetector:
 
     def test_both_methods_merge(self):
         class FakeRecon:
-            def predict(self, request):
+            def predict(self, request, fields=None):
                 from repro.pii.recon import ReconPrediction
 
                 return [ReconPrediction(PiiType.EMAIL, 0.8, "email", "signup99@testmail.example")]

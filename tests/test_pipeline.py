@@ -122,3 +122,46 @@ class TestStudyOrchestration:
         long_cell = long.by_slug("weather").cell("android", APP)
         assert len(long_cell.leaks) > len(short_cell.leaks)
         assert long_cell.leak_types == short_cell.leak_types
+
+
+class TestFieldsOnce:
+    """With ReCon on, each scanned or labelled request's fields are
+    extracted once, for the matcher and for ReCon alike."""
+
+    @pytest.fixture
+    def extractions(self, monkeypatch):
+        from repro.core import pipeline
+        from repro.pii import detector, matcher, recon, structure
+
+        calls = []
+
+        def counted(request):
+            calls.append(request)
+            return structure.extract_fields(request)
+
+        for module in (pipeline, detector, matcher, recon):
+            monkeypatch.setattr(module, "extract_fields", counted)
+        return calls
+
+    def test_label_and_scan_parse_each_request_once(self, mini_study, extractions):
+        from repro.core.pipeline import label_record
+        from repro.experiment.filtering import filter_background
+
+        from .conftest import clear_process_caches
+
+        record = mini_study.dataset.get("grubhub", "android", APP)
+        requests = [
+            txn.request
+            for flow in filter_background(record.trace)
+            if flow.decrypted
+            for txn in flow.transactions
+        ]
+        clear_process_caches()  # a cold matcher memo misses on every new request
+        examples = label_record(record)
+        assert extractions == requests
+        assert len(examples) == len(requests)
+
+        extractions.clear()
+        clear_process_caches()
+        analyze_session(record, mini_study.by_slug("grubhub").spec, recon=mini_study.recon)
+        assert extractions == requests

@@ -14,7 +14,6 @@ from repro.pii.recon import (
     ReconClassifier,
     TrainingExample,
     featurize,
-    train_from_traces,
 )
 from repro.pii.structure import extract_fields
 from repro.pii.types import PiiType

@@ -48,6 +48,19 @@ class TestQueryStrings:
     def test_encode_pairs(self):
         assert encode_query([("a", "1"), ("b", "x y")]) == "a=1&b=x%20y"
 
+    def test_memo_keeps_equal_values_of_other_types_apart(self):
+        """``1 == 1.0 == True``, so a memo keyed on the raw pairs answered
+        all three with whichever was encoded first."""
+        from repro.http import url
+
+        values = (1, 1.0, True)
+        warm = [encode_query([("k", value)]) for value in values]
+        cold = []
+        for value in values:
+            url._encode_query.cache_clear()
+            cold.append(encode_query([("k", value)]))
+        assert warm == cold == ["k=1", "k=1.0", "k=True"]
+
     def test_decode_preserves_order_and_duplicates(self):
         assert decode_query("a=1&a=2&b=3") == [("a", "1"), ("a", "2"), ("b", "3")]
 
